@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .dqem import ProjectionPair, aggregate_top_k, kmeans
 from .numerics import derive_seed, make_rng
@@ -80,6 +79,8 @@ def _make_workload(n: int, cfg: BenchConfig, seed: int) -> tuple[np.ndarray, np.
 
 
 def _fit_slope(ns: list[int], ts: list[float]) -> tuple[float, tuple[float, float]]:
+    from scipy import stats  # deferred: slow to import, and only the fit needs it
+
     res = stats.linregress(np.log(ns), np.log(ts))
     half = float(stats.t.ppf(0.975, len(ns) - 2)) * res.stderr if len(ns) > 2 else float("inf")
     return float(res.slope), (float(res.slope) - half, float(res.slope) + half)

@@ -421,16 +421,23 @@ def read_scenes(path: str) -> list[Frame]:
                     points = PointSet(xy, feat)
                 else:
                     points = PointSet.empty(d)
-                frames.append(
-                    Frame(
-                        timestamp=float(rec["timestamp"]),
-                        boxes=boxes,
-                        track_ids=track_ids,
-                        points=points,
-                        encoder_seed=int(rec["encoder_seed"]),
-                        d=d,
-                    )
+                frame = Frame(
+                    timestamp=float(rec["timestamp"]),
+                    boxes=boxes,
+                    track_ids=track_ids,
+                    points=points,
+                    encoder_seed=int(rec["encoder_seed"]),
+                    d=d,
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{line_no}: malformed frame record ({exc})") from exc
+            for item, field_name, values in (
+                ("gt", "box", np.array([b.as_array() for b in boxes]).reshape(-1, ATTR_DIM)),
+                ("point", "xy", points.xy),
+                ("point", "feature", points.feat),
+            ):
+                bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+                if bad.size:
+                    raise ValueError(f"{path}:{line_no}: {item} {bad[0]}: {field_name} is not finite")
+            frames.append(frame)
     return frames

@@ -245,10 +245,34 @@ def gather_neighborhood(frame: Frame, center_xy: np.ndarray, radius: float) -> P
     return PointSet(frame.points.xy[mask], frame.points.feat[mask])
 
 
+def _kmeans_pp_draws(k: int, n: int) -> int:
+    """Candidates drawn per k-means++ step: 2 + ln k greedy local trials."""
+    return min(2 + int(math.log(k)), n) if k > 1 else 1
+
+
 def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding with greedy local trials (better single-run optima)."""
+    """k-means++ seeding with greedy local trials (better single-run optima).
+
+    Stops early, returning fewer than ``k`` centers, once every point
+    coincides with a chosen center.  The trial count then follows the
+    number of centers actually found: if it differs from the one for ``k``,
+    the generator is rewound and the seeding redone with that count, so
+    the generator always ends where seeding for the found count leaves it.
+    """
     n = x.shape[0]
-    n_trials = 2 + int(math.log(k)) if k > 1 else 1
+    start = rng.bit_generator.state
+    while True:
+        centers = _kmeans_pp_pass(x, k, rng)
+        found = centers.shape[0]
+        if _kmeans_pp_draws(found, n) == _kmeans_pp_draws(k, n):
+            return centers
+        rng.bit_generator.state = start
+        k = found
+
+
+def _kmeans_pp_pass(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    n = x.shape[0]
+    n_draws = _kmeans_pp_draws(k, n)
     centers = np.empty((k, x.shape[1]))
     first = int(rng.integers(n))
     centers[0] = x[first]
@@ -258,14 +282,17 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         if total <= 0.0:
             # All remaining points coincide with chosen centers.
             return centers[:j]
-        probs = d2 / total
-        cand = rng.choice(n, size=min(n_trials, n), p=probs)
+        if not math.isfinite(total):
+            raise ValueError("k-means++ potential is not finite (non-finite or overflowing features)")
+        # rng.choice(n, n_draws, p=d2 / total), as numpy computes it.
+        cdf = np.cumsum(d2 / total)
+        cdf /= cdf[-1]
+        cand = cdf.searchsorted(rng.random(n_draws), side="right")
         # Keep the candidate that lowers the potential the most.
         cand_d2 = pairwise_sq_dist(x, x[cand])
-        pot = np.minimum(d2[:, None], cand_d2).sum(axis=0)
-        best = cand[int(np.argmin(pot))]
-        centers[j] = x[best]
-        d2 = np.minimum(d2, cand_d2[:, int(np.argmin(pot))])
+        best = int(np.argmin(np.minimum(d2[:, None], cand_d2).sum(axis=0)))
+        centers[j] = x[cand[best]]
+        d2 = np.minimum(d2, cand_d2[:, best])
     return centers
 
 
@@ -297,28 +324,26 @@ def kmeans(
         raise ValueError("n_init must be at least 1")
     if rng is None:
         rng = make_rng(0)
-    n_distinct = np.unique(x, axis=0).shape[0]
-    k_eff = min(k, n_distinct)
     best: ClusterSet | None = None
     for _ in range(n_init):
-        run = _kmeans_once(x, k, k_eff, iters, rng)
+        run = _kmeans_once(x, k, iters, rng)
         if best is None or run.inertia < best.inertia:
             best = run
     return best
 
 
-def _kmeans_once(
-    x: np.ndarray, k: int, k_eff: int, iters: int, rng: np.random.Generator
-) -> ClusterSet:
+def _kmeans_once(x: np.ndarray, k: int, iters: int, rng: np.random.Generator) -> ClusterSet:
     n = x.shape[0]
-    centers = _kmeans_pp_init(x, k_eff, rng)
+    centers = _kmeans_pp_init(x, k, rng)
     k_eff = centers.shape[0]
+    rows = np.arange(n)
 
     trace: list[float] = []
     prev_assign: np.ndarray | None = None
-    assign = np.zeros(n, dtype=np.int64)
+    # Distances to the current centers.  The pass that scores an update
+    # also gives the next round its assignment distances.
+    d2 = pairwise_sq_dist(x, centers)
     for _ in range(iters):
-        d2 = pairwise_sq_dist(x, centers)
         assign = d2.argmin(axis=1)
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
@@ -329,28 +354,21 @@ def _kmeans_once(
         nonempty = counts > 0
         new_centers[nonempty] = sums[nonempty] / counts[nonempty, None]
         for j in np.flatnonzero(~nonempty):
-            far = int(np.argmax(pairwise_sq_dist(x, centers[j : j + 1])[:, 0]))
-            new_centers[j] = x[far]
+            new_centers[j] = x[int(np.argmax(d2[:, j]))]
         centers = new_centers
-        # Objective after this update: distances to the refreshed centers.
-        inertia = float(pairwise_sq_dist(x, centers)[np.arange(n), assign].sum())
-        trace.append(inertia)
+        d2 = pairwise_sq_dist(x, centers)
+        trace.append(float(d2[rows, assign].sum()))
         prev_assign = assign
 
-    # Compact away clusters left empty by the final assignment.
-    counts = np.bincount(assign, minlength=k_eff)
+    # Compact away clusters left empty by the final assignment, whose
+    # counts are the last ones taken (a break repeats that assignment).
     keep = np.flatnonzero(counts > 0)
     relabel = np.full(k_eff, -1, dtype=np.int64)
     relabel[keep] = np.arange(keep.size)
-    assign = relabel[assign]
-    centers = centers[keep]
-    sizes = counts[keep]
-    if not trace:
-        trace.append(float(pairwise_sq_dist(x, centers)[np.arange(n), assign].sum()))
     return ClusterSet(
-        assignments=assign,
-        centers=centers,
-        sizes=sizes,
+        assignments=relabel[assign],
+        centers=centers[keep],
+        sizes=counts[keep],
         inertia=trace[-1],
         inertia_trace=tuple(trace),
         requested_k=k,

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .bevscene import Frame
 from .dqem import Detection, DetectionFrame
@@ -52,6 +51,8 @@ def hungarian_assign(cost: np.ndarray) -> np.ndarray:
         return np.zeros((0, 2), dtype=np.int64)
     if not np.all(np.isfinite(c)):
         raise ValueError("cost entries must be finite")
+    from scipy.optimize import linear_sum_assignment  # deferred: slow to import
+
     rows, cols = linear_sum_assignment(c)
     pairs = np.stack([rows, cols], axis=1).astype(np.int64)
     return pairs[np.argsort(pairs[:, 0])]

@@ -251,6 +251,29 @@ def test_read_scenes_reports_bad_line(tmp_path):
         read_scenes(path)
 
 
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        (("points", 3, "f", 2), float("nan"), r":2: point 3: feature is not finite"),
+        (("points", 1, "xy", 0), float("inf"), r":2: point 1: xy is not finite"),
+        (("gt", 0, "box", 7), float("-inf"), r":2: gt 0: box is not finite"),
+        (("gt", 0, "box", 3), float("nan"), r":2: gt 0: box is not finite"),
+    ],
+)
+def test_read_scenes_rejects_non_finite_values(tmp_path, where, value, message):
+    path = tmp_path / "bad.jsonl"
+    cfg = SceneConfig(n_objects=1, points_per_object=4, background_points=2)
+    write_scenes(generate_sequence(cfg, 2, 0.5, make_rng(3)).frames, path)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[1])
+    group, index, key, channel = where
+    rec[group][index][key][channel] = value
+    lines[1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=message):
+        read_scenes(path)
+
+
 def test_scene_config_validation():
     with pytest.raises(ValueError):
         SceneConfig(d=8)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qebev
 from qebev.bevscene import read_scenes
 from qebev.cli import main
 from qebev.dqem import read_detections
@@ -227,6 +231,77 @@ def test_missing_required_argument_exits_one():
 def test_missing_input_file_exits_one(tmp_path):
     assert run(["detect", "--scenes", str(tmp_path / "absent.jsonl"),
                 "--out", str(tmp_path / "d.jsonl")]) == 1
+
+
+def _corrupt_second_frame(src, dst, edit):
+    lines = src.read_text().splitlines()
+    rec = json.loads(lines[1])
+    edit(rec)
+    lines[1] = json.dumps(rec)
+    dst.write_text("\n".join(lines) + "\n")
+
+
+def test_detect_nan_feature_exits_one_with_location(tmp_path, capsys):
+    scenes, bad = tmp_path / "s.jsonl", tmp_path / "bad.jsonl"
+    run(simulate_args(scenes))
+
+    def nan_feature(rec):
+        rec["points"][3]["f"][2] = float("nan")
+
+    _corrupt_second_frame(scenes, bad, nan_feature)
+    capsys.readouterr()
+    assert run(detect_args(bad, tmp_path / "d.jsonl")) == 1
+    assert f"{bad}:2: point 3: feature is not finite" in capsys.readouterr().err
+
+
+def test_eval_infinite_point_exits_one(tmp_path):
+    scenes, bad, dets = tmp_path / "s.jsonl", tmp_path / "bad.jsonl", tmp_path / "d.jsonl"
+    run(simulate_args(scenes))
+    assert run(detect_args(scenes, dets)) == 0
+
+    def infinite_xy(rec):
+        rec["points"][0]["xy"][0] = float("inf")
+
+    _corrupt_second_frame(scenes, bad, infinite_xy)
+    assert run(["eval", "--dets", str(dets), "--scenes", str(bad),
+                "--report", str(tmp_path / "r.json")]) == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_detect_overflowing_features_exits_one(tmp_path, capsys):
+    # Finite features whose squared distances overflow: k-means refuses them.
+    scenes, bad = tmp_path / "s.jsonl", tmp_path / "bad.jsonl"
+    run(simulate_args(scenes))
+
+    def scale(rec):
+        for p in rec["points"]:
+            p["f"] = [v * 1e200 for v in p["f"]]
+
+    _corrupt_second_frame(scenes, bad, scale)
+    capsys.readouterr()
+    assert run(detect_args(bad, tmp_path / "d.jsonl")) == 1
+    assert "potential is not finite" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- import weight
+
+
+def test_import_simulate_and_detect_load_no_scipy(tmp_path):
+    # scipy takes most of start-up; only eval (Hungarian matching) and bench use it.
+    scenes, dets = tmp_path / "s.jsonl", tmp_path / "d.jsonl"
+    code = (
+        "import sys, qebev.cli\n"
+        "loaded = [sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]\n"
+        f"assert qebev.cli.main({simulate_args(scenes)!r}) == 0\n"
+        f"assert qebev.cli.main({detect_args(scenes, dets)!r}) == 0\n"
+        "loaded.append(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(loaded)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qebev.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[[], []]"
 
 
 # ---------------------------------------------------------------- threads

@@ -1,0 +1,112 @@
+"""``dqem.kmeans`` against the frozen reference in ``_kmeans_reference``.
+
+Every output field must match bit for bit, and the generator must end in
+the same state, because the pipeline and ``n_init`` reruns keep drawing
+from it.
+"""
+
+import numpy as np
+import pytest
+
+import _kmeans_reference as ref
+from qebev.dqem import kmeans
+from qebev.numerics import derive_seed, make_rng
+
+
+def assert_same_run(x, k, iters, seed, n_init=1):
+    rng_new, rng_ref = make_rng(seed), make_rng(seed)
+    got = kmeans(x, k, iters, rng_new, n_init=n_init)
+    want = ref.kmeans(x, k, iters, rng_ref, n_init=n_init)
+    assert got.assignments.dtype == want.assignments.dtype
+    assert got.assignments.tobytes() == want.assignments.tobytes()
+    assert got.centers.shape == want.centers.shape
+    assert got.centers.tobytes() == want.centers.tobytes()
+    assert got.sizes.tobytes() == want.sizes.tobytes()
+    assert np.array(got.inertia_trace).tobytes() == np.array(want.inertia_trace).tobytes()
+    assert got.inertia == want.inertia
+    assert got.requested_k == want.requested_k
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("case", range(60))
+def test_matches_reference_on_random_inputs(case):
+    r = make_rng(1000 + case)
+    n = int(r.integers(1, 200))
+    d = int(r.integers(1, 20))
+    x = r.normal(size=(n, d))
+    if case % 3 == 0:
+        # Clustered, like a gathered neighbourhood.
+        modes = r.normal(0.0, 3.0, size=(4, d))
+        x = modes[r.integers(0, 4, size=n)] + 0.2 * x
+    assert_same_run(x, int(r.integers(1, 10)), int(r.integers(1, 20)), 7 * case)
+
+
+@pytest.mark.parametrize("distinct", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 8, 12])
+def test_matches_reference_with_few_distinct_rows(distinct, k):
+    # With 2 distinct rows and k >= 3 the trial count drops from 3 to 2.
+    r = make_rng(distinct * 100 + k)
+    rows = r.normal(size=(distinct, 5))
+    x = rows[r.permutation(np.arange(40) % distinct)]
+    for seed in range(5):
+        assert_same_run(x, k, 20, seed)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 30])
+def test_matches_reference_on_all_equal_rows(n):
+    x = np.full((n, 4), 1.5)
+    for k in (1, 2, 6):
+        assert_same_run(x, k, 20, n + k)
+
+
+def test_matches_reference_on_rows_differing_only_by_signed_zero():
+    # np.unique counts 0.0 and -0.0 as one value, and so do the distances.
+    x = np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, 2.0], [1.0, -0.0], [1.0, 2.0], [0.0, -1.0]])
+    for k in (2, 3, 6):
+        for seed in range(10):
+            assert_same_run(x, k, 20, seed)
+            assert_same_run(x[:3], k, 20, seed)
+
+
+@pytest.mark.parametrize("n_init", [2, 3])
+def test_matches_reference_over_restarts(n_init):
+    r = make_rng(n_init)
+    x = r.normal(size=(60, 6))
+    for k in (1, 3, 6):
+        assert_same_run(x, k, 20, k, n_init=n_init)
+    few = np.repeat(r.normal(size=(2, 6)), 10, axis=0)
+    for k in (2, 6):
+        assert_same_run(few, k, 20, k, n_init=n_init)
+
+
+def test_matches_reference_when_a_cluster_empties(monkeypatch):
+    # One of acceptance criterion 3's instances: an update empties a cluster.
+    rng = make_rng(derive_seed(35, "crit3b"))
+    blob_centers = rng.normal(scale=3.0, size=(6, 4))
+    x = blob_centers[rng.integers(0, 6, size=50)] + rng.normal(scale=0.5, size=(50, 4))
+    seed = derive_seed(35 * 1000 + 89, "crit3b-oracle")
+    # The reference recomputes a one-center distance column for each reseed.
+    single_center_calls = []
+    ref_distances = ref.pairwise_sq_dist
+
+    def counting(points, centers):
+        single_center_calls.append(np.atleast_2d(centers).shape[0] == 1)
+        return ref_distances(points, centers)
+
+    monkeypatch.setattr(ref, "pairwise_sq_dist", counting)
+    assert_same_run(x, 6, 25, seed)
+    # The first call seeds; any later one-center call is a reseed.
+    assert any(single_center_calls[1:])
+
+
+def test_nan_feature_raises_value_error():
+    x = make_rng(0).normal(size=(20, 4))
+    x[3, 1] = np.nan
+    with pytest.raises(ValueError):
+        kmeans(x, 6, 20, make_rng(1))
+
+
+def test_overflowing_distances_raise_value_error():
+    x = make_rng(0).normal(size=(20, 4)) * 1e200
+    with pytest.raises(ValueError):
+        kmeans(x, 6, 20, make_rng(1))
