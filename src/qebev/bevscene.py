@@ -68,7 +68,9 @@ class BoxAttributes:
 
     def __post_init__(self) -> None:
         for name in ("w", "l", "h"):
-            if getattr(self, name) <= 0.0:
+            # Written so that NaN fails too; +inf (an exp overflow in
+            # decoding) passes.
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"box dimension {name} must be positive")
         object.__setattr__(self, "theta", wrap_angle(self.theta))
 
@@ -413,7 +415,7 @@ def read_scenes(path: str) -> list[Frame]:
                 raise ValueError(f"{path}:{line_no}: bad JSON ({exc})") from exc
             try:
                 d = int(rec["d"])
-                boxes = [BoxAttributes.from_array(g["box"]) for g in rec["gt"]]
+                gt_rows = [np.asarray(g["box"], dtype=np.float64) for g in rec["gt"]]
                 track_ids = [int(g["track_id"]) for g in rec["gt"]]
                 if rec["points"]:
                     xy = np.array([p["xy"] for p in rec["points"]], dtype=np.float64)
@@ -421,23 +423,29 @@ def read_scenes(path: str) -> list[Frame]:
                     points = PointSet(xy, feat)
                 else:
                     points = PointSet.empty(d)
-                frame = Frame(
-                    timestamp=float(rec["timestamp"]),
-                    boxes=boxes,
-                    track_ids=track_ids,
-                    points=points,
-                    encoder_seed=int(rec["encoder_seed"]),
-                    d=d,
-                )
+                timestamp = float(rec["timestamp"])
+                encoder_seed = int(rec["encoder_seed"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{line_no}: malformed frame record ({exc})") from exc
-            for item, field_name, values in (
-                ("gt", "box", np.array([b.as_array() for b in boxes]).reshape(-1, ATTR_DIM)),
-                ("point", "xy", points.xy),
-                ("point", "feature", points.feat),
-            ):
+            # Finiteness first: BoxAttributes would report a NaN size only
+            # as a non-positive one.
+            bad_gt = [i for i, row in enumerate(gt_rows) if not np.isfinite(row).all()]
+            if bad_gt:
+                raise ValueError(f"{path}:{line_no}: gt {bad_gt[0]}: box is not finite")
+            for field_name, values in (("xy", points.xy), ("feature", points.feat)):
                 bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
                 if bad.size:
-                    raise ValueError(f"{path}:{line_no}: {item} {bad[0]}: {field_name} is not finite")
+                    raise ValueError(f"{path}:{line_no}: point {bad[0]}: {field_name} is not finite")
+            try:
+                frame = Frame(
+                    timestamp=timestamp,
+                    boxes=[BoxAttributes.from_array(row) for row in gt_rows],
+                    track_ids=track_ids,
+                    points=points,
+                    encoder_seed=encoder_seed,
+                    d=d,
+                )
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: malformed frame record ({exc})") from exc
             frames.append(frame)
     return frames

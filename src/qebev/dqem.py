@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bevscene import (
+    ATTR_DIM,
     POSITION_SCALE,
     BoxAttributes,
     Frame,
@@ -58,6 +59,9 @@ __all__ = [
 ]
 
 SOFTMAX_DOMAINS = ("selected", "full")
+# A query whose starting mean overflows would decode to NaN; refuse it as
+# k-means refuses an overflowing potential.
+_NON_FINITE_MEAN = "neighborhood mean is not finite (non-finite or overflowing features)"
 
 
 @dataclass
@@ -333,10 +337,12 @@ def kmeans(
 
 
 def _kmeans_once(x: np.ndarray, k: int, iters: int, rng: np.random.Generator) -> ClusterSet:
-    n = x.shape[0]
+    n, d = x.shape
     centers = _kmeans_pp_init(x, k, rng)
     k_eff = centers.shape[0]
     rows = np.arange(n)
+    cols = np.arange(d)
+    flat_x = x.ravel()
 
     trace: list[float] = []
     prev_assign: np.ndarray | None = None
@@ -348,8 +354,11 @@ def _kmeans_once(x: np.ndarray, k: int, iters: int, rng: np.random.Generator) ->
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
         counts = np.bincount(assign, minlength=k_eff)
-        sums = np.zeros_like(centers)
-        np.add.at(sums, assign, x)
+        # Per-cluster feature sums: one bincount over (cluster, column) bins
+        # adds each cluster's rows in point order from +0.0, as np.add.at does.
+        sums = np.bincount(
+            (assign[:, None] * d + cols).ravel(), weights=flat_x, minlength=k_eff * d
+        ).reshape(k_eff, d)
         new_centers = centers.copy()
         nonempty = counts > 0
         new_centers[nonempty] = sums[nonempty] / counts[nonempty, None]
@@ -534,8 +543,11 @@ def _evolve_single(
         trace.flag = "empty"
         return replace(pillar, flag="empty"), trace
 
-    mean = initial_aggregate(pts.feat)
-    norm0 = float(np.linalg.norm(mean))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = initial_aggregate(pts.feat)
+        norm0 = float(np.linalg.norm(mean))
+    if not math.isfinite(norm0):
+        raise ValueError(_NON_FINITE_MEAN)
     if norm0 == 0.0:
         trace.flag = "degenerate-zero-mean"
         return replace(pillar, flag=trace.flag), trace
@@ -920,6 +932,7 @@ def write_detections(path: str, frames: list[DetectionFrame], params_echo: dict)
 
 
 def read_detections(path: str) -> list[DetectionFrame]:
+    """Parse a detection JSONL file; a bad record fails with ``path:line``."""
     frames: list[DetectionFrame] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -928,27 +941,46 @@ def read_detections(path: str) -> list[DetectionFrame]:
                 continue
             try:
                 rec = json.loads(line)
-                dets = [
-                    Detection(
-                        frame=len(frames),
-                        box=np.array(d["box"], dtype=np.float64),
-                        score=float(d["score"]),
-                        query_id=int(d["query_id"]),
-                        velocity=(
-                            np.array(d["velocity"], dtype=np.float64)
-                            if "velocity" in d
-                            else None
-                        ),
+                timestamp = float(rec["timestamp"])
+                raw = [
+                    (
+                        np.array(d["box"], dtype=np.float64),
+                        float(d["score"]),
+                        int(d["query_id"]),
+                        np.array(d["velocity"], dtype=np.float64) if "velocity" in d else None,
                     )
                     for d in rec["detections"]
                 ]
-                frames.append(
-                    DetectionFrame(
-                        timestamp=float(rec["timestamp"]),
-                        detections=dets,
-                        fused=rec.get("fused"),
-                    )
-                )
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{line_no}: malformed detection record ({exc})") from exc
+            dets = []
+            for i, (box, score, query_id, velocity) in enumerate(raw):
+                problem = _detection_problem(box, score, velocity)
+                if problem:
+                    raise ValueError(f"{path}:{line_no}: detection {i}: {problem}")
+                dets.append(
+                    Detection(
+                        frame=len(frames), box=box, score=score, query_id=query_id,
+                        velocity=velocity,
+                    )
+                )
+            frames.append(
+                DetectionFrame(timestamp=timestamp, detections=dets, fused=rec.get("fused"))
+            )
     return frames
+
+
+def _detection_problem(box: np.ndarray, score: float, velocity: np.ndarray | None) -> str:
+    """What is wrong with one parsed detection, or "" when nothing is."""
+    if box.shape != (ATTR_DIM,):
+        return f"box must be {ATTR_DIM} numbers, got shape {box.shape}"
+    if not np.isfinite(box).all():
+        return "box is not finite"
+    if not math.isfinite(score):
+        return "score is not finite"
+    if velocity is not None:
+        if velocity.shape != (2,):
+            return f"velocity must be 2 numbers, got shape {velocity.shape}"
+        if not np.isfinite(velocity).all():
+            return "velocity is not finite"
+    return ""

@@ -51,11 +51,79 @@ def hungarian_assign(cost: np.ndarray) -> np.ndarray:
         return np.zeros((0, 2), dtype=np.int64)
     if not np.all(np.isfinite(c)):
         raise ValueError("cost entries must be finite")
-    from scipy.optimize import linear_sum_assignment  # deferred: slow to import
+    # The solver needs at least as many columns as rows; a tall matrix is
+    # solved transposed and its pairs swapped back.
+    transpose = c.shape[0] > c.shape[1]
+    col4row = _shortest_augmenting_path((c.T if transpose else c).tolist())
+    if transpose:
+        pairs = sorted((r, i) for i, r in enumerate(col4row))
+    else:
+        pairs = list(enumerate(col4row))
+    return np.array(pairs, dtype=np.int64)
 
-    rows, cols = linear_sum_assignment(c)
-    pairs = np.stack([rows, cols], axis=1).astype(np.int64)
-    return pairs[np.argsort(pairs[:, 0])]
+
+def _shortest_augmenting_path(cost: list[list[float]]) -> list[int]:
+    """Column assigned to each row of a cost matrix with rows <= columns.
+
+    Crouse's shortest augmenting path method (IEEE TAES 2016) as scipy's
+    ``linear_sum_assignment`` runs it: the same column scan order, tie
+    rule and float operations in the same order, so it returns the same
+    pairs, ties included.  Entries must be finite.
+    """
+    nr, nc = len(cost), len(cost[0])
+    u = [0.0] * nr
+    v = [0.0] * nc
+    path = [-1] * nc
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    for cur_row in range(nr):
+        # Dijkstra from cur_row over reduced costs until a free column.
+        short = [math.inf] * nc
+        rows_seen = []  # besides cur_row
+        cols_seen = []
+        # Filled in reverse so a constant matrix yields the identity.
+        remaining = list(range(nc - 1, -1, -1))
+        min_val = 0.0
+        i = cur_row
+        while True:
+            ci, ui = cost[i], u[i]
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + ci[j] - ui - v[j]
+                if r < short[j]:
+                    path[j] = i
+                    short[j] = r
+                # On equal path cost prefer a column that ends the path.
+                if short[j] < lowest or (short[j] == lowest and row4col[j] == -1):
+                    lowest = short[j]
+                    index = it
+            min_val = lowest
+            j = remaining[index]
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            if row4col[j] == -1:
+                sink = j
+                break
+            i = row4col[j]
+            rows_seen.append(i)
+
+        # Dual update.
+        u[cur_row] += min_val
+        for i in rows_seen:
+            u[i] += min_val - short[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - short[j]
+
+        # Augment along the path back to cur_row.
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    return col4row
 
 
 @dataclass

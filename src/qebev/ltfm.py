@@ -9,6 +9,7 @@ velocity estimate that is averaged with the decoded velocity channels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from .dqem import (
     Pillar,
     ProjectionPair,
     QuerySet,
+    _NON_FINITE_MEAN,
     aggregate_over_centers,
     aggregate_top_k,
     blend_and_rescale,
@@ -179,8 +181,11 @@ def _evolve_single(
         trace.flag = "empty"
         return replace(pillar, flag="empty"), trace, None
 
-    mean = initial_aggregate(pts.feat)
-    norm0 = float(np.linalg.norm(mean))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = initial_aggregate(pts.feat)
+        norm0 = float(np.linalg.norm(mean))
+    if not math.isfinite(norm0):
+        raise ValueError(_NON_FINITE_MEAN)
     if norm0 == 0.0:
         trace.flag = "degenerate-zero-mean"
         return replace(pillar, flag=trace.flag), trace, None

@@ -42,6 +42,11 @@ def test_box_attributes_validation():
         BoxAttributes(0, 0, 0, w=-1.0, l=2.0, h=1.0, theta=0, vx=0, vy=0)
     with pytest.raises(ValueError):
         BoxAttributes(0, 0, 0, w=1.0, l=0.0, h=1.0, theta=0, vx=0, vy=0)
+    for dims in ((math.nan, 2.0, 1.0), (1.0, math.nan, 1.0), (1.0, 2.0, math.nan)):
+        with pytest.raises(ValueError, match="must be positive"):
+            BoxAttributes(0, 0, 0, *dims, theta=0, vx=0, vy=0)
+    # Decoding can overflow a dimension to +inf through exp; that is kept.
+    assert BoxAttributes(0, 0, 0, math.inf, 2.0, 1.0, theta=0, vx=0, vy=0).w == math.inf
     b = BoxAttributes(1, 2, 3, 1, 2, 1, theta=3 * math.pi, vx=0, vy=0)
     assert -math.pi <= b.theta < math.pi
 

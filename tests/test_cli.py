@@ -267,9 +267,10 @@ def test_eval_infinite_point_exits_one(tmp_path):
                 "--report", str(tmp_path / "r.json")]) == 1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_detect_overflowing_features_exits_one(tmp_path, capsys):
-    # Finite features whose squared distances overflow: k-means refuses them.
+    # Finite features whose neighborhood mean overflows its norm: refused
+    # before any decode, without a numpy warning, with fusion off and on.
     scenes, bad = tmp_path / "s.jsonl", tmp_path / "bad.jsonl"
     run(simulate_args(scenes))
 
@@ -278,30 +279,56 @@ def test_detect_overflowing_features_exits_one(tmp_path, capsys):
             p["f"] = [v * 1e200 for v in p["f"]]
 
     _corrupt_second_frame(scenes, bad, scale)
+    for extra in ((), ("--temporal", "--stride", "1")):
+        capsys.readouterr()
+        assert run(detect_args(bad, tmp_path / "d.jsonl", extra)) == 1
+        assert capsys.readouterr().err == (
+            "error: neighborhood mean is not finite (non-finite or overflowing features)\n"
+        )
+
+
+def test_eval_non_finite_score_exits_one_with_location(tmp_path, capsys):
+    scenes, dets, bad = tmp_path / "s.jsonl", tmp_path / "d.jsonl", tmp_path / "bad.jsonl"
+    run(simulate_args(scenes))
+    assert run(detect_args(scenes, dets)) == 0
+    lines = dets.read_text().splitlines()
+    rec = json.loads(lines[1])
+    assert rec["detections"], "the second frame needs a detection to corrupt"
+    rec["detections"][0]["score"] = float("nan")
+    lines[1] = json.dumps(rec)
+    bad.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    assert run(detect_args(bad, tmp_path / "d.jsonl")) == 1
-    assert "potential is not finite" in capsys.readouterr().err
+    assert run(["eval", "--dets", str(bad), "--scenes", str(scenes),
+                "--report", str(tmp_path / "r.json")]) == 1
+    assert f"{bad}:2: detection 0: score is not finite" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- import weight
 
 
 def test_import_simulate_and_detect_load_no_scipy(tmp_path):
-    # scipy takes most of start-up; only eval (Hungarian matching) and bench use it.
+    # scipy takes most of start-up; only bench (the slope fit) uses it, so
+    # import, simulate, detect, eval and pipeline never load it.
     scenes, dets = tmp_path / "s.jsonl", tmp_path / "d.jsonl"
+    eval_args = ["eval", "--dets", str(dets), "--scenes", str(scenes),
+                 "--report", str(tmp_path / "r.json")]
+    scipy_now = "loaded.append(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     code = (
         "import sys, qebev.cli\n"
-        "loaded = [sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]\n"
-        f"assert qebev.cli.main({simulate_args(scenes)!r}) == 0\n"
-        f"assert qebev.cli.main({detect_args(scenes, dets)!r}) == 0\n"
-        "loaded.append(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        "print(loaded)\n"
+        "loaded = []\n"
+        + scipy_now
+        + "".join(
+            f"assert qebev.cli.main({argv!r}) == 0\n" + scipy_now
+            for argv in (simulate_args(scenes), detect_args(scenes, dets), eval_args,
+                         pipeline_args(tmp_path / "p"))
+        )
+        + "print(loaded)\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(qebev.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "[[], []]"
+    assert out.stdout.splitlines()[-1] == "[[], [], [], [], []]"
 
 
 # ---------------------------------------------------------------- threads

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -598,3 +599,35 @@ def test_detections_io_velocity_preserved(tmp_path):
     write_detections(path, [DetectionFrame(0.0, [det], False)], {})
     back = read_detections(path)
     assert np.allclose(back[0].detections[0].velocity, [2.5, -1.5])
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("box", [1.0] * 8, "box must be 9 numbers, got shape (8,)"),
+        ("box", [[1.0] * 9], "box must be 9 numbers, got shape (1, 9)"),
+        ("box", [1.0] * 8 + [math.nan], "box is not finite"),
+        ("box", [1.0, math.inf] + [1.0] * 7, "box is not finite"),
+        ("score", math.nan, "score is not finite"),
+        ("score", -math.inf, "score is not finite"),
+        ("velocity", [1.0, 2.0, 3.0], "velocity must be 2 numbers, got shape (3,)"),
+        ("velocity", [math.nan, 0.0], "velocity is not finite"),
+        ("velocity", [0.0, math.inf], "velocity is not finite"),
+    ],
+)
+def test_read_detections_rejects_bad_detection(tmp_path, field, value, message):
+    good = make_det(1, 2, 0.7, 3)
+    frames = [
+        DetectionFrame(timestamp=0.0, detections=[good], fused=False),
+        DetectionFrame(timestamp=0.5, detections=[good, good], fused=True),
+    ]
+    path = tmp_path / "dets.jsonl"
+    write_detections(path, frames, params_echo={})
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["detections"][1][field] = value
+    lines[1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_detections(path)
+    assert str(info.value) == f"{path}:2: detection 1: {message}"

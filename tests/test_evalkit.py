@@ -26,14 +26,15 @@ def box(x, y, w=1.0, l=2.0, h=1.0, theta=0.0, vx=0.0, vy=0.0, z=1.0):
 
 
 def brute_force_cost(cost):
+    # Every injection of the shorter side into the longer one: the shorter
+    # side in order against each ordered choice of the longer side.
+    if cost.shape[0] > cost.shape[1]:
+        cost = cost.T
     nr, nc = cost.shape
     best = math.inf
-    k = min(nr, nc)
-    rows = range(nr)
-    for rsel in itertools.permutations(rows, k):
-        for csel in itertools.permutations(range(nc), k):
-            total = sum(cost[r, c] for r, c in zip(rsel, csel))
-            best = min(best, total)
+    for csel in itertools.permutations(range(nc), nr):
+        total = sum(cost[r, c] for r, c in zip(range(nr), csel))
+        best = min(best, total)
     return best
 
 
@@ -60,6 +61,38 @@ def test_hungarian_rectangular():
         assert pairs.shape[0] == min(shape)
         got = sum(cost[r, c] for r, c in pairs)
         assert got == pytest.approx(brute_force_cost(cost), abs=1e-9)
+
+
+def test_hungarian_matches_scipy_pairs_exactly():
+    # scipy is only the oracle here: the in-repo solver must return the very
+    # pairs linear_sum_assignment returns, ties included.
+    from scipy.optimize import linear_sum_assignment
+
+    rng = make_rng(4)
+    shapes = [(1, 1), (1, 7), (7, 1), (3, 8), (8, 3), (19, 6), (6, 19)]
+    shapes += [tuple(int(v) for v in rng.integers(1, 12, size=2)) for _ in range(300)]
+    for t, shape in enumerate(shapes):
+        kind = t % 4
+        if kind == 0:
+            cost = rng.uniform(0, 10, size=shape)
+        elif kind == 1:
+            cost = np.round(rng.uniform(0, 3, size=shape), 1)
+        elif kind == 2:
+            cost = rng.integers(0, 3, size=shape).astype(float)
+        else:
+            cost = np.full(shape, 2.5)
+        rows, cols = linear_sum_assignment(cost)
+        expected = sorted([r, c] for r, c in zip(rows.tolist(), cols.tolist()))
+        assert hungarian_assign(cost).tolist() == expected
+
+
+def test_hungarian_rejects_bad_input():
+    with pytest.raises(ValueError):
+        hungarian_assign(np.zeros(3))
+    with pytest.raises(ValueError):
+        hungarian_assign(np.array([[0.0, math.nan]]))
+    with pytest.raises(ValueError):
+        hungarian_assign(np.array([[math.inf, 1.0]]))
 
 
 def test_hungarian_empty():
