@@ -38,3 +38,24 @@ def test_pipeline_seed_42_matches_baseline(tmp_path, monkeypatch, capsys):
     (result,) = results
     outcomes = Counter(p.flag or "healthy" for fr in result.frames for p in fr.queries.pillars)
     assert outcomes == {"healthy": 438, "empty": 228, "empty-regather": 134}
+
+
+LARGE_SCENE_SHA256 = "e5ece011cb7493207554a4b677a1417d7aa972aa34fa7f0e2aeb22edde0e255d"
+LARGE_DETECTIONS_SHA256 = "7fd51ffbe8b4c77a47c3fba468475ec4233a15e94126fe4174cdba51a2e81b41"
+
+
+def test_detect_large_frame_matches_baseline(tmp_path, capsys):
+    """One 6000-point frame under 20x20 pillars: large neighbourhoods, so
+    the gather, k-means and dedup paths all carry weight."""
+    scenes, dets = tmp_path / "scenes.jsonl", tmp_path / "detections.jsonl"
+    assert cli.main([
+        "simulate", "--seed", "42", "--frames", "1", "--objects", "40",
+        "--points-per-object", "100", "--background-points", "2000", "--out", str(scenes),
+    ]) == 0
+    assert hashlib.sha256(scenes.read_bytes()).hexdigest() == LARGE_SCENE_SHA256
+    assert cli.main([
+        "detect", "--seed", "42", "--grid-nx", "20", "--grid-ny", "20",
+        "--scenes", str(scenes), "--out", str(dets),
+    ]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(dets.read_bytes()).hexdigest() == LARGE_DETECTIONS_SHA256
