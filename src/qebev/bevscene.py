@@ -122,6 +122,9 @@ class Frame:
     points: PointSet
     encoder_seed: int
     d: int
+    # Per-radius cell indices over ``points.xy``, built by the first
+    # neighbourhood gather at that radius and reused by the later ones.
+    cell_index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.boxes) != len(self.track_ids):
@@ -402,7 +405,7 @@ def write_scenes(frames: Iterable[Frame], path: str) -> None:
 
 
 def read_scenes(path: str) -> list[Frame]:
-    """Parse a scene JSONL file back into frames."""
+    """Parse a scene JSONL file back into frames, timestamps strictly rising."""
     frames: list[Frame] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -427,6 +430,11 @@ def read_scenes(path: str) -> list[Frame]:
                 encoder_seed = int(rec["encoder_seed"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{line_no}: malformed frame record ({exc})") from exc
+            if frames and not timestamp > frames[-1].timestamp:
+                raise ValueError(
+                    f"{path}:{line_no}: timestamp {timestamp} is not later than the "
+                    f"previous frame's {frames[-1].timestamp}"
+                )
             # Finiteness first: BoxAttributes would report a NaN size only
             # as a non-positive one.
             bad_gt = [i for i, row in enumerate(gt_rows) if not np.isfinite(row).all()]

@@ -219,8 +219,6 @@ def _detect_over_scenes(args: argparse.Namespace, scenes_path: str, out_path: st
         raise ValueError(f"{scenes_path}: mixed feature widths {sorted(widths)}")
     d = frames[0].d
     interval = frames[1].timestamp - frames[0].timestamp if len(frames) > 1 else 0.5
-    if interval <= 0:
-        raise ValueError(f"{scenes_path}: timestamps must be strictly increasing")
     seq = SceneSequence(frames=frames, interval=interval)
     params = _dqem_params(args)
     proj = load_projections(args.proj) if args.proj else ProjectionPair.identity(d)

@@ -237,16 +237,88 @@ def init_pillars(
     return QuerySet(pillars)
 
 
+# Radii whose square is a normal float.  For them a point that passes the
+# squared-distance test lies within radius * (1 + a few ulp) of the center,
+# well inside the slack on a cell window's reach.
+_GRID_RADII = (1e-150, 1e150)
+_REACH_SLACK = 1.0 + 1e-6
+_MAX_CELL = 2**31 - 1
+
+
+class _CellIndex:
+    """Frame points bucketed on a uniform grid of cell size ``radius``.
+
+    The cell-list method for fixed-radius near neighbours (Bentley, Stanat &
+    Williams 1977).  Points are sorted by the key ``ix * ny + iy`` of their
+    cell, in point order within a cell, so a window's cells in one grid
+    column are one contiguous run.  A cell coordinate is a monotone
+    function of position (floor, then clipped to the grid), so the cells
+    between those of ``center - reach`` and ``center + reach`` hold every
+    point the squared-distance test can accept.  Non-finite points never
+    pass it and are left out.  A radius outside ``_GRID_RADII`` (or NaN),
+    whose square under- or overflows, gets one cell holding every point.
+    """
+
+    def __init__(self, xy: np.ndarray, radius: float) -> None:
+        self.xy = xy
+        self.radius = float(radius)
+        self.reach = self.radius * _REACH_SLACK
+        self.grid = _GRID_RADII[0] < radius < _GRID_RADII[1]
+        if not self.grid:
+            self.order = np.arange(xy.shape[0])
+            return
+        idx = np.flatnonzero(np.isfinite(xy).all(axis=1))
+        self.origin = xy[idx].min(axis=0).tolist() if idx.size else [0.0, 0.0]
+        with np.errstate(over="ignore"):  # an overflow lands in the last cell
+            cells = np.floor((xy[idx] - self.origin) / self.radius)
+        cells = np.clip(cells, 0, _MAX_CELL).astype(np.int64)
+        self.nx, self.ny = (cells.max(axis=0) + 1).tolist() if idx.size else (1, 1)
+        keys = cells[:, 0] * self.ny + cells[:, 1]
+        by_cell = np.argsort(keys, kind="stable")
+        self.order = idx[by_cell]
+        self.keys = keys[by_cell]
+
+    def _cell(self, v: float, axis: int, n: int) -> int:
+        t = (v - self.origin[axis]) / self.radius
+        return 0 if t < 0.0 else n - 1 if t >= n - 1 else int(t)
+
+    def candidates(self, cx: float, cy: float) -> np.ndarray:
+        """Ascending indices of the points in the cells around a center."""
+        if not self.grid:
+            return self.order
+        if not (math.isfinite(cx) and math.isfinite(cy)):
+            # Every delta is non-finite, so the test accepts nothing.
+            return self.order[:0]
+        ax, bx = (self._cell(cx - self.reach, 0, self.nx), self._cell(cx + self.reach, 0, self.nx))
+        ay, by = (self._cell(cy - self.reach, 1, self.ny), self._cell(cy + self.reach, 1, self.ny))
+        columns = np.arange(ax, bx + 1) * self.ny
+        starts = self.keys.searchsorted(columns + ay).tolist()
+        stops = self.keys.searchsorted(columns + by, side="right").tolist()
+        cand = np.concatenate([self.order[s:e] for s, e in zip(starts, stops)])
+        cand.sort()
+        return cand
+
+
 def gather_neighborhood(frame: Frame, center_xy: np.ndarray, radius: float) -> PointSet:
-    """All frame points within ``radius`` of a BEV position (inclusive)."""
+    """All frame points within ``radius`` of a BEV position (inclusive).
+
+    Only the points in the cells around the center are tested, through the
+    frame's cell index for this radius (built on first use); the test and the
+    point order are those of a scan over every point.
+    """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     c = np.asarray(center_xy, dtype=np.float64).reshape(2)
-    if len(frame.points) == 0:
+    points = frame.points
+    if len(points) == 0:
         return PointSet.empty(frame.d)
-    delta = frame.points.xy - c
-    mask = np.einsum("nd,nd->n", delta, delta) <= radius * radius
-    return PointSet(frame.points.xy[mask], frame.points.feat[mask])
+    index = frame.cell_index.get(radius)
+    if index is None or index.xy is not points.xy:
+        index = frame.cell_index[radius] = _CellIndex(points.xy, radius)
+    cand = index.candidates(*c.tolist())
+    delta = points.xy[cand] - c
+    sel = cand[np.einsum("nd,nd->n", delta, delta) <= radius * radius]
+    return PointSet(points.xy[sel], points.feat[sel])
 
 
 def _kmeans_pp_draws(k: int, n: int) -> int:
@@ -293,10 +365,10 @@ def _kmeans_pp_pass(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         cdf /= cdf[-1]
         cand = cdf.searchsorted(rng.random(n_draws), side="right")
         # Keep the candidate that lowers the potential the most.
-        cand_d2 = pairwise_sq_dist(x, x[cand])
-        best = int(np.argmin(np.minimum(d2[:, None], cand_d2).sum(axis=0)))
+        cand_d2 = np.minimum(d2[:, None], pairwise_sq_dist(x, x[cand]))
+        best = int(cand_d2.sum(axis=0).argmin())
         centers[j] = x[cand[best]]
-        d2 = np.minimum(d2, cand_d2[:, best])
+        d2 = cand_d2[:, best]
     return centers
 
 
@@ -340,9 +412,10 @@ def _kmeans_once(x: np.ndarray, k: int, iters: int, rng: np.random.Generator) ->
     n, d = x.shape
     centers = _kmeans_pp_init(x, k, rng)
     k_eff = centers.shape[0]
-    rows = np.arange(n)
     cols = np.arange(d)
     flat_x = x.ravel()
+    # Flat position in d2 of row i, column 0.
+    row_starts = np.arange(0, n * k_eff, k_eff)
 
     trace: list[float] = []
     prev_assign: np.ndarray | None = None
@@ -351,7 +424,7 @@ def _kmeans_once(x: np.ndarray, k: int, iters: int, rng: np.random.Generator) ->
     d2 = pairwise_sq_dist(x, centers)
     for _ in range(iters):
         assign = d2.argmin(axis=1)
-        if prev_assign is not None and np.array_equal(assign, prev_assign):
+        if prev_assign is not None and (assign == prev_assign).all():
             break
         counts = np.bincount(assign, minlength=k_eff)
         # Per-cluster feature sums: one bincount over (cluster, column) bins
@@ -359,25 +432,29 @@ def _kmeans_once(x: np.ndarray, k: int, iters: int, rng: np.random.Generator) ->
         sums = np.bincount(
             (assign[:, None] * d + cols).ravel(), weights=flat_x, minlength=k_eff * d
         ).reshape(k_eff, d)
-        new_centers = centers.copy()
-        nonempty = counts > 0
-        new_centers[nonempty] = sums[nonempty] / counts[nonempty, None]
-        for j in np.flatnonzero(~nonempty):
-            new_centers[j] = x[int(np.argmax(d2[:, j]))]
-        centers = new_centers
+        if counts.all():
+            centers = sums / counts[:, None]
+        else:
+            nonempty = counts > 0
+            centers = centers.copy()
+            centers[nonempty] = sums[nonempty] / counts[nonempty, None]
+            for j in np.flatnonzero(~nonempty):
+                centers[j] = x[int(np.argmax(d2[:, j]))]
         d2 = pairwise_sq_dist(x, centers)
-        trace.append(float(d2[rows, assign].sum()))
+        trace.append(float(d2.take(row_starts + assign).sum()))
         prev_assign = assign
 
     # Compact away clusters left empty by the final assignment, whose
     # counts are the last ones taken (a break repeats that assignment).
-    keep = np.flatnonzero(counts > 0)
-    relabel = np.full(k_eff, -1, dtype=np.int64)
-    relabel[keep] = np.arange(keep.size)
+    if not counts.all():
+        keep = np.flatnonzero(counts)
+        relabel = np.full(k_eff, -1, dtype=np.int64)
+        relabel[keep] = np.arange(keep.size)
+        assign, centers, counts = relabel[assign], centers[keep], counts[keep]
     return ClusterSet(
-        assignments=relabel[assign],
-        centers=centers[keep],
-        sizes=counts[keep],
+        assignments=assign,
+        centers=centers,
+        sizes=counts,
         inertia=trace[-1],
         inertia_trace=tuple(trace),
         requested_k=k,
@@ -558,17 +635,19 @@ def _evolve_single(
     if dec is not None:
         attrs = dec
 
-    # One clustering seed per query, reused every round: successive rounds
-    # then see consistent partitions and the update converges instead of
-    # chasing re-randomized cluster boundaries.
-    kseed = draw_seed(qrng)
+    # One clustering stream per query, rewound every round: successive
+    # rounds then see consistent partitions and the update converges
+    # instead of chasing re-randomized cluster boundaries.
+    krng = make_rng(draw_seed(qrng))
+    kstate = krng.bit_generator.state
     for it in range(params.iterations):
         if params.regather and it > 0:
             pts = gather_neighborhood(frame, attrs.center(), params.radius)
             if len(pts) == 0:
                 trace.flag = "empty-regather"
                 break
-        clusters = kmeans(pts.feat, params.k, params.kmeans_iters, make_rng(kseed))
+        krng.bit_generator.state = kstate
+        clusters = kmeans(pts.feat, params.k, params.kmeans_iters, krng)
         result = aggregate_top_k(
             q, clusters, proj, params.top_k,
             scale_scores=params.scale_scores,
@@ -894,9 +973,12 @@ def dedup_detections(dets: list[Detection], radius: float) -> list[Detection]:
         return list(dets)
     order = sorted(dets, key=lambda d: (-d.score, d.query_id))
     kept: list[Detection] = []
+    kept_xy = np.empty((len(order), 2))
     for det in order:
         c = det.box[:2]
-        if all(float(np.hypot(*(c - k.box[:2]))) > radius for k in kept):
+        gaps = c - kept_xy[: len(kept)]
+        if (np.hypot(gaps[:, 0], gaps[:, 1]) > radius).all():
+            kept_xy[len(kept)] = c
             kept.append(det)
     kept.sort(key=lambda d: d.query_id)
     return kept
@@ -976,6 +1058,8 @@ def _detection_problem(box: np.ndarray, score: float, velocity: np.ndarray | Non
         return f"box must be {ATTR_DIM} numbers, got shape {box.shape}"
     if not np.isfinite(box).all():
         return "box is not finite"
+    if not (box[3:6] > 0.0).all():
+        return "box size must be positive"
     if not math.isfinite(score):
         return "score is not finite"
     if velocity is not None:

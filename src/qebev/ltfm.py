@@ -203,16 +203,18 @@ def _evolve_single(
         attrs = dec
 
     clusters: ClusterSet | None = None
-    # Same per-query clustering seed every round, as in single-frame
+    # Same per-query clustering stream every round, as in single-frame
     # evolution, so rounds refine against consistent partitions.
-    kseed = draw_seed(qrng)
+    krng = make_rng(draw_seed(qrng))
+    kstate = krng.bit_generator.state
     for it in range(params.iterations):
         if params.regather and it > 0:
             pts = gather_neighborhood(frame, attrs.center(), params.radius)
             if len(pts) == 0:
                 trace.flag = "empty-regather"
                 break
-        clusters = kmeans(pts.feat, params.k, params.kmeans_iters, make_rng(kseed))
+        krng.bit_generator.state = kstate
+        clusters = kmeans(pts.feat, params.k, params.kmeans_iters, krng)
         if fuse and it == 0:
             result = temporal_aggregate(
                 q, clusters, clusters_prev, proj, params.top_k,

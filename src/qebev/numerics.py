@@ -55,8 +55,10 @@ def pairwise_sq_dist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     Computed from explicit differences rather than the expanded dot-product
     form, so an entry is exactly 0.0 when a point equals a center.
     """
-    p = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    c = np.atleast_2d(np.asarray(centers, dtype=np.float64))
+    p = np.asarray(points, dtype=np.float64)
+    c = np.asarray(centers, dtype=np.float64)
+    if p.ndim < 2 or c.ndim < 2:
+        p, c = np.atleast_2d(p, c)
     if p.shape[1] != c.shape[1]:
         raise ValueError(f"dimension mismatch: {p.shape[1]} vs {c.shape[1]}")
     diff = p[:, None, :] - c[None, :, :]

@@ -279,6 +279,23 @@ def test_read_scenes_rejects_non_finite_values(tmp_path, where, value, message):
         read_scenes(path)
 
 
+@pytest.mark.parametrize("timestamp", [0.5, 0.25])
+def test_read_scenes_rejects_a_timestamp_not_later_than_the_last(tmp_path, timestamp):
+    path = tmp_path / "bad.jsonl"
+    cfg = SceneConfig(n_objects=1, points_per_object=4, background_points=2)
+    write_scenes(generate_sequence(cfg, 3, 0.5, make_rng(3)).frames, path)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[2])
+    rec["timestamp"] = timestamp
+    lines[2] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_scenes(path)
+    assert str(info.value) == (
+        f"{path}:3: timestamp {timestamp} is not later than the previous frame's 0.5"
+    )
+
+
 def test_scene_config_validation():
     with pytest.raises(ValueError):
         SceneConfig(d=8)

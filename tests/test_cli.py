@@ -303,6 +303,45 @@ def test_eval_non_finite_score_exits_one_with_location(tmp_path, capsys):
     assert f"{bad}:2: detection 0: score is not finite" in capsys.readouterr().err
 
 
+def test_eval_non_positive_box_size_exits_one_with_location(tmp_path, capsys):
+    # Negated widths once scored as a mean scale error near 2 with exit 0.
+    scenes, dets, bad = tmp_path / "s.jsonl", tmp_path / "d.jsonl", tmp_path / "bad.jsonl"
+    run(simulate_args(scenes))
+    assert run(detect_args(scenes, dets)) == 0
+    lines = dets.read_text().splitlines()
+    recs = [json.loads(line) for line in lines]
+    assert recs[1]["detections"], "the second frame needs a detection to corrupt"
+    for rec in recs:
+        for det in rec["detections"]:
+            det["box"][3] = -det["box"][3]
+    bad.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+    capsys.readouterr()
+    assert run(["eval", "--dets", str(bad), "--scenes", str(scenes),
+                "--report", str(tmp_path / "r.json")]) == 1
+    first = next(i for i, rec in enumerate(recs, start=1) if rec["detections"])
+    assert capsys.readouterr().err == (
+        f"error: {bad}:{first}: detection 0: box size must be positive\n"
+    )
+
+
+def test_detect_and_eval_reject_a_timestamp_going_back(tmp_path, capsys):
+    scenes, dets, bad = tmp_path / "s.jsonl", tmp_path / "d.jsonl", tmp_path / "bad.jsonl"
+    run(simulate_args(scenes))
+    assert run(detect_args(scenes, dets)) == 0
+    lines = scenes.read_text().splitlines()
+    rec = json.loads(lines[2])
+    rec["timestamp"] = 0.1  # frame 3 of 0.0, 0.5, 1.0
+    lines[2] = json.dumps(rec)
+    bad.write_text("\n".join(lines) + "\n")
+    message = f"error: {bad}:3: timestamp 0.1 is not later than the previous frame's 0.5\n"
+    capsys.readouterr()
+    assert run(detect_args(bad, tmp_path / "d2.jsonl")) == 1
+    assert capsys.readouterr().err == message
+    assert run(["eval", "--dets", str(dets), "--scenes", str(bad),
+                "--report", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == message
+
+
 # ---------------------------------------------------------------- import weight
 
 
