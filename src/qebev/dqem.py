@@ -264,39 +264,40 @@ class _CellIndex:
         self.radius = float(radius)
         self.reach = self.radius * _REACH_SLACK
         self.grid = _GRID_RADII[0] < radius < _GRID_RADII[1]
-        if not self.grid:
+        if self.grid:
+            idx = np.flatnonzero(np.isfinite(xy).all(axis=1))
+            self.origin = xy[idx].min(axis=0).tolist() if idx.size else [0.0, 0.0]
+            with np.errstate(over="ignore"):  # an overflow lands in the last cell
+                cells = np.floor((xy[idx] - self.origin) / self.radius)
+            cells = np.clip(cells, 0, _MAX_CELL).astype(np.int64)
+            self.nx, self.ny = (cells.max(axis=0) + 1).tolist() if idx.size else (1, 1)
+            keys = cells[:, 0] * self.ny + cells[:, 1]
+            by_cell = np.argsort(keys, kind="stable")
+            self.keys = keys[by_cell]
+            self.order = idx[by_cell]
+        else:
             self.order = np.arange(xy.shape[0])
-            return
-        idx = np.flatnonzero(np.isfinite(xy).all(axis=1))
-        self.origin = xy[idx].min(axis=0).tolist() if idx.size else [0.0, 0.0]
-        with np.errstate(over="ignore"):  # an overflow lands in the last cell
-            cells = np.floor((xy[idx] - self.origin) / self.radius)
-        cells = np.clip(cells, 0, _MAX_CELL).astype(np.int64)
-        self.nx, self.ny = (cells.max(axis=0) + 1).tolist() if idx.size else (1, 1)
-        keys = cells[:, 0] * self.ny + cells[:, 1]
-        by_cell = np.argsort(keys, kind="stable")
-        self.order = idx[by_cell]
-        self.keys = keys[by_cell]
+        self.sorted_xy = xy.take(self.order, axis=0)
 
     def _cell(self, v: float, axis: int, n: int) -> int:
         t = (v - self.origin[axis]) / self.radius
         return 0 if t < 0.0 else n - 1 if t >= n - 1 else int(t)
 
-    def candidates(self, cx: float, cy: float) -> np.ndarray:
-        """Ascending indices of the points in the cells around a center."""
+    def runs(self, cx: float, cy: float) -> list[tuple[int, int]]:
+        """(start, stop) ranges of the cell-sorted points around a center."""
         if not self.grid:
-            return self.order
+            return [(0, self.order.size)]
         if not (math.isfinite(cx) and math.isfinite(cy)):
             # Every delta is non-finite, so the test accepts nothing.
-            return self.order[:0]
-        ax, bx = (self._cell(cx - self.reach, 0, self.nx), self._cell(cx + self.reach, 0, self.nx))
-        ay, by = (self._cell(cy - self.reach, 1, self.ny), self._cell(cy + self.reach, 1, self.ny))
-        columns = np.arange(ax, bx + 1) * self.ny
-        starts = self.keys.searchsorted(columns + ay).tolist()
-        stops = self.keys.searchsorted(columns + by, side="right").tolist()
-        cand = np.concatenate([self.order[s:e] for s, e in zip(starts, stops)])
-        cand.sort()
-        return cand
+            return [(0, 0)]
+        ax, bx = self._cell(cx - self.reach, 0, self.nx), self._cell(cx + self.reach, 0, self.nx)
+        ay, by = self._cell(cy - self.reach, 1, self.ny), self._cell(cy + self.reach, 1, self.ny)
+        # Per grid column, the keys [column + ay, column + by + 1) as one run.
+        bounds = []
+        for column in range(ax * self.ny, (bx + 1) * self.ny, self.ny):
+            bounds += (column + ay, column + by + 1)
+        ends = self.keys.searchsorted(bounds).tolist()
+        return list(zip(ends[::2], ends[1::2]))
 
 
 def gather_neighborhood(frame: Frame, center_xy: np.ndarray, radius: float) -> PointSet:
@@ -315,10 +316,13 @@ def gather_neighborhood(frame: Frame, center_xy: np.ndarray, radius: float) -> P
     index = frame.cell_index.get(radius)
     if index is None or index.xy is not points.xy:
         index = frame.cell_index[radius] = _CellIndex(points.xy, radius)
-    cand = index.candidates(*c.tolist())
-    delta = points.xy[cand] - c
+    runs = index.runs(*c.tolist())
+    cand = np.concatenate([index.order[s:e] for s, e in runs])
+    delta = np.concatenate([index.sorted_xy[s:e] for s, e in runs]) - c
     sel = cand[np.einsum("nd,nd->n", delta, delta) <= radius * radius]
-    return PointSet(points.xy[sel], points.feat[sel])
+    sel.sort()
+    # take() gathers rows several times faster than fancy indexing.
+    return PointSet(points.xy.take(sel, axis=0), points.feat.take(sel, axis=0))
 
 
 def _kmeans_pp_draws(k: int, n: int) -> int:
@@ -361,11 +365,11 @@ def _kmeans_pp_pass(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         if not math.isfinite(total):
             raise ValueError("k-means++ potential is not finite (non-finite or overflowing features)")
         # rng.choice(n, n_draws, p=d2 / total), as numpy computes it.
-        cdf = np.cumsum(d2 / total)
+        cdf = (d2 / total).cumsum()
         cdf /= cdf[-1]
         cand = cdf.searchsorted(rng.random(n_draws), side="right")
         # Keep the candidate that lowers the potential the most.
-        cand_d2 = np.minimum(d2[:, None], pairwise_sq_dist(x, x[cand]))
+        cand_d2 = np.minimum(d2[:, None], pairwise_sq_dist(x, x.take(cand, axis=0)))
         best = int(cand_d2.sum(axis=0).argmin())
         centers[j] = x[cand[best]]
         d2 = cand_d2[:, best]
@@ -412,9 +416,9 @@ def _kmeans_once(x: np.ndarray, k: int, iters: int, rng: np.random.Generator) ->
     n, d = x.shape
     centers = _kmeans_pp_init(x, k, rng)
     k_eff = centers.shape[0]
-    cols = np.arange(d)
     flat_x = x.ravel()
-    # Flat position in d2 of row i, column 0.
+    # Column of each flat_x entry, and the flat position in d2 of row i, column 0.
+    cols = np.tile(np.arange(d), n)
     row_starts = np.arange(0, n * k_eff, k_eff)
 
     trace: list[float] = []
@@ -430,7 +434,7 @@ def _kmeans_once(x: np.ndarray, k: int, iters: int, rng: np.random.Generator) ->
         # Per-cluster feature sums: one bincount over (cluster, column) bins
         # adds each cluster's rows in point order from +0.0, as np.add.at does.
         sums = np.bincount(
-            (assign[:, None] * d + cols).ravel(), weights=flat_x, minlength=k_eff * d
+            (assign * d).repeat(d) + cols, weights=flat_x, minlength=k_eff * d
         ).reshape(k_eff, d)
         if counts.all():
             centers = sums / counts[:, None]
