@@ -239,24 +239,30 @@ def init_pillars(
 
 # Radii whose square is a normal float.  For them a point that passes the
 # squared-distance test lies within radius * (1 + a few ulp) of the center,
-# well inside the slack on a cell window's reach.
+# well inside the slack on a window's reach.
 _GRID_RADII = (1e-150, 1e150)
 _REACH_SLACK = 1.0 + 1e-6
 _MAX_CELL = 2**31 - 1
+# Offsets from a 3x3 block's lower-left cell to each of its cells.
+_BLOCK_DX = np.repeat(np.arange(3), 3)
+_BLOCK_DY = np.tile(np.arange(3), 3)
 
 
 class _CellIndex:
     """Frame points bucketed on a uniform grid of cell size ``radius``.
 
     The cell-list method for fixed-radius near neighbours (Bentley, Stanat &
-    Williams 1977).  Points are sorted by the key ``ix * ny + iy`` of their
-    cell, in point order within a cell, so a window's cells in one grid
-    column are one contiguous run.  A cell coordinate is a monotone
-    function of position (floor, then clipped to the grid), so the cells
-    between those of ``center - reach`` and ``center + reach`` hold every
-    point the squared-distance test can accept.  Non-finite points never
-    pass it and are left out.  A radius outside ``_GRID_RADII`` (or NaN),
-    whose square under- or overflows, gets one cell holding every point.
+    Williams 1977).  Each cell anchors the 3x3 block of cells above and to
+    the right of it, and the index keeps every block's points in point
+    order, sorted by the block key ``ix * ny + iy``: nine entries a point.
+    A cell coordinate is a monotone function of position (floor, then
+    clipped to the grid), so the cells between those of ``center - reach``
+    and ``center + reach`` hold every point the squared-distance test can
+    accept.  That window is at most 3 cells wide unless the center lies
+    within the reach slack of a cell edge; wider windows take the blocks
+    that tile them.  Non-finite points never pass the test and are left
+    out.  A radius outside ``_GRID_RADII`` (or NaN), whose square under- or
+    overflows, gets one block holding every point.
     """
 
     def __init__(self, xy: np.ndarray, radius: float) -> None:
@@ -264,40 +270,49 @@ class _CellIndex:
         self.radius = float(radius)
         self.reach = self.radius * _REACH_SLACK
         self.grid = _GRID_RADII[0] < radius < _GRID_RADII[1]
-        if self.grid:
-            idx = np.flatnonzero(np.isfinite(xy).all(axis=1))
-            self.origin = xy[idx].min(axis=0).tolist() if idx.size else [0.0, 0.0]
-            with np.errstate(over="ignore"):  # an overflow lands in the last cell
-                cells = np.floor((xy[idx] - self.origin) / self.radius)
-            cells = np.clip(cells, 0, _MAX_CELL).astype(np.int64)
-            self.nx, self.ny = (cells.max(axis=0) + 1).tolist() if idx.size else (1, 1)
-            keys = cells[:, 0] * self.ny + cells[:, 1]
-            by_cell = np.argsort(keys, kind="stable")
-            self.keys = keys[by_cell]
-            self.order = idx[by_cell]
-        else:
-            self.order = np.arange(xy.shape[0])
-        self.sorted_xy = xy.take(self.order, axis=0)
+        if not self.grid:
+            self.points = np.arange(xy.shape[0])
+            return
+        idx = np.flatnonzero(np.isfinite(xy).all(axis=1))
+        self.origin = xy[idx].min(axis=0).tolist() if idx.size else [0.0, 0.0]
+        with np.errstate(over="ignore"):  # an overflow lands in the last cell
+            cells = np.floor((xy[idx] - self.origin) / self.radius)
+        cells = np.clip(cells, 0, _MAX_CELL).astype(np.int64)
+        self.nx, self.ny = (cells.max(axis=0) + 1).tolist() if idx.size else (1, 1)
+        # Row p, column b: the block anchored b cells down-left of point p's
+        # cell.  Rows run in point order, and the stable sort keeps it.
+        block_x = cells[:, :1] - _BLOCK_DX
+        block_y = cells[:, 1:] - _BLOCK_DY
+        inside = (block_x >= 0) & (block_y >= 0)
+        keys = (block_x * self.ny + block_y)[inside]
+        by_block = np.argsort(keys, kind="stable")
+        self.keys = keys[by_block]
+        self.points = np.broadcast_to(idx[:, None], inside.shape)[inside][by_block]
 
     def _cell(self, v: float, axis: int, n: int) -> int:
         t = (v - self.origin[axis]) / self.radius
         return 0 if t < 0.0 else n - 1 if t >= n - 1 else int(t)
 
-    def runs(self, cx: float, cy: float) -> list[tuple[int, int]]:
-        """(start, stop) ranges of the cell-sorted points around a center."""
+    def candidates(self, cx: float, cy: float) -> np.ndarray:
+        """Ascending indices of the points in the cells around a center."""
         if not self.grid:
-            return [(0, self.order.size)]
+            return self.points
         if not (math.isfinite(cx) and math.isfinite(cy)):
             # Every delta is non-finite, so the test accepts nothing.
-            return [(0, 0)]
+            return self.points[:0]
         ax, bx = self._cell(cx - self.reach, 0, self.nx), self._cell(cx + self.reach, 0, self.nx)
         ay, by = self._cell(cy - self.reach, 1, self.ny), self._cell(cy + self.reach, 1, self.ny)
-        # Per grid column, the keys [column + ay, column + by + 1) as one run.
         bounds = []
-        for column in range(ax * self.ny, (bx + 1) * self.ny, self.ny):
-            bounds += (column + ay, column + by + 1)
+        for ix in range(ax, bx + 1, 3):
+            for iy in range(ay, by + 1, 3):
+                key = ix * self.ny + iy
+                bounds += (key, key + 1)
         ends = self.keys.searchsorted(bounds).tolist()
-        return list(zip(ends[::2], ends[1::2]))
+        if len(ends) == 2:
+            return self.points[ends[0]:ends[1]]
+        cand = np.concatenate([self.points[s:e] for s, e in zip(ends[::2], ends[1::2])])
+        cand.sort()
+        return cand
 
 
 def gather_neighborhood(frame: Frame, center_xy: np.ndarray, radius: float) -> PointSet:
@@ -316,12 +331,10 @@ def gather_neighborhood(frame: Frame, center_xy: np.ndarray, radius: float) -> P
     index = frame.cell_index.get(radius)
     if index is None or index.xy is not points.xy:
         index = frame.cell_index[radius] = _CellIndex(points.xy, radius)
-    runs = index.runs(*c.tolist())
-    cand = np.concatenate([index.order[s:e] for s, e in runs])
-    delta = np.concatenate([index.sorted_xy[s:e] for s, e in runs]) - c
-    sel = cand[np.einsum("nd,nd->n", delta, delta) <= radius * radius]
-    sel.sort()
+    cand = index.candidates(*c.tolist())
     # take() gathers rows several times faster than fancy indexing.
+    delta = points.xy.take(cand, axis=0) - c
+    sel = cand[np.einsum("nd,nd->n", delta, delta) <= radius * radius]
     return PointSet(points.xy.take(sel, axis=0), points.feat.take(sel, axis=0))
 
 
