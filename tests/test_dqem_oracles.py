@@ -95,15 +95,6 @@ def test_indexed_gather_matches_scan_in_point_order(case):
         assert np.array_equal(got.xy, frame.points.xy[want], equal_nan=True)
 
 
-def test_gather_single_point_and_radius_beyond_the_scene():
-    frame = indexed_frame([[3.0, -4.0]])
-    assert len(gather_neighborhood(frame, np.array([0.0, 0.0]), 5.0)) == 1  # exactly at radius
-    assert len(gather_neighborhood(frame, np.array([0.0, 0.0]), 4.999)) == 0
-    frame = indexed_frame(make_rng_points(200))
-    got = gather_neighborhood(frame, np.array([0.0, 0.0]), 1e4)
-    assert got.feat[:, 0].tolist() == list(range(200))
-
-
 def test_gather_builds_one_index_per_radius_and_follows_new_points():
     frame = indexed_frame(make_rng_points(100))
     for center in make_rng_points(20):
