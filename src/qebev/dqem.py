@@ -279,15 +279,15 @@ class _CellIndex:
             cells = np.floor((xy[idx] - self.origin) / self.radius)
         cells = np.clip(cells, 0, _MAX_CELL).astype(np.int64)
         self.nx, self.ny = (cells.max(axis=0) + 1).tolist() if idx.size else (1, 1)
-        # Row p, column b: the block anchored b cells down-left of point p's
-        # cell.  Rows run in point order, and the stable sort keeps it.
-        block_x = cells[:, :1] - _BLOCK_DX
-        block_y = cells[:, 1:] - _BLOCK_DY
-        inside = (block_x >= 0) & (block_y >= 0)
-        keys = (block_x * self.ny + block_y)[inside]
+        # Row p, column b: the block anchored (_BLOCK_DX[b], _BLOCK_DY[b])
+        # cells down-left of point p's cell, kept if that cell is on the
+        # grid.  Rows run in point order, and the stable sort keeps it.
+        inside = (cells[:, :1] >= _BLOCK_DX) & (cells[:, 1:] >= _BLOCK_DY)
+        own = cells[:, 0] * self.ny + cells[:, 1]
+        keys = (own[:, None] - (_BLOCK_DX * self.ny + _BLOCK_DY))[inside]
         by_block = np.argsort(keys, kind="stable")
         self.keys = keys[by_block]
-        self.points = np.broadcast_to(idx[:, None], inside.shape)[inside][by_block]
+        self.points = np.repeat(idx, inside.sum(axis=1))[by_block]
 
     def _cell(self, v: float, axis: int, n: int) -> int:
         t = (v - self.origin[axis]) / self.radius
