@@ -254,7 +254,8 @@ class _CellIndex:
     The cell-list method for fixed-radius near neighbours (Bentley, Stanat &
     Williams 1977).  Each cell anchors the 3x3 block of cells above and to
     the right of it, and the index keeps every block's points in point
-    order, sorted by the block key ``ix * ny + iy``: nine entries a point.
+    order, one run per block in order of the block key ``ix * ny + iy``:
+    nine 4-byte entries a point, plus a key and a run start per block.
     A cell coordinate is a monotone function of position (floor, then
     clipped to the grid), so the cells between those of ``center - reach``
     and ``center + reach`` hold every point the squared-distance test can
@@ -271,7 +272,7 @@ class _CellIndex:
         self.reach = self.radius * _REACH_SLACK
         self.grid = _GRID_RADII[0] < radius < _GRID_RADII[1]
         if not self.grid:
-            self.points = np.arange(xy.shape[0])
+            self.points = np.arange(xy.shape[0], dtype=np.int32)
             return
         idx = np.flatnonzero(np.isfinite(xy).all(axis=1))
         self.origin = xy[idx].min(axis=0).tolist() if idx.size else [0.0, 0.0]
@@ -286,8 +287,12 @@ class _CellIndex:
         own = cells[:, 0] * self.ny + cells[:, 1]
         keys = (own[:, None] - (_BLOCK_DX * self.ny + _BLOCK_DY))[inside]
         by_block = np.argsort(keys, kind="stable")
-        self.keys = keys[by_block]
-        self.points = np.repeat(idx, inside.sum(axis=1))[by_block]
+        self.points = np.repeat(idx.astype(np.int32), inside.sum(axis=1))[by_block]
+        keys = keys[by_block]
+        # Block i's points are points[run_starts[i]:run_starts[i + 1]].
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        self.block_keys = keys[starts]
+        self.run_starts = np.append(starts, keys.size)
 
     def _cell(self, v: float, axis: int, n: int) -> int:
         t = (v - self.origin[axis]) / self.radius
@@ -307,7 +312,7 @@ class _CellIndex:
             for iy in range(ay, by + 1, 3):
                 key = ix * self.ny + iy
                 bounds += (key, key + 1)
-        ends = self.keys.searchsorted(bounds).tolist()
+        ends = self.run_starts.take(self.block_keys.searchsorted(bounds)).tolist()
         if len(ends) == 2:
             return self.points[ends[0]:ends[1]]
         cand = np.concatenate([self.points[s:e] for s, e in zip(ends[::2], ends[1::2])])
