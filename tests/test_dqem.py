@@ -608,13 +608,13 @@ def test_detections_io_velocity_preserved(tmp_path):
         ("box", [[1.0] * 9], "box must be 9 numbers, got shape (1, 9)"),
         ("box", [1.0] * 8 + [math.nan], "box is not finite"),
         ("box", [1.0, math.inf] + [1.0] * 7, "box is not finite"),
-        ("box", [1.0] * 3 + [-2.0] + [1.0] * 5, "box size must be positive"),
-        ("box", [1.0] * 5 + [0.0] + [1.0] * 3, "box size must be positive"),
         ("score", math.nan, "score is not finite"),
         ("score", -math.inf, "score is not finite"),
         ("velocity", [1.0, 2.0, 3.0], "velocity must be 2 numbers, got shape (3,)"),
         ("velocity", [math.nan, 0.0], "velocity is not finite"),
         ("velocity", [0.0, math.inf], "velocity is not finite"),
+        ("box", [1.0] * 3 + [-2.0] + [1.0] * 5, "box size must be positive"),
+        ("box", [1.0] * 5 + [0.0] + [1.0] * 3, "box size must be positive"),
     ],
 )
 def test_read_detections_rejects_bad_detection(tmp_path, field, value, message):
