@@ -22,7 +22,8 @@ from qebev.ltfm import (
     temporal_init,
     temporal_update,
 )
-from qebev.numerics import make_rng
+from qebev import evolve_queries, init_pillars
+from qebev.numerics import derive_seed, draw_seed, make_rng
 
 
 def identity_proj(d):
@@ -179,6 +180,46 @@ def test_run_sequence_single_frame_matches_no_temporal():
     assert len(da) == len(db)
     for a, b in zip(da, db):
         assert np.array_equal(a.box, b.box)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def decoded_bits(trace):
+    return [None if d is None else d.as_array().tobytes() for d in trace.decoded]
+
+
+@pytest.mark.parametrize("regather", [True, False])
+@pytest.mark.parametrize("iterations", [0, 1, 3])
+def test_evolve_queries_matches_run_sequence_frame_by_frame(iterations, regather):
+    # Without fusion, run_sequence is evolve_queries on each frame with that
+    # frame's own stream, bit for bit, whatever the query outcome.
+    params = DqemParams(radius=10.0, iterations=iterations, regather=regather)
+    flags = set()
+    for s in (20, 21, 22):
+        cfg = tiny_scene()
+        seq = generate_sequence(cfg, 3, 0.5, make_rng(100 + s))
+        proj = identity_proj(cfg.d)
+        res = run_sequence(seq, params, None, proj, make_rng(s), **run_kwargs())
+        for t, (frame, fr) in enumerate(zip(seq.frames, res.frames)):
+            frame_rng = make_rng(derive_seed(draw_seed(make_rng(s)), f"frame:{t}"))
+            out, traces = evolve_queries(init_pillars(4, 4, 30.0), frame, params, proj, frame_rng)
+            assert len(out) == len(fr.queries) and len(traces) == len(fr.traces)
+            for pa, ta, pb, tb in zip(out.pillars, traces, fr.queries.pillars, fr.traces):
+                assert same_bits(pa.attrs.as_array(), pb.attrs.as_array())
+                assert same_bits(pa.feat, pb.feat)
+                assert same_bits(pa.feat_scale, pb.feat_scale)
+                assert pa.flag == pb.flag
+                assert ta.flag == tb.flag
+                assert decoded_bits(ta) == decoded_bits(tb)
+                assert len(ta.attention) == len(tb.attention)
+                for ra, rb in zip(ta.attention, tb.attention):
+                    assert same_bits(ra.selected, rb.selected)
+                    assert same_bits(ra.weights, rb.weights)
+                flags.add(pa.flag)
+    assert {"", "empty"} <= flags
 
 
 def test_run_sequence_none_tparams_matches_never_fusing_stride():
