@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dqem import ProjectionPair, aggregate_top_k, kmeans
+from .dqem import ProjectionPair, aggregate_over_centers, kmeans
 from .numerics import derive_seed, make_rng
 
 __all__ = ["BenchConfig", "BenchRow", "ScalingReport", "run_scaling", "write_bench_csv"]
@@ -107,7 +107,7 @@ def run_scaling(cfg: BenchConfig, rng: np.random.Generator) -> ScalingReport:
 
         def step() -> None:
             cs = kmeans(feats, cfg.k, cfg.kmeans_iters, make_rng(work_seed))
-            aggregate_top_k(q, cs, proj, cfg.top_k)
+            aggregate_over_centers(q, cs.centers, proj, cfg.top_k)
 
         for _ in range(cfg.warmup):
             step()

@@ -430,6 +430,8 @@ def read_scenes(path: str) -> list[Frame]:
                 encoder_seed = int(rec["encoder_seed"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{line_no}: malformed frame record ({exc})") from exc
+            if not math.isfinite(timestamp):
+                raise ValueError(f"{path}:{line_no}: timestamp {timestamp} is not finite")
             if frames and not timestamp > frames[-1].timestamp:
                 raise ValueError(
                     f"{path}:{line_no}: timestamp {timestamp} is not later than the "

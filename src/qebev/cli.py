@@ -36,8 +36,6 @@ from .numerics import derive_seed, make_rng
 
 __all__ = ["main", "RunConfig"]
 
-ENV_THREADS = "QEBEV_THREADS"
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors mapped to exit code 1."""
@@ -118,25 +116,9 @@ def _apply_config(sub: argparse.ArgumentParser, argv: list[str]) -> None:
     sub.set_defaults(**{k: _coerce(v, actions[k], path, k) for k, v in values.items()})
 
 
-def _resolve_threads(args: argparse.Namespace) -> int:
-    value = args.threads
-    if value is None:
-        env = os.environ.get(ENV_THREADS)
-        value = int(env) if env else 1
-    if value < 1:
-        raise ValueError(f"--threads (or ${ENV_THREADS}) must be at least 1, got {value}")
-    return value
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value file with # comments; flags override")
     p.add_argument("--seed", type=int, default=0, help="root seed for all randomness")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help=f"worker-thread cap (default ${ENV_THREADS} or 1); execution is currently serial",
-    )
 
 
 def _add_scene_args(p: argparse.ArgumentParser) -> None:
@@ -226,11 +208,7 @@ def _detect_over_scenes(args: argparse.Namespace, scenes_path: str, out_path: st
         raise ValueError(
             f"projection width {proj.w_q.shape[0]} does not match feature width {d}"
         )
-    tparams = (
-        TemporalParams(alpha=args.alpha, beta=args.beta, stride=args.stride)
-        if args.temporal
-        else None
-    )
+    tparams = TemporalParams(alpha=args.alpha, stride=args.stride) if args.temporal else None
     result = run_sequence(
         seq, params, tparams, proj,
         make_rng(derive_seed(args.seed, "detect")),
@@ -473,7 +451,6 @@ def main(argv: list[str] | None = None) -> int:
         if command in registry:
             _apply_config(registry[command], argv)
         args = parser.parse_args(argv)
-        _resolve_threads(args)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

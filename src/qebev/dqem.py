@@ -5,7 +5,8 @@ radius of its current center, k-means-clusters them in feature space, scores
 the cluster centers against the query with a projected dot product, and
 rebuilds itself from a softmax-weighted blend of the top-scoring centers.
 Decoding the refined query yields updated box geometry, which moves the
-pillar for the next round.
+pillar for the next round.  This module holds those steps; the loop that
+runs them for every query of a frame is ``ltfm.evolve_queries``.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ from .bevscene import (
     BoxAttributes,
     Frame,
     PointSet,
-    decode_feature,
     encoding_matrix,
 )
-from .numerics import draw_seed, make_rng, pairwise_sq_dist, softmax, top_k_indices
+from .numerics import make_rng, pairwise_sq_dist, softmax, top_k_indices
 
 __all__ = [
     "DqemParams",
@@ -42,13 +42,11 @@ __all__ = [
     "gather_neighborhood",
     "kmeans",
     "attention_scores",
-    "aggregate_top_k",
     "aggregate_over_centers",
     "blend_and_rescale",
     "diversity_loss",
     "diversity_loss_grad",
     "initial_aggregate",
-    "evolve_queries",
     "fit_projections",
     "extract_detections",
     "dedup_detections",
@@ -59,9 +57,6 @@ __all__ = [
 ]
 
 SOFTMAX_DOMAINS = ("selected", "full")
-# A query whose starting mean overflows would decode to NaN; refuse it as
-# k-means refuses an overflowing potential.
-_NON_FINITE_MEAN = "neighborhood mean is not finite (non-finite or overflowing features)"
 
 
 @dataclass
@@ -85,19 +80,19 @@ class DqemParams:
             raise ValueError("k must be at least 1")
         if not 1 <= self.top_k <= self.k:
             raise ValueError("top_k must satisfy 1 <= top_k <= k")
-        if self.beta < 0.0:
+        if not self.beta >= 0.0:
             raise ValueError("beta must be non-negative")
-        if self.radius <= 0.0:
+        if not self.radius > 0.0:
             raise ValueError("radius must be positive")
         if self.iterations < 0:
             raise ValueError("iterations must be non-negative")
         if self.kmeans_iters < 1:
             raise ValueError("kmeans_iters must be at least 1")
-        if self.diversity_weight < 0.0:
+        if not self.diversity_weight >= 0.0:
             raise ValueError("diversity_weight must be non-negative")
         if self.softmax_domain not in SOFTMAX_DOMAINS:
             raise ValueError(f"softmax_domain must be one of {SOFTMAX_DOMAINS}")
-        if self.tau_bg < 0.0:
+        if not self.tau_bg >= 0.0:
             raise ValueError("tau_bg must be non-negative")
 
 
@@ -569,20 +564,6 @@ def aggregate_over_centers(
     )
 
 
-def aggregate_top_k(
-    q: np.ndarray,
-    clusters: ClusterSet,
-    proj: ProjectionPair,
-    top_k: int,
-    scale_scores: bool = True,
-    softmax_domain: str = "selected",
-) -> AttentionResult:
-    """Top-k attention aggregation over a ClusterSet's centers."""
-    return aggregate_over_centers(
-        q, clusters.centers, proj, top_k, scale_scores=scale_scores, softmax_domain=softmax_domain
-    )
-
-
 def initial_aggregate(feats: np.ndarray) -> np.ndarray:
     """Plain mean of the neighborhood features; zero vector when empty."""
     f = np.asarray(feats, dtype=np.float64)
@@ -626,92 +607,6 @@ def blend_and_rescale(
             return q_new, anchor, ""
     npq = float(np.linalg.norm(qp))
     return q_new, (npq if npq > 0.0 else scale), ""
-
-
-def _evolve_single(
-    pillar: Pillar,
-    frame: Frame,
-    params: DqemParams,
-    proj: ProjectionPair,
-    qrng: np.random.Generator,
-) -> tuple[Pillar, EvolutionTrace]:
-    trace = EvolutionTrace()
-    attrs = pillar.attrs
-    pts = gather_neighborhood(frame, attrs.center(), params.radius)
-    if len(pts) == 0:
-        trace.flag = "empty"
-        return replace(pillar, flag="empty"), trace
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = initial_aggregate(pts.feat)
-        norm0 = float(np.linalg.norm(mean))
-    if not math.isfinite(norm0):
-        raise ValueError(_NON_FINITE_MEAN)
-    if norm0 == 0.0:
-        trace.flag = "degenerate-zero-mean"
-        return replace(pillar, flag=trace.flag), trace
-    q = mean / norm0
-    scale = norm0
-    dec = decode_feature(q * scale, frame.encoder_seed, params.tau_bg)
-    trace.decoded.append(dec)
-    if dec is not None:
-        attrs = dec
-
-    # One clustering stream per query, rewound every round: successive
-    # rounds then see consistent partitions and the update converges
-    # instead of chasing re-randomized cluster boundaries.
-    krng = make_rng(draw_seed(qrng))
-    kstate = krng.bit_generator.state
-    for it in range(params.iterations):
-        if params.regather and it > 0:
-            pts = gather_neighborhood(frame, attrs.center(), params.radius)
-            if len(pts) == 0:
-                trace.flag = "empty-regather"
-                break
-        krng.bit_generator.state = kstate
-        clusters = kmeans(pts.feat, params.k, params.kmeans_iters, krng)
-        result = aggregate_top_k(
-            q, clusters, proj, params.top_k,
-            scale_scores=params.scale_scores,
-            softmax_domain=params.softmax_domain,
-        )
-        trace.attention.append(result)
-        q, scale, flag = blend_and_rescale(
-            q, scale, result, clusters.centers, params.beta, sizes=clusters.sizes
-        )
-        if flag:
-            trace.flag = flag
-        dec = decode_feature(q * scale, frame.encoder_seed, params.tau_bg)
-        trace.decoded.append(dec)
-        if dec is not None:
-            attrs = dec
-    if not trace.flag and trace.decoded and trace.decoded[-1] is None:
-        trace.flag = "background"
-    return Pillar(attrs=attrs, feat=q, feat_scale=scale, flag=trace.flag), trace
-
-
-def evolve_queries(
-    queries: QuerySet,
-    frame: Frame,
-    params: DqemParams,
-    proj: ProjectionPair,
-    rng: np.random.Generator,
-) -> tuple[QuerySet, list[EvolutionTrace]]:
-    """Refine every query against one frame.
-
-    Inputs are left untouched.  Each query gets its own generator seeded
-    from a single draw XOR the query index, so results do not depend on
-    processing order.
-    """
-    base_seed = draw_seed(rng)
-    out: list[Pillar] = []
-    traces: list[EvolutionTrace] = []
-    for qi, pillar in enumerate(queries.pillars):
-        qrng = make_rng(base_seed ^ qi)
-        new_pillar, trace = _evolve_single(pillar, frame, params, proj, qrng)
-        out.append(new_pillar)
-        traces.append(trace)
-    return QuerySet(out), traces
 
 
 # ---------------------------------------------------------------------------
@@ -991,7 +886,9 @@ def dedup_detections(dets: list[Detection], radius: float) -> list[Detection]:
     Radius 0 disables suppression.  Ordering ties break on query id, so the
     result is deterministic.
     """
-    if radius <= 0.0 or len(dets) <= 1:
+    if not radius >= 0.0:
+        raise ValueError("dedup radius must be non-negative")
+    if radius == 0.0 or len(dets) <= 1:
         return list(dets)
     order = sorted(dets, key=lambda d: (-d.score, d.query_id))
     kept: list[Detection] = []

@@ -1,10 +1,12 @@
-"""Lightweight temporal fusion across a frame sequence.
+"""The per-frame query-evolution loop, and temporal fusion across frames.
 
-Queries evolved on one frame inform the next fused frame three ways: the
-previous query direction is blended into the fresh one, the previous
-frame's cluster centers are pooled with the current ones for attention (no
-re-clustering), and decoded positions are differenced for a motion-based
-velocity estimate that is averaged with the decoded velocity channels.
+Every query of a frame runs the same kernel: gather, k-means, top-k
+attention, blend, decode, regather.  Fusion only warm-starts it: on a fused
+frame the previous query direction is blended into the fresh one, the
+previous frame's cluster centers are pooled with the current ones for the
+first round's attention (no re-clustering), and decoded positions are
+differenced for a motion-based velocity estimate that is averaged with the
+decoded velocity channels.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bevscene import BoxAttributes, SceneSequence, decode_feature
+from .bevscene import BoxAttributes, Frame, SceneSequence, decode_feature
 from .dqem import (
     AttentionResult,
     ClusterSet,
@@ -24,9 +26,7 @@ from .dqem import (
     Pillar,
     ProjectionPair,
     QuerySet,
-    _NON_FINITE_MEAN,
     aggregate_over_centers,
-    aggregate_top_k,
     blend_and_rescale,
     extract_detections,
     gather_neighborhood,
@@ -43,29 +43,27 @@ __all__ = [
     "SequenceResult",
     "temporal_init",
     "temporal_aggregate",
-    "temporal_update",
+    "evolve_queries",
     "run_sequence",
 ]
+
+# A query whose starting mean overflows would decode to NaN; refuse it as
+# k-means refuses an overflowing potential.
+_NON_FINITE_MEAN = "neighborhood mean is not finite (non-finite or overflowing features)"
 
 
 @dataclass
 class TemporalParams:
-    """Fusion knobs: blend weight, stride between fused frames, window size."""
+    """Fusion knobs: blend weight and stride between fused frames."""
 
     alpha: float = 0.4
-    beta: float = 0.6
     stride: int = 2
-    t_window: int = 8
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        if self.beta < 0.0:
-            raise ValueError("beta must be non-negative")
         if self.stride < 1:
             raise ValueError("stride must be at least 1")
-        if self.t_window < 1:
-            raise ValueError("t_window must be at least 1")
 
 
 @dataclass
@@ -75,7 +73,6 @@ class TemporalState:
 
     queries: QuerySet
     clusters: list[ClusterSet | None]
-    frame_index: int
 
 
 @dataclass
@@ -133,19 +130,6 @@ def temporal_aggregate(
     )
 
 
-def temporal_update(q: np.ndarray, q_prime: np.ndarray, beta: float = 0.6) -> np.ndarray:
-    """Blend the aggregate into the query and re-normalize to unit length.
-
-    Mirrors the per-round update of single-frame evolution; a zero-norm
-    blend returns the query unchanged.
-    """
-    u = np.asarray(q_prime, dtype=np.float64) + beta * np.asarray(q, dtype=np.float64)
-    nu = float(np.linalg.norm(u))
-    if nu == 0.0:
-        return np.array(q, dtype=np.float64, copy=True)
-    return u / nu
-
-
 def _pooled_centers(
     clusters_cur: ClusterSet, clusters_prev: ClusterSet | None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -159,7 +143,7 @@ def _pooled_centers(
 
 def _evolve_single(
     pillar: Pillar,
-    frame,
+    frame: Frame,
     params: DqemParams,
     proj: ProjectionPair,
     qrng: np.random.Generator,
@@ -169,10 +153,10 @@ def _evolve_single(
 ) -> tuple[Pillar, EvolutionTrace, ClusterSet | None]:
     """One query against one frame, optionally fusing the previous state.
 
-    Matches single-frame evolution exactly when no previous state is given.
-    On a fused frame the first round aggregates over the pooled current and
-    previous centers; later rounds are plain.  The k-means call count is the
-    same either way.
+    With no previous query this is plain single-frame evolution.  On a fused
+    frame the first round aggregates over the pooled current and previous
+    centers; later rounds are plain.  The k-means call count is the same
+    either way.
     """
     trace = EvolutionTrace()
     attrs = pillar.attrs
@@ -203,8 +187,9 @@ def _evolve_single(
         attrs = dec
 
     clusters: ClusterSet | None = None
-    # Same per-query clustering stream every round, as in single-frame
-    # evolution, so rounds refine against consistent partitions.
+    # One clustering stream per query, rewound every round: successive
+    # rounds then see consistent partitions and the update converges
+    # instead of chasing re-randomized cluster boundaries.
     krng = make_rng(draw_seed(qrng))
     kstate = krng.bit_generator.state
     for it in range(params.iterations):
@@ -223,8 +208,8 @@ def _evolve_single(
             )
             anchor, anchor_sizes = _pooled_centers(clusters, clusters_prev)
         else:
-            result = aggregate_top_k(
-                q, clusters, proj, params.top_k,
+            result = aggregate_over_centers(
+                q, clusters.centers, proj, params.top_k,
                 scale_scores=params.scale_scores,
                 softmax_domain=params.softmax_domain,
             )
@@ -242,6 +227,55 @@ def _evolve_single(
     if not trace.flag and trace.decoded and trace.decoded[-1] is None:
         trace.flag = "background"
     return Pillar(attrs=attrs, feat=q, feat_scale=scale, flag=trace.flag), trace, clusters
+
+
+def _evolve_frame(
+    queries: QuerySet,
+    frame: Frame,
+    params: DqemParams,
+    proj: ProjectionPair,
+    rng: np.random.Generator,
+    tparams: TemporalParams | None = None,
+    prev: TemporalState | None = None,
+) -> tuple[TemporalState, list[EvolutionTrace]]:
+    """Run the kernel for every query of one frame, fusing ``prev`` when
+    ``tparams`` is given.
+
+    Each query gets its own generator seeded from a single draw XOR the
+    query index, so results do not depend on processing order.
+    """
+    base_seed = draw_seed(rng)
+    pillars: list[Pillar] = []
+    traces: list[EvolutionTrace] = []
+    clusters: list[ClusterSet | None] = []
+    for qi, pillar in enumerate(queries.pillars):
+        q_prev, c_prev = None, None
+        if tparams is not None:
+            prev_pillar = prev.queries.pillars[qi]
+            q_prev = prev_pillar.feat if prev_pillar.feat.size and not prev_pillar.flag else None
+            c_prev = prev.clusters[qi]
+        new_pillar, trace, cs = _evolve_single(
+            pillar, frame, params, proj, make_rng(base_seed ^ qi), tparams, q_prev, c_prev
+        )
+        pillars.append(new_pillar)
+        traces.append(trace)
+        clusters.append(cs)
+    return TemporalState(queries=QuerySet(pillars), clusters=clusters), traces
+
+
+def evolve_queries(
+    queries: QuerySet,
+    frame: Frame,
+    params: DqemParams,
+    proj: ProjectionPair,
+    rng: np.random.Generator,
+) -> tuple[QuerySet, list[EvolutionTrace]]:
+    """Refine every query against one frame, with no temporal history.
+
+    Inputs are left untouched.
+    """
+    state, traces = _evolve_frame(queries, frame, params, proj, rng)
+    return state.queries, traces
 
 
 def run_sequence(
@@ -274,26 +308,10 @@ def run_sequence(
         frame_rng = make_rng(derive_seed(base_seed, f"frame:{t}"))
         pillars = init_pillars(grid_nx, grid_ny, bounds, template)
         fused = tparams is not None and state is not None and t % tparams.stride == 0
-        per_query_seed = draw_seed(frame_rng)
-        out_pillars: list[Pillar] = []
-        traces: list[EvolutionTrace] = []
-        frame_clusters: list[ClusterSet | None] = []
-        for qi, pillar in enumerate(pillars.pillars):
-            qrng = make_rng(per_query_seed ^ qi)
-            if fused:
-                prev_pillar = state.queries.pillars[qi]
-                q_prev = prev_pillar.feat if prev_pillar.feat.size and not prev_pillar.flag else None
-                c_prev = state.clusters[qi]
-            else:
-                q_prev, c_prev = None, None
-            new_pillar, trace, clusters = _evolve_single(
-                pillar, frame, params, proj, qrng,
-                tparams if fused else None, q_prev, c_prev,
-            )
-            out_pillars.append(new_pillar)
-            traces.append(trace)
-            frame_clusters.append(clusters)
-        queries = QuerySet(out_pillars)
+        state, traces = _evolve_frame(
+            pillars, frame, params, proj, frame_rng, tparams if fused else None, state
+        )
+        queries = state.queries
 
         detections = extract_detections(queries, traces, frame_index=t)
         if tparams is not None:
@@ -321,7 +339,6 @@ def run_sequence(
                 detections=detections,
             )
         )
-        state = TemporalState(queries=queries, clusters=frame_clusters, frame_index=t)
     return SequenceResult(frames=results, interval=seq.interval)
 
 

@@ -24,12 +24,11 @@ from qebev.dqem import (
     aggregate_over_centers,
     diversity_loss,
     diversity_loss_grad,
-    evolve_queries,
     fit_projections,
     kmeans,
 )
 from qebev.evalkit import hungarian_assign, match_detections, nds
-from qebev.ltfm import TemporalParams, run_sequence
+from qebev.ltfm import TemporalParams, evolve_queries, run_sequence
 from qebev.numerics import derive_seed, make_rng
 
 

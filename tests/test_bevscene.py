@@ -296,6 +296,22 @@ def test_read_scenes_rejects_a_timestamp_not_later_than_the_last(tmp_path, times
     )
 
 
+@pytest.mark.parametrize("line", [1, 3])
+@pytest.mark.parametrize("timestamp", [math.nan, math.inf, -math.inf])
+def test_read_scenes_rejects_a_non_finite_timestamp(tmp_path, line, timestamp):
+    path = tmp_path / "bad.jsonl"
+    cfg = SceneConfig(n_objects=1, points_per_object=4, background_points=2)
+    write_scenes(generate_sequence(cfg, 3, 0.5, make_rng(3)).frames, path)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[line - 1])
+    rec["timestamp"] = timestamp
+    lines[line - 1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_scenes(path)
+    assert str(info.value) == f"{path}:{line}: timestamp {timestamp} is not finite"
+
+
 def test_scene_config_validation():
     with pytest.raises(ValueError):
         SceneConfig(d=8)

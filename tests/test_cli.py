@@ -370,18 +370,18 @@ def test_import_simulate_and_detect_load_no_scipy(tmp_path):
     assert out.stdout.splitlines()[-1] == "[[], [], [], [], []]"
 
 
-# ---------------------------------------------------------------- threads
+# ---------------------------------------------------------------- NaN knobs
 
 
-def test_threads_flag_validates(tmp_path):
-    out = tmp_path / "s.jsonl"
-    assert run(simulate_args(out) + ["--threads", "0"]) == 1
-    assert run(simulate_args(out) + ["--threads", "8"]) == 0
-
-
-def test_threads_env_default(tmp_path, monkeypatch):
-    monkeypatch.setenv("QEBEV_THREADS", "4")
-    out = tmp_path / "s.jsonl"
-    assert run(simulate_args(out)) == 0
-    monkeypatch.setenv("QEBEV_THREADS", "not-a-number")
-    assert run(simulate_args(out)) == 1
+@pytest.mark.parametrize("flag, message", [
+    ("--radius", "radius must be positive"),
+    ("--dedup-radius", "dedup radius must be non-negative"),
+    ("--tau-bg", "tau_bg must be non-negative"),
+    ("--beta", "beta must be non-negative"),
+])
+def test_detect_nan_hyperparameter_exits_one(tmp_path, capsys, flag, message):
+    scenes = tmp_path / "scenes.jsonl"
+    run(simulate_args(scenes))
+    capsys.readouterr()
+    assert run(detect_args(scenes, tmp_path / "d.jsonl", extra=(flag, "nan"))) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

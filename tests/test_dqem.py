@@ -11,13 +11,11 @@ from qebev.dqem import (
     DqemParams,
     ProjectionPair,
     aggregate_over_centers,
-    aggregate_top_k,
     attention_scores,
     blend_and_rescale,
     dedup_detections,
     diversity_loss,
     diversity_loss_grad,
-    evolve_queries,
     extract_detections,
     fit_projections,
     gather_neighborhood,
@@ -29,7 +27,26 @@ from qebev.dqem import (
     save_projections,
     write_detections,
 )
+from qebev.ltfm import evolve_queries
 from qebev.numerics import make_rng, softmax
+
+
+# ---------------------------------------------------------------- params
+
+
+@pytest.mark.parametrize("field, value", [
+    ("k", 0), ("top_k", 0), ("top_k", 7), ("beta", -0.1), ("beta", math.nan),
+    ("radius", 0.0), ("radius", -1.0), ("radius", math.nan), ("iterations", -1),
+    ("kmeans_iters", 0), ("diversity_weight", -0.1), ("diversity_weight", math.nan),
+    ("softmax_domain", "all"), ("tau_bg", -0.1), ("tau_bg", math.nan),
+])
+def test_dqem_params_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        DqemParams(**{field: value})
+
+
+def test_dqem_params_accepts_zero_weights_and_rounds():
+    DqemParams(beta=0.0, iterations=0, diversity_weight=0.0, tau_bg=0.0)
 
 
 # ---------------------------------------------------------------- pillars
@@ -373,17 +390,6 @@ def test_aggregate_clamps_top_k():
     assert np.isclose(r.weights.sum(), 1.0)
 
 
-def test_aggregate_top_k_uses_cluster_centers():
-    rng = make_rng(75)
-    pts = rng.normal(size=(40, 4))
-    cs = kmeans(pts, 5, 20, make_rng(0))
-    q = rng.normal(size=4)
-    a = aggregate_top_k(q, cs, identity_proj(4), top_k=3)
-    b = aggregate_over_centers(q, cs.centers, identity_proj(4), top_k=3)
-    assert np.array_equal(a.selected, b.selected)
-    assert np.allclose(a.aggregated, b.aggregated, atol=1e-12)
-
-
 # ---------------------------------------------------------------- blend
 
 
@@ -567,6 +573,13 @@ def test_dedup_chain_is_greedy_by_score():
     dets = [make_det(0, 0, 0.4, 0), make_det(1.5, 0, 0.9, 1), make_det(3.0, 0, 0.5, 2)]
     assert [d.query_id for d in dedup_detections(dets, 2.0)] == [1]
     assert len(dedup_detections(dets, 1.0)) == 3
+
+
+@pytest.mark.parametrize("radius", [-1.0, math.nan])
+def test_dedup_rejects_negative_or_nan_radius(radius):
+    dets = [make_det(0, 0, 0.5, 0), make_det(0.5, 0, 0.9, 1)]
+    with pytest.raises(ValueError, match="dedup radius must be non-negative"):
+        dedup_detections(dets, radius)
 
 
 def test_detections_io_round_trip(tmp_path):

@@ -10,7 +10,7 @@ from qebev.dqem import (
     Detection,
     DqemParams,
     ProjectionPair,
-    aggregate_top_k,
+    aggregate_over_centers,
     kmeans,
 )
 from qebev.ltfm import (
@@ -20,7 +20,6 @@ from qebev.ltfm import (
     run_sequence,
     temporal_aggregate,
     temporal_init,
-    temporal_update,
 )
 from qebev import evolve_queries, init_pillars
 from qebev.numerics import derive_seed, draw_seed, make_rng
@@ -51,17 +50,6 @@ def test_temporal_init_segment_property():
         assert np.allclose(got, alpha * a + (1 - alpha) * b, atol=1e-12)
 
 
-def test_temporal_update_matches_single_frame_blend_rule():
-    rng = make_rng(5)
-    for _ in range(20):
-        q, qp = rng.normal(size=(2, 6))
-        beta = float(rng.uniform())
-        got = temporal_update(q, qp, beta)
-        want = qp + beta * q
-        want = want / np.linalg.norm(want)
-        assert np.allclose(got, want, atol=1e-12)
-
-
 def test_temporal_aggregate_no_history_matches_plain():
     rng = make_rng(6)
     pts = rng.normal(size=(50, 8))
@@ -69,7 +57,7 @@ def test_temporal_aggregate_no_history_matches_plain():
     q = rng.normal(size=8)
     proj = identity_proj(8)
     a = temporal_aggregate(q, cs, None, proj, top_k=3)
-    b = aggregate_top_k(q, cs, proj, top_k=3)
+    b = aggregate_over_centers(q, cs.centers, proj, top_k=3)
     assert np.array_equal(a.selected, b.selected)
     assert np.array_equal(a.weights, b.weights)
     assert np.array_equal(a.aggregated, b.aggregated)
@@ -84,8 +72,6 @@ def test_temporal_aggregate_pools_center_sets():
     proj = identity_proj(6)
     r = temporal_aggregate(q, cur, prev, proj, top_k=3)
     pooled = np.vstack([cur.centers, prev.centers])
-    from qebev.dqem import aggregate_over_centers
-
     want = aggregate_over_centers(q, pooled, proj, top_k=3)
     assert np.array_equal(r.selected, want.selected)
     assert np.allclose(r.aggregated, want.aggregated, atol=1e-12)
