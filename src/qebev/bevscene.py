@@ -146,8 +146,8 @@ class SceneSequence:
     def __post_init__(self) -> None:
         if not self.frames:
             raise ValueError("a sequence needs at least one frame")
-        if self.interval <= 0.0:
-            raise ValueError("frame interval must be positive")
+        if not self.interval > 0.0 or not math.isfinite(self.interval):
+            raise ValueError(f"frame interval must be positive and finite, got {self.interval}")
 
 
 @dataclass
@@ -172,12 +172,14 @@ class SceneConfig:
     def __post_init__(self) -> None:
         if self.d < ATTR_DIM:
             raise ValueError(f"d must be at least {ATTR_DIM} to keep the encoding invertible")
-        if self.bounds <= 0.0:
-            raise ValueError("bounds must be positive")
+        if not self.bounds > 0.0 or not math.isfinite(self.bounds):
+            raise ValueError(f"bounds must be positive and finite, got {self.bounds}")
         if self.n_objects < 0 or self.points_per_object < 0 or self.background_points < 0:
             raise ValueError("counts must be non-negative")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be non-negative")
+        if not self.noise_sigma >= 0.0 or not math.isfinite(self.noise_sigma):
+            raise ValueError(
+                f"noise_sigma must be non-negative and finite, got {self.noise_sigma}"
+            )
         if not 0.0 <= self.speed_min <= self.speed_max:
             raise ValueError("need 0 <= speed_min <= speed_max")
 
@@ -409,13 +411,15 @@ def read_scenes(path: str) -> list[Frame]:
     frames: list[Frame] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            # json.loads skips surrounding whitespace, so the line is parsed
+            # as read, without a stripped copy, and dropped once parsed.
+            if line.isspace():
                 continue
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{line_no}: bad JSON ({exc})") from exc
+            del line
             try:
                 d = int(rec["d"])
                 gt_rows = [np.asarray(g["box"], dtype=np.float64) for g in rec["gt"]]

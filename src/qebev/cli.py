@@ -208,9 +208,10 @@ def _detect_over_scenes(args: argparse.Namespace, scenes_path: str, out_path: st
         raise ValueError(
             f"projection width {proj.w_q.shape[0]} does not match feature width {d}"
         )
-    tparams = TemporalParams(alpha=args.alpha, stride=args.stride) if args.temporal else None
+    # Built even without --temporal, so that a bad --alpha or --stride fails.
+    tparams = TemporalParams(alpha=args.alpha, stride=args.stride)
     result = run_sequence(
-        seq, params, tparams, proj,
+        seq, params, tparams if args.temporal else None, proj,
         make_rng(derive_seed(args.seed, "detect")),
         grid_nx=args.grid_nx, grid_ny=args.grid_ny, bounds=args.bounds,
     )
@@ -343,7 +344,6 @@ def _run_bench(args: argparse.Namespace) -> int:
 
 
 def _run_pipeline(args: argparse.Namespace) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
     scenes_path = os.path.join(args.out_dir, "scenes.jsonl")
     dets_path = os.path.join(args.out_dir, "detections.jsonl")
     report_path = os.path.join(args.out_dir, "report.json")
@@ -352,6 +352,7 @@ def _run_pipeline(args: argparse.Namespace) -> int:
     seq = generate_sequence(
         cfg, args.frames, args.interval, make_rng(derive_seed(args.seed, "simulate"))
     )
+    os.makedirs(args.out_dir, exist_ok=True)
     write_scenes(seq.frames, scenes_path)
     _detect_over_scenes(args, scenes_path, dets_path)
 

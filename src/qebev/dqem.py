@@ -212,11 +212,13 @@ def init_pillars(
     if grid_nx < 1 or grid_ny < 1:
         raise ValueError("grid dimensions must be at least 1")
     if isinstance(bounds, (int, float)):
-        if bounds <= 0:
-            raise ValueError("bounds must be positive")
+        if not bounds > 0 or not math.isfinite(bounds):
+            raise ValueError(f"bounds must be positive and finite, got {bounds}")
         xmin, xmax, ymin, ymax = -float(bounds), float(bounds), -float(bounds), float(bounds)
     else:
         xmin, xmax, ymin, ymax = (float(v) for v in bounds)
+        if not all(math.isfinite(v) for v in (xmin, xmax, ymin, ymax)):
+            raise ValueError(f"bounds rectangle must be finite, got {(xmin, xmax, ymin, ymax)}")
         if xmin >= xmax or ymin >= ymax:
             raise ValueError("degenerate bounds rectangle")
     if template is None:

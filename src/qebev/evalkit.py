@@ -148,7 +148,7 @@ def match_detections(
 
     Pairs farther apart than ``threshold`` are discarded after assignment.
     """
-    if threshold <= 0.0:
+    if not threshold > 0.0:
         raise ValueError("threshold must be positive")
     p = np.asarray(pred_boxes, dtype=np.float64).reshape(-1, 9)
     g = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 9)
@@ -176,6 +176,8 @@ def greedy_match(
 ) -> MatchResult:
     """Score-descending greedy matching (each prediction takes the nearest
     free ground truth within the gate); the AP convention."""
+    if not threshold > 0.0:
+        raise ValueError("threshold must be positive")
     p = np.asarray(pred_boxes, dtype=np.float64).reshape(-1, 9)
     g = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 9)
     s = np.asarray(scores, dtype=np.float64).reshape(-1)
@@ -345,6 +347,8 @@ def evaluate_detections(
     errors use one-to-one matching at ``tp_threshold`` per frame, with the
     optimal or the greedy matcher.
     """
+    if not tp_threshold > 0.0 or not math.isfinite(tp_threshold):
+        raise ValueError(f"tp_threshold must be positive and finite, got {tp_threshold}")
     if len(det_frames) != len(scene_frames):
         raise ValueError(
             f"frame count mismatch: {len(det_frames)} detection lines vs "

@@ -12,7 +12,9 @@ decoded velocity channels.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -44,6 +46,7 @@ __all__ = [
     "temporal_init",
     "temporal_aggregate",
     "evolve_queries",
+    "iter_sequence",
     "run_sequence",
 ]
 
@@ -80,8 +83,6 @@ class FrameResult:
     index: int
     timestamp: float
     fused: bool
-    queries: QuerySet
-    traces: list[EvolutionTrace]
     detections: list[Detection] = field(default_factory=list)
 
 
@@ -89,9 +90,6 @@ class FrameResult:
 class SequenceResult:
     frames: list[FrameResult]
     interval: float
-
-    def all_detections(self) -> list[Detection]:
-        return [d for fr in self.frames for d in fr.detections]
 
 
 def temporal_init(q_cur: np.ndarray, q_prev: np.ndarray, alpha: float = 0.4) -> np.ndarray:
@@ -278,7 +276,7 @@ def evolve_queries(
     return state.queries, traces
 
 
-def run_sequence(
+def iter_sequence(
     seq: SceneSequence,
     params: DqemParams,
     tparams: TemporalParams | None,
@@ -288,8 +286,13 @@ def run_sequence(
     grid_ny: int = 10,
     bounds: float | tuple[float, float, float, float] = 50.0,
     template: BoxAttributes | None = None,
-) -> SequenceResult:
+) -> Iterator[tuple[FrameResult, QuerySet, list[EvolutionTrace]]]:
     """Detect over every frame of a sequence, fusing per the stride.
+
+    Yields each frame's result with its evolved queries and their traces.
+    Between frames only the previous frame's fusion state and the last
+    ``stride`` frames' detections are kept, so memory does not grow with
+    the sequence.
 
     Frame 0 always runs plain evolution.  With ``tparams`` set, frames at
     multiples of the stride blend in the previous frame's queries and
@@ -301,8 +304,9 @@ def run_sequence(
     so with- and without-fusion runs see identical per-frame streams.
     """
     base_seed = draw_seed(rng)
-    results: list[FrameResult] = []
     state: TemporalState | None = None
+    # recent[0] is the frame one stride back once a stride has passed.
+    recent: deque[list[Detection]] = deque(maxlen=tparams.stride if tparams is not None else 1)
 
     for t, frame in enumerate(seq.frames):
         frame_rng = make_rng(derive_seed(base_seed, f"frame:{t}"))
@@ -311,15 +315,10 @@ def run_sequence(
         state, traces = _evolve_frame(
             pillars, frame, params, proj, frame_rng, tparams if fused else None, state
         )
-        queries = state.queries
 
-        detections = extract_detections(queries, traces, frame_index=t)
+        detections = extract_detections(state.queries, traces, frame_index=t)
         if tparams is not None:
-            prev_dets = (
-                results[t - tparams.stride].detections
-                if fused and t - tparams.stride >= 0
-                else []
-            )
+            prev_dets = recent[0] if fused else []
             detections = [
                 replace(
                     det,
@@ -329,17 +328,32 @@ def run_sequence(
                 )
                 for det in detections
             ]
-        results.append(
-            FrameResult(
-                index=t,
-                timestamp=frame.timestamp,
-                fused=fused,
-                queries=queries,
-                traces=traces,
-                detections=detections,
-            )
+            recent.append(detections)
+        result = FrameResult(
+            index=t, timestamp=frame.timestamp, fused=fused, detections=detections
         )
-    return SequenceResult(frames=results, interval=seq.interval)
+        yield result, state.queries, traces
+
+
+def run_sequence(
+    seq: SceneSequence,
+    params: DqemParams,
+    tparams: TemporalParams | None,
+    proj: ProjectionPair,
+    rng: np.random.Generator,
+    grid_nx: int = 10,
+    grid_ny: int = 10,
+    bounds: float | tuple[float, float, float, float] = 50.0,
+    template: BoxAttributes | None = None,
+) -> SequenceResult:
+    """Every frame's detections from :func:`iter_sequence`, without the
+    per-query state."""
+    frames = [
+        fr for fr, _, _ in iter_sequence(
+            seq, params, tparams, proj, rng, grid_nx, grid_ny, bounds, template
+        )
+    ]
+    return SequenceResult(frames, seq.interval)
 
 
 # Largest accepted gap between a backward-predicted position and the

@@ -8,6 +8,7 @@ from qebev.bevscene import (
     ATTR_DIM,
     BoxAttributes,
     SceneConfig,
+    SceneSequence,
     background_threshold,
     decode_feature,
     destandardize,
@@ -310,6 +311,43 @@ def test_read_scenes_rejects_a_non_finite_timestamp(tmp_path, line, timestamp):
     with pytest.raises(ValueError) as info:
         read_scenes(path)
     assert str(info.value) == f"{path}:{line}: timestamp {timestamp} is not finite"
+
+
+@pytest.mark.parametrize("field_name, value, message", [
+    ("bounds", math.nan, "bounds must be positive and finite, got nan"),
+    ("bounds", math.inf, "bounds must be positive and finite, got inf"),
+    ("bounds", 0.0, "bounds must be positive and finite, got 0.0"),
+    ("noise_sigma", math.nan, "noise_sigma must be non-negative and finite, got nan"),
+    ("noise_sigma", math.inf, "noise_sigma must be non-negative and finite, got inf"),
+])
+def test_scene_config_rejects_bad_bounds_and_noise(field_name, value, message):
+    with pytest.raises(ValueError, match=message):
+        SceneConfig(**{field_name: value})
+
+
+@pytest.mark.parametrize("interval", [math.nan, math.inf, 0.0, -0.5])
+def test_scene_sequence_rejects_a_bad_interval(interval):
+    frame = generate_frame(SceneConfig(n_objects=1), make_rng(2))
+    with pytest.raises(ValueError, match=f"frame interval must be positive and finite, got {interval}"):
+        SceneSequence(frames=[frame], interval=interval)
+    with pytest.raises(ValueError, match="frame interval must be positive and finite"):
+        generate_sequence(SceneConfig(n_objects=1), 2, interval, make_rng(2))
+
+
+def test_read_scenes_skips_blank_lines_and_counts_them(tmp_path):
+    cfg = SceneConfig(n_objects=1, points_per_object=4, background_points=2)
+    seq = generate_sequence(cfg, 2, 0.5, make_rng(3))
+    path = tmp_path / "spaced.jsonl"
+    write_scenes(seq.frames, path)
+    first, second = path.read_text().splitlines()
+    path.write_text(f"\n  {first}\t\n \t\n{second}\r\n\n{{not json\n")
+    with pytest.raises(ValueError, match=r":6: bad JSON"):
+        read_scenes(path)
+    path.write_text(f"\n  {first}\t\n \t\n{second}\r\n\n")
+    back = read_scenes(path)
+    assert [f.timestamp for f in back] == [0.0, 0.5]
+    for a, b in zip(seq.frames, back):
+        assert np.array_equal(a.points.feat, b.points.feat)
 
 
 def test_scene_config_validation():

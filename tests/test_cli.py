@@ -8,7 +8,7 @@ import pytest
 
 import qebev
 from qebev.bevscene import read_scenes
-from qebev.cli import main
+from qebev.cli import build_parser, main
 from qebev.dqem import read_detections
 
 
@@ -151,6 +151,14 @@ def test_pipeline_no_temporal_flag(tmp_path):
     assert data["config"]["temporal"] is False
     frames = read_detections(d / "detections.jsonl")
     assert not any(f.fused for f in frames)
+
+
+@pytest.mark.parametrize("interval", ["nan", "inf", "0"])
+def test_pipeline_bad_interval_writes_nothing(tmp_path, capsys, interval):
+    d = tmp_path / "run"
+    assert run(pipeline_args(d, extra=("--interval", interval))) == 1
+    assert capsys.readouterr().err.startswith("error: frame interval must be positive")
+    assert not d.exists()
 
 
 # ---------------------------------------------------------------- gradcheck
@@ -385,3 +393,43 @@ def test_detect_nan_hyperparameter_exits_one(tmp_path, capsys, flag, message):
     capsys.readouterr()
     assert run(detect_args(scenes, tmp_path / "d.jsonl", extra=(flag, "nan"))) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# ---------------------------------------------------------------- every float flag
+
+
+def float_options():
+    _, registry = build_parser()
+    return [
+        (command, action.option_strings[-1])
+        for command, sub in registry.items()
+        for action in sub._actions
+        if action.type is float
+    ]
+
+
+@pytest.fixture(scope="module")
+def scenes_and_dets(tmp_path_factory):
+    d = tmp_path_factory.mktemp("inputs")
+    scenes, dets = d / "scenes.jsonl", d / "dets.jsonl"
+    assert run(simulate_args(scenes)) == 0
+    assert run(detect_args(scenes, dets)) == 0
+    return scenes, dets
+
+
+@pytest.mark.parametrize("command, option", float_options())
+def test_every_float_flag_rejects_nan(tmp_path, capsys, scenes_and_dets, command, option):
+    # Minimal valid inputs per subcommand; a subcommand that gains a float
+    # flag and has no entry here fails with a KeyError.
+    scenes, dets = scenes_and_dets
+    argv = {
+        "simulate": lambda: simulate_args(tmp_path / "s.jsonl"),
+        "detect": lambda: detect_args(scenes, tmp_path / "d.jsonl"),
+        "eval": lambda: ["eval", "--dets", str(dets), "--scenes", str(scenes),
+                         "--report", str(tmp_path / "r.json")],
+        "pipeline": lambda: pipeline_args(tmp_path / "run"),
+    }[command]()
+    capsys.readouterr()
+    assert run([*argv, option, "nan"]) == 1
+    err = capsys.readouterr().err
+    assert any(line.startswith("error: ") for line in err.splitlines()), err

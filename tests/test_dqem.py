@@ -83,6 +83,21 @@ def test_init_pillars_validation():
         init_pillars(3, 3, (5.0, 1.0, 0.0, 10.0))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+def test_init_pillars_rejects_a_bad_half_extent(value):
+    with pytest.raises(ValueError, match=f"bounds must be positive and finite, got {value}"):
+        init_pillars(3, 3, value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("index", range(4))
+def test_init_pillars_rejects_a_non_finite_rectangle(index, value):
+    rect = [0.0, 10.0, 0.0, 10.0]
+    rect[index] = value
+    with pytest.raises(ValueError, match="bounds rectangle must be finite"):
+        init_pillars(3, 3, tuple(rect))
+
+
 # ---------------------------------------------------------------- gather
 
 

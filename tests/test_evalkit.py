@@ -348,6 +348,22 @@ def test_evaluate_timestamp_mismatch():
         evaluate_detections(bad, scene_frames)
 
 
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0])
+def test_evaluate_rejects_a_bad_tp_threshold(threshold):
+    det_frames, scene_frames = perfect_run()
+    with pytest.raises(ValueError, match=f"tp_threshold must be positive and finite, got {threshold}"):
+        evaluate_detections(det_frames, scene_frames, tp_threshold=threshold)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, 0.0, -1.0])
+def test_matchers_reject_a_threshold_that_is_not_positive(threshold):
+    boxes = np.zeros((1, 9))
+    with pytest.raises(ValueError, match="threshold must be positive"):
+        match_detections(boxes, boxes, threshold)
+    with pytest.raises(ValueError, match="threshold must be positive"):
+        greedy_match(boxes, np.ones(1), boxes, threshold)
+
+
 def test_evaluate_config_echo_and_determinism():
     det_frames, scene_frames = perfect_run()
     cfg = {"seed": 7, "note": "x"}

@@ -1,4 +1,6 @@
+import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from qebev.ltfm import (
     BACKTRACK_GATE,
     TemporalParams,
     _velocity_estimate,
+    iter_sequence,
     run_sequence,
     temporal_aggregate,
     temporal_init,
@@ -180,8 +183,9 @@ def decoded_bits(trace):
 @pytest.mark.parametrize("regather", [True, False])
 @pytest.mark.parametrize("iterations", [0, 1, 3])
 def test_evolve_queries_matches_run_sequence_frame_by_frame(iterations, regather):
-    # Without fusion, run_sequence is evolve_queries on each frame with that
-    # frame's own stream, bit for bit, whatever the query outcome.
+    # Without fusion, iter_sequence is evolve_queries on each frame with that
+    # frame's own stream, bit for bit, whatever the query outcome; and
+    # run_sequence returns the detections iter_sequence yields.
     params = DqemParams(radius=10.0, iterations=iterations, regather=regather)
     flags = set()
     for s in (20, 21, 22):
@@ -189,11 +193,17 @@ def test_evolve_queries_matches_run_sequence_frame_by_frame(iterations, regather
         seq = generate_sequence(cfg, 3, 0.5, make_rng(100 + s))
         proj = identity_proj(cfg.d)
         res = run_sequence(seq, params, None, proj, make_rng(s), **run_kwargs())
-        for t, (frame, fr) in enumerate(zip(seq.frames, res.frames)):
+        frames = list(iter_sequence(seq, params, None, proj, make_rng(s), **run_kwargs()))
+        assert len(res.frames) == len(frames) == len(seq.frames)
+        for t, (frame, done, (fr, queries, fr_traces)) in enumerate(
+            zip(seq.frames, res.frames, frames)
+        ):
+            assert [d.box.tobytes() for d in done.detections] \
+                == [d.box.tobytes() for d in fr.detections]
             frame_rng = make_rng(derive_seed(draw_seed(make_rng(s)), f"frame:{t}"))
             out, traces = evolve_queries(init_pillars(4, 4, 30.0), frame, params, proj, frame_rng)
-            assert len(out) == len(fr.queries) and len(traces) == len(fr.traces)
-            for pa, ta, pb, tb in zip(out.pillars, traces, fr.queries.pillars, fr.traces):
+            assert len(out) == len(queries) and len(traces) == len(fr_traces)
+            for pa, ta, pb, tb in zip(out.pillars, traces, queries.pillars, fr_traces):
                 assert same_bits(pa.attrs.as_array(), pb.attrs.as_array())
                 assert same_bits(pa.feat, pb.feat)
                 assert same_bits(pa.feat_scale, pb.feat_scale)
@@ -306,3 +316,37 @@ def test_run_sequence_interval_passthrough():
                        identity_proj(cfg.d), make_rng(1), **run_kwargs())
     assert res.interval == 0.25
     assert res.frames[1].timestamp == pytest.approx(0.25)
+
+
+def traced_memory(fn):
+    """``fn()``, its peak tracemalloc bytes, and the bytes still held after."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak, held
+
+
+def test_run_sequence_memory_grows_only_by_its_detections():
+    # Keeping every frame's queries and traces costs about 0.2 MB a frame on
+    # this scene, so eight more frames would exceed the slack many times.
+    slack = 256 * 1024
+    cfg = tiny_scene()
+    params = DqemParams(radius=10.0, iterations=2)
+    peaks, det_bytes = [], []
+    for n in (2, 10):
+        seq = generate_sequence(cfg, n, 0.5, make_rng(17))
+
+        def run():
+            return run_sequence(seq, params, TemporalParams(), identity_proj(cfg.d),
+                                make_rng(4), grid_nx=8, grid_ny=8, bounds=30.0)
+
+        run()  # builds the frames' cell indices outside the traced run
+        res, peak, _ = traced_memory(run)
+        _, _, held = traced_memory(lambda: copy.deepcopy([fr.detections for fr in res.frames]))
+        peaks.append(peak)
+        det_bytes.append(held)
+    assert det_bytes[1] > det_bytes[0]
+    assert peaks[1] - peaks[0] <= det_bytes[1] - det_bytes[0] + slack

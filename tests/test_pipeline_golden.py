@@ -9,6 +9,7 @@ import hashlib
 from collections import Counter
 
 import qebev.cli as cli
+import qebev.ltfm
 
 BASELINE_SHA256 = {
     "report.json": "c4b8211d605d3fb5b6ac63b14d1e83f7f6cd1f91bb943e3953393d603f501dde",
@@ -18,14 +19,16 @@ BASELINE_SHA256 = {
 
 
 def test_pipeline_seed_42_matches_baseline(tmp_path, monkeypatch, capsys):
-    results = []
-    run_sequence = cli.run_sequence
+    # One outcome per query-frame, counted where the kernel returns it.
+    outcomes = Counter()
+    evolve_single = qebev.ltfm._evolve_single
 
-    def recording_run_sequence(*args, **kwargs):
-        results.append(run_sequence(*args, **kwargs))
-        return results[-1]
+    def counting_evolve_single(*args, **kwargs):
+        result = evolve_single(*args, **kwargs)
+        outcomes[result[0].flag or "healthy"] += 1
+        return result
 
-    monkeypatch.setattr(cli, "run_sequence", recording_run_sequence)
+    monkeypatch.setattr(qebev.ltfm, "_evolve_single", counting_evolve_single)
     assert cli.main(["pipeline", "--seed", "42", "--out-dir", str(tmp_path)]) == 0
     capsys.readouterr()
 
@@ -34,9 +37,6 @@ def test_pipeline_seed_42_matches_baseline(tmp_path, monkeypatch, capsys):
         for name in BASELINE_SHA256
     }
     assert got == BASELINE_SHA256
-
-    (result,) = results
-    outcomes = Counter(p.flag or "healthy" for fr in result.frames for p in fr.queries.pillars)
     assert outcomes == {"healthy": 438, "empty": 228, "empty-regather": 134}
 
 
