@@ -7,131 +7,16 @@ lightweight temporal pass blends queries across frames.  Ships with a
 synthetic scene generator, detection metrics, and a scaling bench.
 """
 
-from .bench import BenchConfig, ScalingReport, run_scaling, write_bench_csv
-from .bevscene import (
-    BoxAttributes,
-    Frame,
-    PointSet,
-    SceneConfig,
-    SceneSequence,
-    decode_feature,
-    encode_attributes,
-    generate_frame,
-    generate_sequence,
-    read_scenes,
-    write_scenes,
-)
-from .dqem import (
-    AttentionResult,
-    ClusterSet,
-    Detection,
-    DetectionFrame,
-    DqemParams,
-    EvolutionTrace,
-    FitResult,
-    Pillar,
-    ProjectionPair,
-    QuerySet,
-    attention_scores,
-    dedup_detections,
-    diversity_loss,
-    diversity_loss_grad,
-    extract_detections,
-    fit_projections,
-    gather_neighborhood,
-    init_pillars,
-    kmeans,
-    load_projections,
-    read_detections,
-    save_projections,
-    write_detections,
-)
-from .evalkit import (
-    EvalReport,
-    MatchResult,
-    TpErrors,
-    average_precision,
-    evaluate_detections,
-    greedy_match,
-    hungarian_assign,
-    match_detections,
-    nds,
-    tp_errors,
-    write_report,
-)
-from .ltfm import (
-    SequenceResult,
-    TemporalParams,
-    TemporalState,
-    evolve_queries,
-    run_sequence,
-    temporal_aggregate,
-    temporal_init,
-)
-from .numerics import derive_seed, make_rng, softmax, top_k_indices
+from .bevscene import read_scenes
+from .dqem import init_pillars, read_detections
+from .ltfm import evolve_queries
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttentionResult",
-    "BenchConfig",
-    "BoxAttributes",
-    "ClusterSet",
-    "Detection",
-    "DetectionFrame",
-    "DqemParams",
-    "EvalReport",
-    "EvolutionTrace",
-    "FitResult",
-    "Frame",
-    "MatchResult",
-    "Pillar",
-    "PointSet",
-    "ProjectionPair",
-    "QuerySet",
-    "ScalingReport",
-    "SceneConfig",
-    "SceneSequence",
-    "SequenceResult",
-    "TemporalParams",
-    "TemporalState",
-    "TpErrors",
-    "attention_scores",
-    "average_precision",
-    "decode_feature",
-    "dedup_detections",
-    "derive_seed",
-    "diversity_loss",
-    "diversity_loss_grad",
-    "encode_attributes",
-    "evaluate_detections",
     "evolve_queries",
-    "extract_detections",
-    "fit_projections",
-    "gather_neighborhood",
-    "generate_frame",
-    "generate_sequence",
-    "greedy_match",
-    "hungarian_assign",
     "init_pillars",
-    "kmeans",
-    "load_projections",
-    "make_rng",
-    "match_detections",
-    "nds",
     "read_detections",
     "read_scenes",
-    "run_scaling",
-    "run_sequence",
-    "save_projections",
-    "softmax",
-    "temporal_aggregate",
-    "temporal_init",
-    "top_k_indices",
-    "tp_errors",
-    "write_bench_csv",
-    "write_detections",
-    "write_report",
-    "write_scenes",
     "__version__",
 ]

@@ -182,6 +182,9 @@ class SceneConfig:
             )
         if not 0.0 <= self.speed_min <= self.speed_max:
             raise ValueError("need 0 <= speed_min <= speed_max")
+        # speed_min <= speed_max, so a finite speed_max bounds both.
+        if not math.isfinite(self.speed_max):
+            raise ValueError(f"speed_max must be finite, got {self.speed_max}")
 
 
 def standardize(attrs: np.ndarray) -> np.ndarray:

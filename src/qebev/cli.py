@@ -57,7 +57,6 @@ class RunConfig:
     detect: dict
     temporal: bool
     tp_threshold: float
-    matcher: str
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -141,18 +140,6 @@ def _add_detect_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--radius", type=float, default=8.0, help="gather radius in meters")
     p.add_argument("--iters", type=int, default=3, help="refinement rounds per frame")
     p.add_argument("--kmeans-iters", type=int, default=20, help="Lloyd update cap")
-    p.add_argument(
-        "--no-dscale", action="store_true",
-        help="disable the 1/sqrt(d) attention score scaling",
-    )
-    p.add_argument(
-        "--softmax-domain", choices=("selected", "full"), default="selected",
-        help="normalize attention weights over the selected or all clusters",
-    )
-    p.add_argument(
-        "--fixed-neighborhood", action="store_true",
-        help="gather once per frame instead of re-gathering after each round",
-    )
     p.add_argument("--tau-bg", type=float, default=0.0, help="background feature-norm gate")
     p.add_argument("--proj", help="JSON file with fitted w_q/w_k (default: identity)")
     p.add_argument("--grid-nx", type=int, default=10)
@@ -185,9 +172,6 @@ def _dqem_params(args: argparse.Namespace) -> DqemParams:
         radius=args.radius,
         iterations=args.iters,
         kmeans_iters=args.kmeans_iters,
-        scale_scores=not args.no_dscale,
-        softmax_domain=args.softmax_domain,
-        regather=not args.fixed_neighborhood,
         tau_bg=args.tau_bg,
     )
 
@@ -264,12 +248,10 @@ def _run_eval(args: argparse.Namespace) -> int:
         det_frames,
         scene_frames,
         tp_threshold=args.tp_threshold,
-        matcher=args.matcher,
         config={
             "dets": args.dets,
             "scenes": args.scenes,
             "tp_threshold": args.tp_threshold,
-            "matcher": args.matcher,
         },
     )
     write_report(report, args.report)
@@ -364,13 +346,11 @@ def _run_pipeline(args: argparse.Namespace) -> int:
         detect=asdict(_dqem_params(args)),
         temporal=args.temporal,
         tp_threshold=args.tp_threshold,
-        matcher=args.matcher,
     )
     report = evaluate_detections(
         read_detections(dets_path),
         read_scenes(scenes_path),
         tp_threshold=args.tp_threshold,
-        matcher=args.matcher,
         config=asdict(run_cfg),
     )
     write_report(report, report_path)
@@ -405,7 +385,6 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--scenes", required=True, help="scene JSONL")
     p.add_argument("--report", required=True, help="output report JSON path")
     p.add_argument("--tp-threshold", type=float, default=2.0)
-    p.add_argument("--matcher", choices=("hungarian", "greedy"), default="hungarian")
     p.set_defaults(func=_run_eval)
     registry["eval"] = p
 
@@ -435,7 +414,6 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     _add_detect_args(p)
     p.add_argument("--out-dir", default="qebev-run", help="directory for the artifacts")
     p.add_argument("--tp-threshold", type=float, default=2.0)
-    p.add_argument("--matcher", choices=("hungarian", "greedy"), default="hungarian")
     p.add_argument("--no-temporal", dest="temporal", action="store_false",
                    help="run every frame independently")
     p.set_defaults(func=_run_pipeline, temporal=True)

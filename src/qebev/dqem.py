@@ -56,9 +56,6 @@ __all__ = [
     "load_projections",
 ]
 
-SOFTMAX_DOMAINS = ("selected", "full")
-
-
 @dataclass
 class DqemParams:
     """Evolution hyperparameters; defaults are the tuned operating point."""
@@ -69,10 +66,6 @@ class DqemParams:
     radius: float = 8.0
     iterations: int = 3
     kmeans_iters: int = 20
-    diversity_weight: float = 0.1
-    scale_scores: bool = True
-    softmax_domain: str = "selected"
-    regather: bool = True
     tau_bg: float = 0.0
 
     def __post_init__(self) -> None:
@@ -82,18 +75,18 @@ class DqemParams:
             raise ValueError("top_k must satisfy 1 <= top_k <= k")
         if not self.beta >= 0.0:
             raise ValueError("beta must be non-negative")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta}")
         if not self.radius > 0.0:
             raise ValueError("radius must be positive")
         if self.iterations < 0:
             raise ValueError("iterations must be non-negative")
         if self.kmeans_iters < 1:
             raise ValueError("kmeans_iters must be at least 1")
-        if not self.diversity_weight >= 0.0:
-            raise ValueError("diversity_weight must be non-negative")
-        if self.softmax_domain not in SOFTMAX_DOMAINS:
-            raise ValueError(f"softmax_domain must be one of {SOFTMAX_DOMAINS}")
         if not self.tau_bg >= 0.0:
             raise ValueError("tau_bg must be non-negative")
+        if not math.isfinite(self.tau_bg):
+            raise ValueError(f"tau_bg must be finite, got {self.tau_bg}")
 
 
 @dataclass
@@ -484,19 +477,16 @@ def attention_scores(
     q: np.ndarray,
     centers: np.ndarray,
     proj: ProjectionPair,
-    scale: bool = True,
 ) -> np.ndarray:
     """Projected dot-product score of a query against each cluster center.
 
-    With ``scale`` the scores are divided by sqrt(d), which keeps softmax
-    weights usable as feature width grows.
+    The scores are divided by sqrt(d), which keeps softmax weights usable as
+    feature width grows.
     """
     qv = np.asarray(q, dtype=np.float64)
     c = np.atleast_2d(np.asarray(centers, dtype=np.float64))
     s = (proj.w_k @ c.T).T @ (proj.w_q @ qv)
-    if scale:
-        s = s / math.sqrt(qv.shape[0])
-    return s
+    return s / math.sqrt(qv.shape[0])
 
 
 def diversity_loss(scores: np.ndarray) -> float:
@@ -527,17 +517,12 @@ def aggregate_over_centers(
     centers: np.ndarray,
     proj: ProjectionPair,
     top_k: int,
-    scale_scores: bool = True,
-    softmax_domain: str = "selected",
 ) -> AttentionResult:
     """Score arbitrary centers and blend the top-k into a refined query.
 
-    ``softmax_domain`` picks where the softmax normalizes: over the selected
-    scores only (weights sum to 1) or over all scores with the selected
-    entries kept as-is.  Zero centers leaves the query untouched, flagged.
+    The weights are a softmax over the selected scores only, so they sum to
+    1.  Zero centers leaves the query untouched, flagged.
     """
-    if softmax_domain not in SOFTMAX_DOMAINS:
-        raise ValueError(f"softmax_domain must be one of {SOFTMAX_DOMAINS}")
     qv = np.asarray(q, dtype=np.float64)
     c = np.asarray(centers, dtype=np.float64).reshape(-1, qv.shape[0])
     if c.shape[0] == 0:
@@ -549,13 +534,10 @@ def aggregate_over_centers(
             diversity=0.0,
             degenerate=True,
         )
-    scores = attention_scores(qv, c, proj, scale=scale_scores)
+    scores = attention_scores(qv, c, proj)
     kt = min(top_k, c.shape[0])
     selected = top_k_indices(scores, kt)
-    if softmax_domain == "selected":
-        weights = softmax(scores[selected])
-    else:
-        weights = softmax(scores)[selected]
+    weights = softmax(scores[selected])
     aggregated = weights @ c[selected]
     return AttentionResult(
         scores=scores,
@@ -633,7 +615,6 @@ class _Snapshots:
     k: int
     top_k: int
     beta: float
-    scale_scores: bool
 
 
 def _build_snapshots(
@@ -673,7 +654,6 @@ def _build_snapshots(
         k=params.k,
         top_k=params.top_k,
         beta=params.beta,
-        scale_scores=params.scale_scores,
     )
 
 
@@ -682,9 +662,7 @@ def _snapshot_metrics(snap: _Snapshots, w_q: np.ndarray, w_k: np.ndarray) -> tup
     s, k, d = snap.centers.shape
     qw = snap.q0 @ w_q.T                                   # (s, d)
     cw = snap.centers @ w_k.T                              # (s, k, d)
-    scores = np.einsum("skd,sd->sk", cw, qw)
-    if snap.scale_scores:
-        scores = scores / math.sqrt(d)
+    scores = np.einsum("skd,sd->sk", cw, qw) / math.sqrt(d)
 
     # Entropy over all k scores per snapshot.
     z = scores - scores.max(axis=1, keepdims=True)
@@ -721,10 +699,11 @@ def fit_projections(
     steps: int = 25,
     lr: float = 0.05,
     rng: np.random.Generator | None = None,
+    diversity_weight: float = 0.1,
 ) -> FitResult:
     """Calibrate (w_q, w_k) by finite-difference descent on a frozen suite.
 
-    The objective is the mean decoded-center error plus diversity_weight
+    The objective is the mean decoded-center error plus ``diversity_weight``
     times the attention-entropy deficit (ln k minus mean entropy), so a
     positive weight pushes toward balanced attention.  Gradients come from
     central differences over every matrix entry; steps that fail to improve
@@ -737,9 +716,10 @@ def fit_projections(
         raise ValueError("steps must be non-negative")
     if lr <= 0.0:
         raise ValueError("lr must be positive")
+    if not diversity_weight >= 0.0:
+        raise ValueError("diversity_weight must be non-negative")
     snap = _build_snapshots(frames, params, rng)
     d = snap.q0.shape[1]
-    lam = params.diversity_weight
     ln_k = math.log(snap.k)
 
     w_q = np.eye(d) + 0.01 * rng.standard_normal((d, d))
@@ -747,7 +727,7 @@ def fit_projections(
 
     def objective(wq: np.ndarray, wk: np.ndarray) -> float:
         err, ent = _snapshot_metrics(snap, wq, wk)
-        val = err + lam * (ln_k - ent)
+        val = err + diversity_weight * (ln_k - ent)
         if not math.isfinite(val):
             raise RuntimeError(
                 f"non-finite calibration objective (err={err!r}, entropy={ent!r})"

@@ -25,7 +25,6 @@ __all__ = [
     "TP_THRESHOLD",
     "hungarian_assign",
     "match_detections",
-    "greedy_match",
     "tp_errors",
     "average_precision",
     "nds",
@@ -168,41 +167,6 @@ def match_detections(
     return MatchResult(pairs, unmatched_pred, unmatched_gt, threshold)
 
 
-def greedy_match(
-    pred_boxes: np.ndarray,
-    scores: np.ndarray,
-    gt_boxes: np.ndarray,
-    threshold: float,
-) -> MatchResult:
-    """Score-descending greedy matching (each prediction takes the nearest
-    free ground truth within the gate); the AP convention."""
-    if not threshold > 0.0:
-        raise ValueError("threshold must be positive")
-    p = np.asarray(pred_boxes, dtype=np.float64).reshape(-1, 9)
-    g = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 9)
-    s = np.asarray(scores, dtype=np.float64).reshape(-1)
-    if s.shape[0] != p.shape[0]:
-        raise ValueError("one score per prediction")
-    taken = np.zeros(g.shape[0], dtype=bool)
-    pairs = []
-    if p.shape[0] and g.shape[0]:
-        dist = _center_cost(p, g)
-        for pi in np.lexsort((np.arange(p.shape[0]), -s)):
-            free = np.flatnonzero(~taken)
-            if free.size == 0:
-                break
-            gi = free[int(np.argmin(dist[pi, free]))]
-            if dist[pi, gi] <= threshold:
-                pairs.append((pi, gi))
-                taken[gi] = True
-    pairs_arr = (
-        np.array(sorted(pairs), dtype=np.int64) if pairs else np.zeros((0, 2), dtype=np.int64)
-    )
-    unmatched_pred = np.setdiff1d(np.arange(p.shape[0]), pairs_arr[:, 0] if pairs else [])
-    unmatched_gt = np.flatnonzero(~taken)
-    return MatchResult(pairs_arr, unmatched_pred, unmatched_gt, threshold)
-
-
 @dataclass
 class TpErrors:
     """Mean true-positive errors; all saturate to 1.0 when nothing matched.
@@ -338,14 +302,12 @@ def evaluate_detections(
     scene_frames: list[Frame],
     thresholds: tuple[float, ...] = AP_THRESHOLDS,
     tp_threshold: float = TP_THRESHOLD,
-    matcher: str = "hungarian",
     config: dict | None = None,
 ) -> EvalReport:
     """Score a detection file against its scene file.
 
     AP is computed per threshold over all frames pooled; true-positive
-    errors use one-to-one matching at ``tp_threshold`` per frame, with the
-    optimal or the greedy matcher.
+    errors use optimal one-to-one matching at ``tp_threshold`` per frame.
     """
     if not tp_threshold > 0.0 or not math.isfinite(tp_threshold):
         raise ValueError(f"tp_threshold must be positive and finite, got {tp_threshold}")
@@ -354,8 +316,6 @@ def evaluate_detections(
             f"frame count mismatch: {len(det_frames)} detection lines vs "
             f"{len(scene_frames)} scene frames"
         )
-    if matcher not in ("hungarian", "greedy"):
-        raise ValueError("matcher must be 'hungarian' or 'greedy'")
     for df, sf in zip(det_frames, scene_frames):
         if abs(df.timestamp - sf.timestamp) > 1e-9:
             raise ValueError(
@@ -382,11 +342,7 @@ def evaluate_detections(
         vels = np.stack(
             [d.velocity if d.velocity is not None else d.box[7:9] for d in df.detections]
         )
-        if matcher == "hungarian":
-            m = match_detections(boxes, gt, tp_threshold)
-        else:
-            scores = np.array([d.score for d in df.detections])
-            m = greedy_match(boxes, scores, gt, tp_threshold)
+        m = match_detections(boxes, gt, tp_threshold)
         if m.pairs.shape[0]:
             e = tp_errors(m, boxes, gt, pred_velocity=vels)
             row = np.array([e.ate, e.ase, e.aoe, e.ave, e.aae])

@@ -1,7 +1,7 @@
 """The per-frame query-evolution loop, and temporal fusion across frames.
 
 Every query of a frame runs the same kernel: gather, k-means, top-k
-attention, blend, decode, regather.  Fusion only warm-starts it: on a fused
+attention, blend, decode, re-gather.  Fusion only warm-starts it: on a fused
 frame the previous query direction is blended into the fresh one, the
 previous frame's cluster centers are pooled with the current ones for the
 first round's attention (no re-clustering), and decoded positions are
@@ -109,8 +109,6 @@ def temporal_aggregate(
     clusters_prev: ClusterSet | None,
     proj: ProjectionPair,
     top_k: int,
-    scale_scores: bool = True,
-    softmax_domain: str = "selected",
 ) -> AttentionResult:
     """Top-k attention over the pooled current and previous cluster centers.
 
@@ -123,9 +121,7 @@ def temporal_aggregate(
             parts.append(cs.centers)
     d = np.asarray(q).shape[0]
     pooled = np.concatenate(parts) if parts else np.zeros((0, d))
-    return aggregate_over_centers(
-        q, pooled, proj, top_k, scale_scores=scale_scores, softmax_domain=softmax_domain
-    )
+    return aggregate_over_centers(q, pooled, proj, top_k)
 
 
 def _pooled_centers(
@@ -191,7 +187,7 @@ def _evolve_single(
     krng = make_rng(draw_seed(qrng))
     kstate = krng.bit_generator.state
     for it in range(params.iterations):
-        if params.regather and it > 0:
+        if it > 0:
             pts = gather_neighborhood(frame, attrs.center(), params.radius)
             if len(pts) == 0:
                 trace.flag = "empty-regather"
@@ -199,18 +195,10 @@ def _evolve_single(
         krng.bit_generator.state = kstate
         clusters = kmeans(pts.feat, params.k, params.kmeans_iters, krng)
         if fuse and it == 0:
-            result = temporal_aggregate(
-                q, clusters, clusters_prev, proj, params.top_k,
-                scale_scores=params.scale_scores,
-                softmax_domain=params.softmax_domain,
-            )
+            result = temporal_aggregate(q, clusters, clusters_prev, proj, params.top_k)
             anchor, anchor_sizes = _pooled_centers(clusters, clusters_prev)
         else:
-            result = aggregate_over_centers(
-                q, clusters.centers, proj, params.top_k,
-                scale_scores=params.scale_scores,
-                softmax_domain=params.softmax_domain,
-            )
+            result = aggregate_over_centers(q, clusters.centers, proj, params.top_k)
             anchor, anchor_sizes = clusters.centers, clusters.sizes
         trace.attention.append(result)
         q, scale, flag = blend_and_rescale(

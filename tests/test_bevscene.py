@@ -359,3 +359,7 @@ def test_scene_config_validation():
         SceneConfig(n_objects=-1)
     with pytest.raises(ValueError):
         SceneConfig(speed_min=3.0, speed_max=1.0)
+    with pytest.raises(ValueError, match="^speed_max must be finite, got inf$"):
+        SceneConfig(speed_max=math.inf)
+    with pytest.raises(ValueError, match="^speed_max must be finite, got inf$"):
+        SceneConfig(speed_min=math.inf, speed_max=math.inf)

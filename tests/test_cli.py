@@ -417,19 +417,75 @@ def scenes_and_dets(tmp_path_factory):
     return scenes, dets
 
 
-@pytest.mark.parametrize("command, option", float_options())
-def test_every_float_flag_rejects_nan(tmp_path, capsys, scenes_and_dets, command, option):
+def command_args(command, tmp_path, scenes_and_dets):
     # Minimal valid inputs per subcommand; a subcommand that gains a float
     # flag and has no entry here fails with a KeyError.
     scenes, dets = scenes_and_dets
-    argv = {
+    return {
         "simulate": lambda: simulate_args(tmp_path / "s.jsonl"),
         "detect": lambda: detect_args(scenes, tmp_path / "d.jsonl"),
         "eval": lambda: ["eval", "--dets", str(dets), "--scenes", str(scenes),
                          "--report", str(tmp_path / "r.json")],
         "pipeline": lambda: pipeline_args(tmp_path / "run"),
     }[command]()
+
+
+@pytest.mark.parametrize("command, option", float_options())
+def test_every_float_flag_rejects_nan(tmp_path, capsys, scenes_and_dets, command, option):
+    argv = command_args(command, tmp_path, scenes_and_dets)
     capsys.readouterr()
     assert run([*argv, option, "nan"]) == 1
     err = capsys.readouterr().err
     assert any(line.startswith("error: ") for line in err.splitlines()), err
+
+
+# The infinities that are valid settings, each with the reason.  Both
+# options exist on detect and pipeline only.
+INFINITY_ALLOWED = {
+    ("--radius", "inf"): "the whole-frame neighbourhood, which the gather oracle "
+                         "in tests/test_dqem_oracles.py covers",
+    ("--dedup-radius", "inf"): "keeps one detection per frame",
+}
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf"])
+@pytest.mark.parametrize("command, option", float_options())
+def test_every_float_flag_rejects_infinity(
+    tmp_path, capsys, scenes_and_dets, command, option, value
+):
+    # "--flag=-inf", since argparse takes a lone "-inf" for an option.
+    argv = [*command_args(command, tmp_path, scenes_and_dets), f"{option}={value}"]
+    capsys.readouterr()
+    if (option, value) in INFINITY_ALLOWED:
+        assert run(argv) == 0
+        return
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert any(line.startswith("error: ") for line in err.splitlines()), err
+
+
+# ---------------------------------------------------------------- deleted flags
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (command, flag, value)
+    for flag, value, commands in (
+        ("--no-dscale", None, ("detect", "pipeline")),
+        ("--softmax-domain", "full", ("detect", "pipeline")),
+        ("--fixed-neighborhood", None, ("detect", "pipeline")),
+        ("--matcher", "greedy", ("eval", "pipeline")),
+    )
+    for command in commands
+])
+def test_deleted_flags_are_unknown(tmp_path, capsys, scenes_and_dets, command, flag, value):
+    # Attention always scales its scores and normalizes over the selected
+    # clusters, every round re-gathers, and eval matches optimally.
+    argv = command_args(command, tmp_path, scenes_and_dets)
+    capsys.readouterr()
+    assert run([*argv, flag, *([value] if value else [])]) == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    key = flag[2:].replace("-", "_")
+    cfg.write_text(f"{key} = {value or 'true'}\n")
+    assert run([*argv, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: unknown config keys: {key}\n"

@@ -36,9 +36,9 @@ from qebev.numerics import make_rng, softmax
 
 @pytest.mark.parametrize("field, value", [
     ("k", 0), ("top_k", 0), ("top_k", 7), ("beta", -0.1), ("beta", math.nan),
-    ("radius", 0.0), ("radius", -1.0), ("radius", math.nan), ("iterations", -1),
-    ("kmeans_iters", 0), ("diversity_weight", -0.1), ("diversity_weight", math.nan),
-    ("softmax_domain", "all"), ("tau_bg", -0.1), ("tau_bg", math.nan),
+    ("beta", math.inf), ("radius", 0.0), ("radius", -1.0), ("radius", math.nan),
+    ("iterations", -1), ("kmeans_iters", 0), ("tau_bg", -0.1), ("tau_bg", math.nan),
+    ("tau_bg", math.inf),
 ])
 def test_dqem_params_rejects_bad_values(field, value):
     with pytest.raises(ValueError, match=f"^{field} "):
@@ -46,7 +46,7 @@ def test_dqem_params_rejects_bad_values(field, value):
 
 
 def test_dqem_params_accepts_zero_weights_and_rounds():
-    DqemParams(beta=0.0, iterations=0, diversity_weight=0.0, tau_bg=0.0)
+    DqemParams(beta=0.0, iterations=0, tau_bg=0.0)
 
 
 # ---------------------------------------------------------------- pillars
@@ -241,8 +241,6 @@ def test_attention_scores_identity_projection():
     s = attention_scores(q, centers, proj)
     # q . c / sqrt(4)
     assert np.allclose(s, [0.5, 0.0, 0.0, 0.0, 0.25], atol=1e-12)
-    s_raw = attention_scores(q, centers, proj, scale=False)
-    assert np.allclose(s_raw, [1.0, 0.0, 0.0, 0.0, 0.5], atol=1e-12)
 
 
 def test_attention_scores_matches_triple_loop():
@@ -380,22 +378,6 @@ def test_aggregate_composition_oracle():
         assert r.diversity == pytest.approx(diversity_loss(s), abs=1e-12)
 
 
-def test_aggregate_full_softmax_domain():
-    rng = make_rng(73)
-    d, K, topk = 5, 6, 3
-    q = rng.normal(size=d)
-    centers = rng.normal(size=(K, d))
-    r = aggregate_over_centers(q, centers, identity_proj(d), top_k=topk,
-                               softmax_domain="full")
-    s = attention_scores(q, centers, identity_proj(d))
-    order = sorted(range(K), key=lambda i: (-s[i], i))[:topk]
-    p_full = softmax(s)
-    # full-domain weights keep the unselected probability mass, so they
-    # sum to less than one
-    assert np.allclose(r.weights, p_full[order], atol=1e-12)
-    assert r.weights.sum() < 1.0
-
-
 def test_aggregate_clamps_top_k():
     d = 4
     centers = make_rng(74).normal(size=(2, d))
@@ -523,6 +505,12 @@ def test_evolve_outputs_finite_on_hard_scenes():
 def small_suite(n_frames=3, seed=90):
     cfg = SceneConfig(n_objects=2, background_points=20, noise_sigma=0.05)
     return [generate_frame(cfg, make_rng(seed + i)) for i in range(n_frames)]
+
+
+@pytest.mark.parametrize("value", [-0.1, math.nan])
+def test_fit_rejects_bad_diversity_weight(value):
+    with pytest.raises(ValueError, match="^diversity_weight "):
+        fit_projections(small_suite(n_frames=1), DqemParams(), diversity_weight=value)
 
 
 def test_fit_zero_steps_is_near_identity_init():

@@ -11,7 +11,6 @@ from qebev.evalkit import (
     MatchResult,
     average_precision,
     evaluate_detections,
-    greedy_match,
     hungarian_assign,
     match_detections,
     nds,
@@ -142,17 +141,6 @@ def test_match_empty_inputs():
     assert m.pairs.size == 0 and m.unmatched_gt.tolist() == [0]
     m2 = match_detections(np.stack([box(0, 0)]), np.zeros((0, 9)), 2.0)
     assert m2.pairs.size == 0 and m2.unmatched_pred.tolist() == [0]
-
-
-def test_greedy_match_follows_score_order():
-    # the high-score pred claims the shared gt even though the low-score
-    # pred is closer to it
-    pred = np.stack([box(0.8, 0), box(0.0, 0)])
-    scores = np.array([0.9, 0.1])
-    gt = np.stack([box(0.1, 0)])
-    m = greedy_match(pred, scores, gt, threshold=2.0)
-    assert m.pairs.tolist() == [[0, 0]]
-    assert m.unmatched_pred.tolist() == [1]
 
 
 # ---------------------------------------------------------------- tp errors
@@ -360,8 +348,6 @@ def test_matchers_reject_a_threshold_that_is_not_positive(threshold):
     boxes = np.zeros((1, 9))
     with pytest.raises(ValueError, match="threshold must be positive"):
         match_detections(boxes, boxes, threshold)
-    with pytest.raises(ValueError, match="threshold must be positive"):
-        greedy_match(boxes, np.ones(1), boxes, threshold)
 
 
 def test_evaluate_config_echo_and_determinism():

@@ -180,13 +180,12 @@ def decoded_bits(trace):
     return [None if d is None else d.as_array().tobytes() for d in trace.decoded]
 
 
-@pytest.mark.parametrize("regather", [True, False])
 @pytest.mark.parametrize("iterations", [0, 1, 3])
-def test_evolve_queries_matches_run_sequence_frame_by_frame(iterations, regather):
+def test_evolve_queries_matches_run_sequence_frame_by_frame(iterations):
     # Without fusion, iter_sequence is evolve_queries on each frame with that
     # frame's own stream, bit for bit, whatever the query outcome; and
     # run_sequence returns the detections iter_sequence yields.
-    params = DqemParams(radius=10.0, iterations=iterations, regather=regather)
+    params = DqemParams(radius=10.0, iterations=iterations)
     flags = set()
     for s in (20, 21, 22):
         cfg = tiny_scene()
