@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -68,8 +69,7 @@ class BoxAttributes:
 
     def __post_init__(self) -> None:
         for name in ("w", "l", "h"):
-            # Written so that NaN fails too; +inf (an exp overflow in
-            # decoding) passes.
+            # Written so that NaN fails too; +inf passes.
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"box dimension {name} must be positive")
         object.__setattr__(self, "theta", wrap_angle(self.theta))
@@ -249,6 +249,13 @@ def background_threshold(noise_sigma: float, d: int) -> float:
     return 3.0 * noise_sigma * math.sqrt(d)
 
 
+# Log-size channels whose exp() is a normal positive float; beyond them a
+# decoded box size overflows to inf or underflows towards 0.
+_LOG_SIZE_MIN = math.log(sys.float_info.min)
+_LOG_SIZE_MAX = math.log(sys.float_info.max)
+_SIZE_OVERFLOW = "decoded box size over- or underflows (overflowing features)"
+
+
 def decode_feature(
     feat: np.ndarray, encoder_seed: int, tau_bg: float = 0.0
 ) -> BoxAttributes | None:
@@ -259,7 +266,14 @@ def decode_feature(
     if float(np.linalg.norm(f)) <= tau_bg:
         return None
     e = encoding_matrix(encoder_seed, f.shape[0])
-    return BoxAttributes.from_array(destandardize(e.T @ f))
+    channels = e.T @ f
+    if not all(_LOG_SIZE_MIN <= v <= _LOG_SIZE_MAX for v in channels[3:6].tolist()):
+        raise ValueError(_SIZE_OVERFLOW)
+    return BoxAttributes.from_array(destandardize(channels))
+
+
+# Center draws an object gets before the scene counts as over-packed.
+_SPACING_DRAWS = 200
 
 
 def _sample_boxes(cfg: SceneConfig, rng: np.random.Generator) -> tuple[list[BoxAttributes], list[int]]:
@@ -270,11 +284,17 @@ def _sample_boxes(cfg: SceneConfig, rng: np.random.Generator) -> tuple[list[BoxA
     if lo >= hi:
         raise ValueError("bounds too small for the configured margin")
     centers: list[np.ndarray] = []
-    for _ in range(cfg.n_objects):
-        for _attempt in range(200):
+    for i in range(cfg.n_objects):
+        for _attempt in range(_SPACING_DRAWS):
             c = rng.uniform(lo, hi, size=2)
             if all(np.hypot(*(c - p)) >= cfg.min_separation for p in centers):
                 break
+        else:
+            raise ValueError(
+                f"object {i}: no center at least min_separation {cfg.min_separation} m "
+                f"from the others in {_SPACING_DRAWS} draws; use fewer objects or "
+                f"larger bounds"
+            )
         centers.append(c)
         w = float(rng.uniform(1.6, 2.2))
         l = float(rng.uniform(3.5, 5.0))
@@ -364,17 +384,7 @@ def generate_sequence(
             moved: list[BoxAttributes] = []
             kept_ids: list[int] = []
             for box, tid in zip(boxes, track_ids):
-                nb = BoxAttributes(
-                    x=box.x + box.vx * interval,
-                    y=box.y + box.vy * interval,
-                    z=box.z,
-                    w=box.w,
-                    l=box.l,
-                    h=box.h,
-                    theta=box.theta,
-                    vx=box.vx,
-                    vy=box.vy,
-                )
+                nb = replace(box, x=box.x + box.vx * interval, y=box.y + box.vy * interval)
                 if abs(nb.x) > cfg.bounds or abs(nb.y) > cfg.bounds:
                     dropped[tid] = t
                 else:

@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -25,16 +25,14 @@ from .dqem import (
     diversity_loss,
     diversity_loss_grad,
     fit_projections,
-    load_projections,
     read_detections,
     write_detections,
 )
-from .dqem import DetectionFrame
 from .evalkit import evaluate_detections, write_report
 from .ltfm import TemporalParams, run_sequence
 from .numerics import derive_seed, make_rng
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,19 +42,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
-
-
-@dataclass
-class RunConfig:
-    """Everything a pipeline run depends on; echoed into its report."""
-
-    seed: int
-    frames: int
-    interval: float
-    scene: dict
-    detect: dict
-    temporal: bool
-    tp_threshold: float
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -141,7 +126,6 @@ def _add_detect_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--iters", type=int, default=3, help="refinement rounds per frame")
     p.add_argument("--kmeans-iters", type=int, default=20, help="Lloyd update cap")
     p.add_argument("--tau-bg", type=float, default=0.0, help="background feature-norm gate")
-    p.add_argument("--proj", help="JSON file with fitted w_q/w_k (default: identity)")
     p.add_argument("--grid-nx", type=int, default=10)
     p.add_argument("--grid-ny", type=int, default=10)
     p.add_argument("--dedup-radius", type=float, default=2.0,
@@ -183,20 +167,14 @@ def _detect_over_scenes(args: argparse.Namespace, scenes_path: str, out_path: st
     widths = {f.d for f in frames}
     if len(widths) != 1:
         raise ValueError(f"{scenes_path}: mixed feature widths {sorted(widths)}")
-    d = frames[0].d
     interval = frames[1].timestamp - frames[0].timestamp if len(frames) > 1 else 0.5
     seq = SceneSequence(frames=frames, interval=interval)
     params = _dqem_params(args)
-    proj = load_projections(args.proj) if args.proj else ProjectionPair.identity(d)
-    if proj.w_q.shape[0] != d:
-        raise ValueError(
-            f"projection width {proj.w_q.shape[0]} does not match feature width {d}"
-        )
     # Built even without --temporal, so that a bad --alpha or --stride fails.
     tparams = TemporalParams(alpha=args.alpha, stride=args.stride)
     result = run_sequence(
-        seq, params, tparams if args.temporal else None, proj,
-        make_rng(derive_seed(args.seed, "detect")),
+        seq, params, tparams if args.temporal else None,
+        ProjectionPair.identity(frames[0].d), make_rng(derive_seed(args.seed, "detect")),
         grid_nx=args.grid_nx, grid_ny=args.grid_ny, bounds=args.bounds,
     )
     echo = asdict(params)
@@ -213,11 +191,7 @@ def _detect_over_scenes(args: argparse.Namespace, scenes_path: str, out_path: st
     if args.temporal:
         echo.update({"alpha": args.alpha, "stride": args.stride})
     det_frames = [
-        DetectionFrame(
-            timestamp=fr.timestamp,
-            detections=dedup_detections(fr.detections, args.dedup_radius),
-            fused=fr.fused if args.temporal else None,
-        )
+        replace(fr, detections=dedup_detections(fr.detections, args.dedup_radius))
         for fr in result.frames
     ]
     write_detections(out_path, det_frames, echo)
@@ -338,20 +312,16 @@ def _run_pipeline(args: argparse.Namespace) -> int:
     write_scenes(seq.frames, scenes_path)
     _detect_over_scenes(args, scenes_path, dets_path)
 
-    run_cfg = RunConfig(
-        seed=args.seed,
-        frames=args.frames,
-        interval=args.interval,
-        scene=asdict(cfg),
-        detect=asdict(_dqem_params(args)),
-        temporal=args.temporal,
-        tp_threshold=args.tp_threshold,
-    )
     report = evaluate_detections(
         read_detections(dets_path),
         read_scenes(scenes_path),
         tp_threshold=args.tp_threshold,
-        config=asdict(run_cfg),
+        # Everything the run depends on, echoed into its report.
+        config={
+            "seed": args.seed, "frames": args.frames, "interval": args.interval,
+            "scene": asdict(cfg), "detect": asdict(_dqem_params(args)),
+            "temporal": args.temporal, "tp_threshold": args.tp_threshold,
+        },
     )
     write_report(report, report_path)
     print(json.dumps(report.as_dict(), sort_keys=True))

@@ -52,8 +52,6 @@ __all__ = [
     "dedup_detections",
     "write_detections",
     "read_detections",
-    "save_projections",
-    "load_projections",
 ]
 
 @dataclass
@@ -102,9 +100,6 @@ class Pillar:
     feat: np.ndarray
     feat_scale: float = 0.0
     flag: str = ""
-
-    def decode_input(self) -> np.ndarray:
-        return self.feat * self.feat_scale
 
 
 @dataclass
@@ -160,9 +155,9 @@ class ProjectionPair:
 
 @dataclass
 class AttentionResult:
-    """Scores over all cluster centers plus the top-k aggregation."""
+    """The top-k selected clusters, their weights and the aggregation, plus
+    the entropy of the softmax over every center's score."""
 
-    scores: np.ndarray
     selected: np.ndarray
     weights: np.ndarray
     aggregated: np.ndarray
@@ -180,7 +175,6 @@ class EvolutionTrace:
 
     attention: list[AttentionResult] = field(default_factory=list)
     decoded: list[BoxAttributes | None] = field(default_factory=list)
-    flag: str = ""
 
 
 @dataclass
@@ -527,7 +521,6 @@ def aggregate_over_centers(
     c = np.asarray(centers, dtype=np.float64).reshape(-1, qv.shape[0])
     if c.shape[0] == 0:
         return AttentionResult(
-            scores=np.zeros(0),
             selected=np.zeros(0, dtype=np.int64),
             weights=np.zeros(0),
             aggregated=qv.copy(),
@@ -540,7 +533,6 @@ def aggregate_over_centers(
     weights = softmax(scores[selected])
     aggregated = weights @ c[selected]
     return AttentionResult(
-        scores=scores,
         selected=selected,
         weights=weights,
         aggregated=aggregated,
@@ -778,27 +770,6 @@ def fit_projections(
         center_error=err,
         attention_entropy=ent,
     )
-
-
-def save_projections(proj: ProjectionPair, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {"d": proj.w_q.shape[0], "w_q": proj.w_q.tolist(), "w_k": proj.w_k.tolist()},
-            fh,
-            sort_keys=True,
-        )
-
-
-def load_projections(path: str) -> ProjectionPair:
-    with open(path, "r", encoding="utf-8") as fh:
-        rec = json.load(fh)
-    try:
-        pair = ProjectionPair(np.array(rec["w_q"]), np.array(rec["w_k"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed projection file ({exc})") from exc
-    if pair.w_q.shape[0] != int(rec.get("d", pair.w_q.shape[0])):
-        raise ValueError(f"{path}: projection width disagrees with declared d")
-    return pair
 
 
 # ---------------------------------------------------------------------------

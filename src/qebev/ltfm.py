@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -23,6 +23,7 @@ from .dqem import (
     AttentionResult,
     ClusterSet,
     Detection,
+    DetectionFrame,
     DqemParams,
     EvolutionTrace,
     Pillar,
@@ -41,7 +42,6 @@ from .numerics import derive_seed, draw_seed, make_rng
 __all__ = [
     "TemporalParams",
     "TemporalState",
-    "FrameResult",
     "SequenceResult",
     "temporal_init",
     "temporal_aggregate",
@@ -79,17 +79,8 @@ class TemporalState:
 
 
 @dataclass
-class FrameResult:
-    index: int
-    timestamp: float
-    fused: bool
-    detections: list[Detection] = field(default_factory=list)
-
-
-@dataclass
 class SequenceResult:
-    frames: list[FrameResult]
-    interval: float
+    frames: list[DetectionFrame]
 
 
 def temporal_init(q_cur: np.ndarray, q_prev: np.ndarray, alpha: float = 0.4) -> np.ndarray:
@@ -156,7 +147,6 @@ def _evolve_single(
     attrs = pillar.attrs
     pts = gather_neighborhood(frame, attrs.center(), params.radius)
     if len(pts) == 0:
-        trace.flag = "empty"
         return replace(pillar, flag="empty"), trace, None
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -165,8 +155,7 @@ def _evolve_single(
     if not math.isfinite(norm0):
         raise ValueError(_NON_FINITE_MEAN)
     if norm0 == 0.0:
-        trace.flag = "degenerate-zero-mean"
-        return replace(pillar, flag=trace.flag), trace, None
+        return replace(pillar, flag="degenerate-zero-mean"), trace, None
     q = mean / norm0
     scale = norm0
     fuse = tparams is not None and q_prev is not None
@@ -181,6 +170,7 @@ def _evolve_single(
         attrs = dec
 
     clusters: ClusterSet | None = None
+    flag = ""
     # One clustering stream per query, rewound every round: successive
     # rounds then see consistent partitions and the update converges
     # instead of chasing re-randomized cluster boundaries.
@@ -190,7 +180,7 @@ def _evolve_single(
         if it > 0:
             pts = gather_neighborhood(frame, attrs.center(), params.radius)
             if len(pts) == 0:
-                trace.flag = "empty-regather"
+                flag = "empty-regather"
                 break
         krng.bit_generator.state = kstate
         clusters = kmeans(pts.feat, params.k, params.kmeans_iters, krng)
@@ -201,18 +191,17 @@ def _evolve_single(
             result = aggregate_over_centers(q, clusters.centers, proj, params.top_k)
             anchor, anchor_sizes = clusters.centers, clusters.sizes
         trace.attention.append(result)
-        q, scale, flag = blend_and_rescale(
+        q, scale, blend_flag = blend_and_rescale(
             q, scale, result, anchor, params.beta, sizes=anchor_sizes
         )
-        if flag:
-            trace.flag = flag
+        flag = blend_flag or flag
         dec = decode_feature(q * scale, frame.encoder_seed, params.tau_bg)
         trace.decoded.append(dec)
         if dec is not None:
             attrs = dec
-    if not trace.flag and trace.decoded and trace.decoded[-1] is None:
-        trace.flag = "background"
-    return Pillar(attrs=attrs, feat=q, feat_scale=scale, flag=trace.flag), trace, clusters
+    if not flag and trace.decoded[-1] is None:
+        flag = "background"
+    return Pillar(attrs=attrs, feat=q, feat_scale=scale, flag=flag), trace, clusters
 
 
 def _evolve_frame(
@@ -274,10 +263,11 @@ def iter_sequence(
     grid_ny: int = 10,
     bounds: float | tuple[float, float, float, float] = 50.0,
     template: BoxAttributes | None = None,
-) -> Iterator[tuple[FrameResult, QuerySet, list[EvolutionTrace]]]:
+) -> Iterator[tuple[DetectionFrame, QuerySet, list[EvolutionTrace]]]:
     """Detect over every frame of a sequence, fusing per the stride.
 
-    Yields each frame's result with its evolved queries and their traces.
+    Yields each frame's detections with its evolved queries and their
+    traces.  A frame's ``fused`` is None when ``tparams`` is None.
     Between frames only the previous frame's fusion state and the last
     ``stride`` frames' detections are kept, so memory does not grow with
     the sequence.
@@ -317,10 +307,8 @@ def iter_sequence(
                 for det in detections
             ]
             recent.append(detections)
-        result = FrameResult(
-            index=t, timestamp=frame.timestamp, fused=fused, detections=detections
-        )
-        yield result, state.queries, traces
+        fused_out = fused if tparams is not None else None
+        yield DetectionFrame(frame.timestamp, detections, fused_out), state.queries, traces
 
 
 def run_sequence(
@@ -336,12 +324,11 @@ def run_sequence(
 ) -> SequenceResult:
     """Every frame's detections from :func:`iter_sequence`, without the
     per-query state."""
-    frames = [
+    return SequenceResult([
         fr for fr, _, _ in iter_sequence(
             seq, params, tparams, proj, rng, grid_nx, grid_ny, bounds, template
         )
-    ]
-    return SequenceResult(frames, seq.interval)
+    ])
 
 
 # Largest accepted gap between a backward-predicted position and the

@@ -350,6 +350,26 @@ def test_read_scenes_skips_blank_lines_and_counts_them(tmp_path):
         assert np.array_equal(a.points.feat, b.points.feat)
 
 
+def test_sampled_centers_keep_min_separation():
+    for seed in range(20):
+        frame = generate_frame(SceneConfig(bounds=30.0, n_objects=8), make_rng(seed))
+        xy = np.array([box.center() for box in frame.boxes])
+        gaps = np.linalg.norm(xy[:, None] - xy[None], axis=2)
+        assert gaps[np.triu_indices(len(xy), 1)].min() >= 6.0
+
+
+def test_over_packed_scene_raises_naming_the_object():
+    # Bounds 10 less the 5 m margin leave a 10 m square for 60 centers.
+    with pytest.raises(
+        ValueError, match=r"^object \d+: no center at least min_separation 6\.0 m "
+    ):
+        generate_frame(SceneConfig(bounds=10.0, n_objects=60), make_rng(0))
+    with pytest.raises(ValueError, match=r"^object 1: .* min_separation 30\.0 m "):
+        generate_sequence(
+            SceneConfig(bounds=15.0, n_objects=2, min_separation=30.0), 2, 0.5, make_rng(0)
+        )
+
+
 def test_scene_config_validation():
     with pytest.raises(ValueError):
         SceneConfig(d=8)

@@ -53,6 +53,26 @@ def test_simulate_seed_changes_output(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
+def test_over_packed_scene_exits_one_and_writes_nothing(tmp_path, capsys):
+    # 60 objects 6 m apart do not fit in the [-5, 5] square that bounds 10
+    # and the 5 m margin leave.
+    packed = ("--objects", "60", "--bounds", "10")
+    out, run_dir = tmp_path / "x.jsonl", tmp_path / "run"
+    for argv in (
+        ["simulate", *packed, "--out", str(out)],
+        ["pipeline", *packed, "--out-dir", str(run_dir)],
+    ):
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: object "), err
+        assert err.endswith(
+            ": no center at least min_separation 6.0 m from the others in 200 draws; "
+            "use fewer objects or larger bounds\n"
+        ), err
+    assert not out.exists() and not run_dir.exists()
+
+
 # ---------------------------------------------------------------- detect
 
 
@@ -277,22 +297,27 @@ def test_eval_infinite_point_exits_one(tmp_path):
 
 @pytest.mark.filterwarnings("error")
 def test_detect_overflowing_features_exits_one(tmp_path, capsys):
-    # Finite features whose neighborhood mean overflows its norm: refused
-    # before any decode, without a numpy warning, with fusion off and on.
+    # Finite features scaled up, refused without a numpy warning, with
+    # fusion off and on.  At 1e200 the neighborhood mean overflows its norm
+    # before any decode.  At 1e3 a decoded log-size channel overflows exp(),
+    # and at 1e4 another also underflows it to 0.
     scenes, bad = tmp_path / "s.jsonl", tmp_path / "bad.jsonl"
     run(simulate_args(scenes))
+    for factor, message in (
+        (1e200, "neighborhood mean is not finite (non-finite or overflowing features)"),
+        (1e3, "decoded box size over- or underflows (overflowing features)"),
+        (1e4, "decoded box size over- or underflows (overflowing features)"),
+    ):
 
-    def scale(rec):
-        for p in rec["points"]:
-            p["f"] = [v * 1e200 for v in p["f"]]
+        def scale(rec):
+            for p in rec["points"]:
+                p["f"] = [v * factor for v in p["f"]]
 
-    _corrupt_second_frame(scenes, bad, scale)
-    for extra in ((), ("--temporal", "--stride", "1")):
-        capsys.readouterr()
-        assert run(detect_args(bad, tmp_path / "d.jsonl", extra)) == 1
-        assert capsys.readouterr().err == (
-            "error: neighborhood mean is not finite (non-finite or overflowing features)\n"
-        )
+        _corrupt_second_frame(scenes, bad, scale)
+        for extra in ((), ("--temporal", "--stride", "1")):
+            capsys.readouterr()
+            assert run(detect_args(bad, tmp_path / "d.jsonl", extra)) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_eval_non_finite_score_exits_one_with_location(tmp_path, capsys):
@@ -474,12 +499,14 @@ def test_every_float_flag_rejects_infinity(
         ("--softmax-domain", "full", ("detect", "pipeline")),
         ("--fixed-neighborhood", None, ("detect", "pipeline")),
         ("--matcher", "greedy", ("eval", "pipeline")),
+        ("--proj", "w.json", ("detect", "pipeline")),
     )
     for command in commands
 ])
 def test_deleted_flags_are_unknown(tmp_path, capsys, scenes_and_dets, command, flag, value):
     # Attention always scales its scores and normalizes over the selected
-    # clusters, every round re-gathers, and eval matches optimally.
+    # clusters with identity projections, every round re-gathers, and eval
+    # matches optimally.
     argv = command_args(command, tmp_path, scenes_and_dets)
     capsys.readouterr()
     assert run([*argv, flag, *([value] if value else [])]) == 1

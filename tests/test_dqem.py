@@ -22,9 +22,7 @@ from qebev.dqem import (
     init_pillars,
     initial_aggregate,
     kmeans,
-    load_projections,
     read_detections,
-    save_projections,
     write_detections,
 )
 from qebev.ltfm import evolve_queries
@@ -542,16 +540,6 @@ def test_fit_deterministic():
     b = fit_projections(frames, params, steps=4, rng=make_rng(3))
     assert np.array_equal(a.projections.w_q, b.projections.w_q)
     assert a.objective_log == b.objective_log
-
-
-def test_projections_save_load_round_trip(tmp_path):
-    rng = make_rng(91)
-    proj = ProjectionPair(rng.normal(size=(16, 16)), rng.normal(size=(16, 16)))
-    path = tmp_path / "proj.npz"
-    save_projections(proj, path)
-    back = load_projections(path)
-    assert np.array_equal(back.w_q, proj.w_q)
-    assert np.array_equal(back.w_k, proj.w_k)
 
 
 # ---------------------------------------------------------------- detections

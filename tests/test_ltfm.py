@@ -207,7 +207,6 @@ def test_evolve_queries_matches_run_sequence_frame_by_frame(iterations):
                 assert same_bits(pa.feat, pb.feat)
                 assert same_bits(pa.feat_scale, pb.feat_scale)
                 assert pa.flag == pb.flag
-                assert ta.flag == tb.flag
                 assert decoded_bits(ta) == decoded_bits(tb)
                 assert len(ta.attention) == len(tb.attention)
                 for ra, rb in zip(ta.attention, tb.attention):
@@ -313,7 +312,6 @@ def test_run_sequence_interval_passthrough():
     seq = generate_sequence(cfg, 2, 0.25, make_rng(16))
     res = run_sequence(seq, DqemParams(radius=10.0, iterations=1), None,
                        identity_proj(cfg.d), make_rng(1), **run_kwargs())
-    assert res.interval == 0.25
     assert res.frames[1].timestamp == pytest.approx(0.25)
 
 

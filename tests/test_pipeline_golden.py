@@ -5,11 +5,14 @@ change that alters them on purpose says so and records the new values; on
 another numpy or BLAS build, take them again.  The detection and report
 hashes cover the echoed run parameters too, so they moved when the
 attention, re-gather and matcher switches left the echo, while every
-detection and score stayed bit-identical.
+detection and score stayed bit-identical.  A numpy warning on either run
+fails its test.
 """
 
 import hashlib
 from collections import Counter
+
+import pytest
 
 import qebev.cli as cli
 import qebev.ltfm
@@ -21,6 +24,7 @@ BASELINE_SHA256 = {
 }
 
 
+@pytest.mark.filterwarnings("error")
 def test_pipeline_seed_42_matches_baseline(tmp_path, monkeypatch, capsys):
     # One outcome per query-frame, counted where the kernel returns it.
     outcomes = Counter()
@@ -47,6 +51,7 @@ LARGE_SCENE_SHA256 = "e5ece011cb7493207554a4b677a1417d7aa972aa34fa7f0e2aeb22edde
 LARGE_DETECTIONS_SHA256 = "dc8e350a53d525780d959bf040ded5e041153e2c7d817fe9e865ae125eb39102"
 
 
+@pytest.mark.filterwarnings("error")
 def test_detect_large_frame_matches_baseline(tmp_path, capsys):
     """One 6000-point frame under 20x20 pillars: large neighbourhoods, so
     the gather, k-means and dedup paths all carry weight."""
