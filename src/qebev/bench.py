@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dqem import ProjectionPair, aggregate_over_centers, kmeans
+from .dqem import aggregate_over_centers, kmeans
 from .numerics import derive_seed, make_rng
 
 __all__ = ["BenchConfig", "BenchRow", "ScalingReport", "run_scaling", "write_bench_csv"]
@@ -94,7 +94,6 @@ def run_scaling(cfg: BenchConfig, rng: np.random.Generator) -> ScalingReport:
     resolution are excluded from the fit (noted in the report).
     """
     base_seed = int(rng.integers(0, 2**64, dtype=np.uint64))
-    proj = ProjectionPair.identity(cfg.d)
     resolution = time.get_clock_info("perf_counter").resolution
     rows: list[BenchRow] = []
     notes: list[str] = []
@@ -107,7 +106,7 @@ def run_scaling(cfg: BenchConfig, rng: np.random.Generator) -> ScalingReport:
 
         def step() -> None:
             cs = kmeans(feats, cfg.k, cfg.kmeans_iters, make_rng(work_seed))
-            aggregate_over_centers(q, cs.centers, proj, cfg.top_k)
+            aggregate_over_centers(q, cs.centers, cfg.top_k)
 
         for _ in range(cfg.warmup):
             step()

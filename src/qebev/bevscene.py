@@ -135,10 +135,9 @@ class Frame:
 
 @dataclass
 class SceneSequence:
-    """Frames at a fixed interval; objects keep stable track ids."""
+    """Frames of one scene; objects keep stable track ids."""
 
     frames: list[Frame]
-    interval: float
     # track id -> index of the first frame the object is absent from,
     # recorded when motion carries it outside the scene bounds.
     dropped: dict[int, int] = field(default_factory=dict)
@@ -146,8 +145,6 @@ class SceneSequence:
     def __post_init__(self) -> None:
         if not self.frames:
             raise ValueError("a sequence needs at least one frame")
-        if not self.interval > 0.0 or not math.isfinite(self.interval):
-            raise ValueError(f"frame interval must be positive and finite, got {self.interval}")
 
 
 @dataclass
@@ -375,6 +372,8 @@ def generate_sequence(
     """
     if frames < 1:
         raise ValueError("frames must be at least 1")
+    if not interval > 0.0 or not math.isfinite(interval):
+        raise ValueError(f"frame interval must be positive and finite, got {interval}")
     encoder_seed = draw_seed(rng)
     boxes, track_ids = _sample_boxes(cfg, rng)
     out: list[Frame] = []
@@ -392,7 +391,7 @@ def generate_sequence(
                     kept_ids.append(tid)
             boxes, track_ids = moved, kept_ids
         out.append(_render_frame(cfg, boxes, track_ids, t * interval, encoder_seed, rng))
-    return SceneSequence(frames=out, interval=interval, dropped=dropped)
+    return SceneSequence(frames=out, dropped=dropped)
 
 
 def _frame_record(frame: Frame) -> dict:

@@ -17,10 +17,9 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import bench as bench_mod
-from .bevscene import SceneConfig, SceneSequence, generate_sequence, read_scenes, write_scenes
+from .bevscene import SceneConfig, generate_sequence, read_scenes, write_scenes
 from .dqem import (
     DqemParams,
-    ProjectionPair,
     dedup_detections,
     diversity_loss,
     diversity_loss_grad,
@@ -167,14 +166,12 @@ def _detect_over_scenes(args: argparse.Namespace, scenes_path: str, out_path: st
     widths = {f.d for f in frames}
     if len(widths) != 1:
         raise ValueError(f"{scenes_path}: mixed feature widths {sorted(widths)}")
-    interval = frames[1].timestamp - frames[0].timestamp if len(frames) > 1 else 0.5
-    seq = SceneSequence(frames=frames, interval=interval)
     params = _dqem_params(args)
     # Built even without --temporal, so that a bad --alpha or --stride fails.
     tparams = TemporalParams(alpha=args.alpha, stride=args.stride)
     result = run_sequence(
-        seq, params, tparams if args.temporal else None,
-        ProjectionPair.identity(frames[0].d), make_rng(derive_seed(args.seed, "detect")),
+        frames, params, tparams if args.temporal else None,
+        make_rng(derive_seed(args.seed, "detect")),
         grid_nx=args.grid_nx, grid_ny=args.grid_ny, bounds=args.bounds,
     )
     echo = asdict(params)

@@ -2,7 +2,7 @@
 
 Each BEV query (a "pillar") repeatedly gathers the feature points within a
 radius of its current center, k-means-clusters them in feature space, scores
-the cluster centers against the query with a projected dot product, and
+the cluster centers against the query with a scaled dot product, and
 rebuilds itself from a softmax-weighted blend of the top-scoring centers.
 Decoding the refined query yields updated box geometry, which moves the
 pillar for the next round.  This module holds those steps; the loop that
@@ -32,7 +32,6 @@ __all__ = [
     "Pillar",
     "QuerySet",
     "ClusterSet",
-    "ProjectionPair",
     "AttentionResult",
     "EvolutionTrace",
     "FitResult",
@@ -136,32 +135,12 @@ class ClusterSet:
 
 
 @dataclass
-class ProjectionPair:
-    """Query/key projection matrices for attention scoring."""
-
-    w_q: np.ndarray
-    w_k: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.w_q = np.asarray(self.w_q, dtype=np.float64)
-        self.w_k = np.asarray(self.w_k, dtype=np.float64)
-        if self.w_q.shape != self.w_k.shape or self.w_q.ndim != 2 or self.w_q.shape[0] != self.w_q.shape[1]:
-            raise ValueError("w_q and w_k must be square matrices of the same shape")
-
-    @classmethod
-    def identity(cls, d: int) -> "ProjectionPair":
-        return cls(np.eye(d), np.eye(d))
-
-
-@dataclass
 class AttentionResult:
-    """The top-k selected clusters, their weights and the aggregation, plus
-    the entropy of the softmax over every center's score."""
+    """The top-k selected clusters, their weights and the aggregation."""
 
     selected: np.ndarray
     weights: np.ndarray
     aggregated: np.ndarray
-    diversity: float
     degenerate: bool = False
 
 
@@ -179,44 +158,33 @@ class EvolutionTrace:
 
 @dataclass
 class FitResult:
-    projections: "ProjectionPair"
+    """Calibrated query/key projections and the descent that found them."""
+
+    w_q: np.ndarray
+    w_k: np.ndarray
     objective_log: list[float]
     center_error: float
     attention_entropy: float
 
 
-def init_pillars(
-    grid_nx: int,
-    grid_ny: int,
-    bounds: float | tuple[float, float, float, float],
-    template: BoxAttributes | None = None,
-) -> QuerySet:
-    """Pillars at the centers of a regular grid over the scene rectangle.
+# Typical passenger-car prior for every pillar; refined by the first decode.
+_PILLAR_PRIOR = BoxAttributes(0.0, 0.0, 0.8, 2.0, 4.5, 1.6, 0.0, 0.0, 0.0)
 
-    ``bounds`` is either a half-extent B (square [-B, B]^2) or an explicit
-    (xmin, xmax, ymin, ymax) rectangle.
-    """
+
+def init_pillars(grid_nx: int, grid_ny: int, bounds: float) -> QuerySet:
+    """Pillars at the centers of a regular grid over the square [-B, B]^2,
+    where ``bounds`` is the half-extent B."""
     if grid_nx < 1 or grid_ny < 1:
         raise ValueError("grid dimensions must be at least 1")
-    if isinstance(bounds, (int, float)):
-        if not bounds > 0 or not math.isfinite(bounds):
-            raise ValueError(f"bounds must be positive and finite, got {bounds}")
-        xmin, xmax, ymin, ymax = -float(bounds), float(bounds), -float(bounds), float(bounds)
-    else:
-        xmin, xmax, ymin, ymax = (float(v) for v in bounds)
-        if not all(math.isfinite(v) for v in (xmin, xmax, ymin, ymax)):
-            raise ValueError(f"bounds rectangle must be finite, got {(xmin, xmax, ymin, ymax)}")
-        if xmin >= xmax or ymin >= ymax:
-            raise ValueError("degenerate bounds rectangle")
-    if template is None:
-        # Typical passenger-car prior; refined by the first decode.
-        template = BoxAttributes(0.0, 0.0, 0.8, 2.0, 4.5, 1.6, 0.0, 0.0, 0.0)
+    if not bounds > 0 or not math.isfinite(bounds):
+        raise ValueError(f"bounds must be positive and finite, got {bounds}")
+    xmin, xmax, ymin, ymax = -float(bounds), float(bounds), -float(bounds), float(bounds)
     pillars = []
     for j in range(grid_ny):
         for i in range(grid_nx):
             cx = xmin + (i + 0.5) * (xmax - xmin) / grid_nx
             cy = ymin + (j + 0.5) * (ymax - ymin) / grid_ny
-            attrs = replace(template, x=cx, y=cy)
+            attrs = replace(_PILLAR_PRIOR, x=cx, y=cy)
             pillars.append(Pillar(attrs=attrs, feat=np.zeros(0), feat_scale=0.0))
     return QuerySet(pillars)
 
@@ -467,20 +435,18 @@ def _kmeans_once(x: np.ndarray, k: int, iters: int, rng: np.random.Generator) ->
     )
 
 
-def attention_scores(
-    q: np.ndarray,
-    centers: np.ndarray,
-    proj: ProjectionPair,
-) -> np.ndarray:
-    """Projected dot-product score of a query against each cluster center.
+def attention_scores(q: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Dot-product score of a query against each cluster center.
 
     The scores are divided by sqrt(d), which keeps softmax weights usable as
     feature width grows.
     """
     qv = np.asarray(q, dtype=np.float64)
     c = np.atleast_2d(np.asarray(centers, dtype=np.float64))
-    s = (proj.w_k @ c.T).T @ (proj.w_q @ qv)
-    return s / math.sqrt(qv.shape[0])
+    # Column-major centers make the BLAS sum each dot product in the order of
+    # (I @ c.T).T @ (I @ q), the identity-projected product the golden outputs
+    # pin.  A row-major c @ q rounds differently and changes detections.
+    return np.ascontiguousarray(c.T).T @ qv / math.sqrt(qv.shape[0])
 
 
 def diversity_loss(scores: np.ndarray) -> float:
@@ -506,12 +472,7 @@ def diversity_loss_grad(scores: np.ndarray) -> np.ndarray:
     return -p * (s - m)
 
 
-def aggregate_over_centers(
-    q: np.ndarray,
-    centers: np.ndarray,
-    proj: ProjectionPair,
-    top_k: int,
-) -> AttentionResult:
+def aggregate_over_centers(q: np.ndarray, centers: np.ndarray, top_k: int) -> AttentionResult:
     """Score arbitrary centers and blend the top-k into a refined query.
 
     The weights are a softmax over the selected scores only, so they sum to
@@ -524,20 +485,14 @@ def aggregate_over_centers(
             selected=np.zeros(0, dtype=np.int64),
             weights=np.zeros(0),
             aggregated=qv.copy(),
-            diversity=0.0,
             degenerate=True,
         )
-    scores = attention_scores(qv, c, proj)
+    scores = attention_scores(qv, c)
     kt = min(top_k, c.shape[0])
     selected = top_k_indices(scores, kt)
     weights = softmax(scores[selected])
     aggregated = weights @ c[selected]
-    return AttentionResult(
-        selected=selected,
-        weights=weights,
-        aggregated=aggregated,
-        diversity=diversity_loss(scores),
-    )
+    return AttentionResult(selected=selected, weights=weights, aggregated=aggregated)
 
 
 def initial_aggregate(feats: np.ndarray) -> np.ndarray:
@@ -765,7 +720,8 @@ def fit_projections(
     _, bq, bk = best
     err, ent = _snapshot_metrics(snap, bq, bk)
     return FitResult(
-        projections=ProjectionPair(bq, bk),
+        w_q=bq,
+        w_k=bk,
         objective_log=log,
         center_error=err,
         attention_entropy=ent,

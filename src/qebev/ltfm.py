@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .bevscene import BoxAttributes, Frame, SceneSequence, decode_feature
+from .bevscene import Frame, decode_feature
 from .dqem import (
     AttentionResult,
     ClusterSet,
@@ -27,7 +27,6 @@ from .dqem import (
     DqemParams,
     EvolutionTrace,
     Pillar,
-    ProjectionPair,
     QuerySet,
     aggregate_over_centers,
     blend_and_rescale,
@@ -98,7 +97,6 @@ def temporal_aggregate(
     q: np.ndarray,
     clusters_cur: ClusterSet | None,
     clusters_prev: ClusterSet | None,
-    proj: ProjectionPair,
     top_k: int,
 ) -> AttentionResult:
     """Top-k attention over the pooled current and previous cluster centers.
@@ -112,7 +110,7 @@ def temporal_aggregate(
             parts.append(cs.centers)
     d = np.asarray(q).shape[0]
     pooled = np.concatenate(parts) if parts else np.zeros((0, d))
-    return aggregate_over_centers(q, pooled, proj, top_k)
+    return aggregate_over_centers(q, pooled, top_k)
 
 
 def _pooled_centers(
@@ -130,7 +128,6 @@ def _evolve_single(
     pillar: Pillar,
     frame: Frame,
     params: DqemParams,
-    proj: ProjectionPair,
     qrng: np.random.Generator,
     tparams: TemporalParams | None,
     q_prev: np.ndarray | None,
@@ -185,10 +182,10 @@ def _evolve_single(
         krng.bit_generator.state = kstate
         clusters = kmeans(pts.feat, params.k, params.kmeans_iters, krng)
         if fuse and it == 0:
-            result = temporal_aggregate(q, clusters, clusters_prev, proj, params.top_k)
+            result = temporal_aggregate(q, clusters, clusters_prev, params.top_k)
             anchor, anchor_sizes = _pooled_centers(clusters, clusters_prev)
         else:
-            result = aggregate_over_centers(q, clusters.centers, proj, params.top_k)
+            result = aggregate_over_centers(q, clusters.centers, params.top_k)
             anchor, anchor_sizes = clusters.centers, clusters.sizes
         trace.attention.append(result)
         q, scale, blend_flag = blend_and_rescale(
@@ -208,7 +205,6 @@ def _evolve_frame(
     queries: QuerySet,
     frame: Frame,
     params: DqemParams,
-    proj: ProjectionPair,
     rng: np.random.Generator,
     tparams: TemporalParams | None = None,
     prev: TemporalState | None = None,
@@ -230,7 +226,7 @@ def _evolve_frame(
             q_prev = prev_pillar.feat if prev_pillar.feat.size and not prev_pillar.flag else None
             c_prev = prev.clusters[qi]
         new_pillar, trace, cs = _evolve_single(
-            pillar, frame, params, proj, make_rng(base_seed ^ qi), tparams, q_prev, c_prev
+            pillar, frame, params, make_rng(base_seed ^ qi), tparams, q_prev, c_prev
         )
         pillars.append(new_pillar)
         traces.append(trace)
@@ -242,27 +238,24 @@ def evolve_queries(
     queries: QuerySet,
     frame: Frame,
     params: DqemParams,
-    proj: ProjectionPair,
     rng: np.random.Generator,
 ) -> tuple[QuerySet, list[EvolutionTrace]]:
     """Refine every query against one frame, with no temporal history.
 
     Inputs are left untouched.
     """
-    state, traces = _evolve_frame(queries, frame, params, proj, rng)
+    state, traces = _evolve_frame(queries, frame, params, rng)
     return state.queries, traces
 
 
 def iter_sequence(
-    seq: SceneSequence,
+    frames: list[Frame],
     params: DqemParams,
     tparams: TemporalParams | None,
-    proj: ProjectionPair,
     rng: np.random.Generator,
     grid_nx: int = 10,
     grid_ny: int = 10,
-    bounds: float | tuple[float, float, float, float] = 50.0,
-    template: BoxAttributes | None = None,
+    bounds: float = 50.0,
 ) -> Iterator[tuple[DetectionFrame, QuerySet, list[EvolutionTrace]]]:
     """Detect over every frame of a sequence, fusing per the stride.
 
@@ -276,58 +269,62 @@ def iter_sequence(
     multiples of the stride blend in the previous frame's queries and
     clusters, and their detections carry a velocity estimate that averages
     the decoded velocity channels with the decoded position delta over the
-    stride.  With ``tparams`` None every frame is independent.
+    time since the frame one stride back.  A fused frame must be later than
+    that frame.  With ``tparams`` None every frame is independent.
 
     Each frame's randomness derives from one base seed and the frame index,
     so with- and without-fusion runs see identical per-frame streams.
     """
     base_seed = draw_seed(rng)
     state: TemporalState | None = None
-    # recent[0] is the frame one stride back once a stride has passed.
-    recent: deque[list[Detection]] = deque(maxlen=tparams.stride if tparams is not None else 1)
+    # recent[0] is the (timestamp, detections) of the frame one stride back
+    # once a stride has passed.
+    recent: deque[tuple[float, list[Detection]]] = deque(
+        maxlen=tparams.stride if tparams is not None else 1
+    )
 
-    for t, frame in enumerate(seq.frames):
-        frame_rng = make_rng(derive_seed(base_seed, f"frame:{t}"))
-        pillars = init_pillars(grid_nx, grid_ny, bounds, template)
+    for t, frame in enumerate(frames):
         fused = tparams is not None and state is not None and t % tparams.stride == 0
+        prev_dets: list[Detection] = []
+        dt = 0.0
+        if fused:
+            back_time, prev_dets = recent[0]
+            dt = frame.timestamp - back_time
+            if not dt > 0.0:
+                raise ValueError(
+                    f"frame {t} (timestamp {frame.timestamp}) is not later than frame "
+                    f"{t - tparams.stride} (timestamp {back_time}), one stride back"
+                )
+        frame_rng = make_rng(derive_seed(base_seed, f"frame:{t}"))
+        pillars = init_pillars(grid_nx, grid_ny, bounds)
         state, traces = _evolve_frame(
-            pillars, frame, params, proj, frame_rng, tparams if fused else None, state
+            pillars, frame, params, frame_rng, tparams if fused else None, state
         )
 
         detections = extract_detections(state.queries, traces, frame_index=t)
         if tparams is not None:
-            prev_dets = recent[0] if fused else []
             detections = [
-                replace(
-                    det,
-                    velocity=_velocity_estimate(
-                        det, prev_dets, tparams.stride, seq.interval
-                    ),
-                )
+                replace(det, velocity=_velocity_estimate(det, prev_dets, dt))
                 for det in detections
             ]
-            recent.append(detections)
+            recent.append((frame.timestamp, detections))
         fused_out = fused if tparams is not None else None
         yield DetectionFrame(frame.timestamp, detections, fused_out), state.queries, traces
 
 
 def run_sequence(
-    seq: SceneSequence,
+    frames: list[Frame],
     params: DqemParams,
     tparams: TemporalParams | None,
-    proj: ProjectionPair,
     rng: np.random.Generator,
     grid_nx: int = 10,
     grid_ny: int = 10,
-    bounds: float | tuple[float, float, float, float] = 50.0,
-    template: BoxAttributes | None = None,
+    bounds: float = 50.0,
 ) -> SequenceResult:
     """Every frame's detections from :func:`iter_sequence`, without the
     per-query state."""
     return SequenceResult([
-        fr for fr, _, _ in iter_sequence(
-            seq, params, tparams, proj, rng, grid_nx, grid_ny, bounds, template
-        )
+        fr for fr, _, _ in iter_sequence(frames, params, tparams, rng, grid_nx, grid_ny, bounds)
     ])
 
 
@@ -339,22 +336,21 @@ BACKTRACK_GATE = 3.0
 def _velocity_estimate(
     det: Detection,
     prev_dets: list[Detection],
-    stride: int,
-    interval: float,
+    dt: float,
     gate: float = BACKTRACK_GATE,
 ) -> np.ndarray:
     """Average the decoded velocity channels with a track position delta.
 
-    The detection is projected back by its channel velocity over the
-    stride; the nearest earlier detection within the gate is taken as the
-    same physical track.  Grid queries alone cannot serve as tracks since
-    an object crossing cells changes which query sees it.  With no earlier
+    The detection is projected back by its channel velocity over ``dt``,
+    the seconds since the earlier detections; the nearest earlier detection
+    within the gate is taken as the same physical track.  Grid queries
+    alone cannot serve as tracks since an object crossing cells changes
+    which query sees it.  With no earlier
     detection inside the gate the decoded channels stand alone.
     """
     v_chan = det.box[7:9]
     if not prev_dets:
         return np.array(v_chan)
-    dt = stride * interval
     cur = det.box[:2]
     predicted_back = cur - v_chan * dt
     prev_xy = np.array([p.box[:2] for p in prev_dets])

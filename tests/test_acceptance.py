@@ -18,7 +18,6 @@ from qebev.cli import main as cli_main
 from qebev.dqem import (
     DqemParams,
     Pillar,
-    ProjectionPair,
     QuerySet,
     aggregate_over_centers,
     diversity_loss,
@@ -133,7 +132,6 @@ def test_criterion_5_evolution_reduces_error():
     """Iterative refinement beats the initial decode on at least 90 of 100
     seeded scenes; the suite mean improves at every stage."""
     cfg = SceneConfig()
-    proj = ProjectionPair.identity(cfg.d)
     params = DqemParams()
     wins = 0
     curves = []
@@ -148,7 +146,7 @@ def test_criterion_5_evolution_reduces_error():
             pillars.append(Pillar(attrs=tmpl, feat=np.zeros(cfg.d)))
             gts.append(box.center())
         _, traces = evolve_queries(
-            QuerySet(pillars=pillars), fr, params, proj,
+            QuerySet(pillars=pillars), fr, params,
             make_rng(derive_seed(seed, "crit5-evolve")),
         )
         per_obj = np.array([
@@ -192,7 +190,6 @@ def test_criterion_6_temporal_fusion_helps():
     """Fused runs report lower matched-velocity error than plain runs on at
     least 90 of 100 moving-object sequences."""
     params = DqemParams()
-    proj = ProjectionPair.identity(16)
     cfg = SceneConfig(bounds=30.0, n_objects=4, points_per_object=20,
                       background_points=30, noise_sigma=0.05, d=16,
                       speed_min=1.0, speed_max=5.0)
@@ -200,9 +197,9 @@ def test_criterion_6_temporal_fusion_helps():
     for seed in range(100):
         seq = generate_sequence(cfg, 8, 0.5, make_rng(derive_seed(seed, "crit6")))
         run_seed = derive_seed(seed, "crit6-run")
-        fused = run_sequence(seq, params, TemporalParams(), proj,
+        fused = run_sequence(seq.frames, params, TemporalParams(),
                              make_rng(run_seed), grid_nx=6, grid_ny=6, bounds=30.0)
-        plain = run_sequence(seq, params, None, proj,
+        plain = run_sequence(seq.frames, params, None,
                              make_rng(run_seed), grid_nx=6, grid_ny=6, bounds=30.0)
         ew = crit6_velocity_error(fused, seq, (2, 4, 6))
         eo = crit6_velocity_error(plain, seq, (2, 4, 6))
@@ -286,8 +283,7 @@ def test_criterion_10_degenerate_robustness():
     qs = QuerySet(pillars=[Pillar(
         attrs=BoxAttributes(200.0, 200.0, 1.0, 1.0, 2.0, 1.0, 0.0, 0.0, 0.0),
         feat=np.zeros(cfg.d))])
-    out, _ = evolve_queries(qs, fr, DqemParams(), ProjectionPair.identity(cfg.d),
-                            make_rng(2))
+    out, _ = evolve_queries(qs, fr, DqemParams(), make_rng(2))
     p = out.pillars[0]
     finite_empty = bool(np.all(np.isfinite(p.feat)) and np.isfinite(p.feat_scale))
     notes.append(f"empty neighborhood flag '{p.flag}'")
@@ -306,16 +302,14 @@ def test_criterion_10_degenerate_robustness():
     notes.append(f"duplicates: k_eff {cs2.centers.shape[0]} of requested {cs2.requested_k}")
 
     # attention with no centers at all: flagged, query passes through
-    r = aggregate_over_centers(np.ones(4), np.zeros((0, 4)),
-                               ProjectionPair.identity(4), top_k=2)
+    r = aggregate_over_centers(np.ones(4), np.zeros((0, 4)), top_k=2)
     ok &= bool(r.degenerate and np.all(np.isfinite(r.aggregated)))
     notes.append("empty center set flagged degenerate")
 
     # all-zero features: the blend step reports the zero outcome
     from qebev.dqem import blend_and_rescale
 
-    rz = aggregate_over_centers(np.zeros(4), np.zeros((3, 4)),
-                                ProjectionPair.identity(4), top_k=2)
+    rz = aggregate_over_centers(np.zeros(4), np.zeros((3, 4)), top_k=2)
     qz, sz, flag = blend_and_rescale(np.zeros(4), 1.0, rz, np.zeros((3, 4)),
                                      beta=0.6)
     ok &= bool(flag == "degenerate-zero-blend" and np.all(np.isfinite(qz))
@@ -325,8 +319,7 @@ def test_criterion_10_degenerate_robustness():
     # zero-object frame through the full per-frame path
     cfg0 = SceneConfig(n_objects=0, background_points=30)
     seq0 = generate_sequence(cfg0, 3, 0.5, make_rng(5))
-    res = run_sequence(seq0, DqemParams(), TemporalParams(),
-                       ProjectionPair.identity(cfg0.d), make_rng(6),
+    res = run_sequence(seq0.frames, DqemParams(), TemporalParams(), make_rng(6),
                        grid_nx=3, grid_ny=3, bounds=50.0)
     for frame in res.frames:
         for det in frame.detections:

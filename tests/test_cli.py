@@ -100,6 +100,29 @@ def test_detect_temporal_fuses_and_estimates_velocity(tmp_path):
             assert d.velocity is not None
 
 
+def test_detect_temporal_velocity_follows_uneven_timestamps(tmp_path):
+    # Restamping frames 0, 0.5, 1, 1.5, 2 s as 0, 0.5, 2, 3.5, 5 s leaves every
+    # box as it was, but a fused frame's motion term then spans 2 or 3 s
+    # instead of 1 s, so its fused velocities change.
+    even, uneven = tmp_path / "even.jsonl", tmp_path / "uneven.jsonl"
+    run(simulate_args(even, frames=5))
+    lines = even.read_text().splitlines()
+    for i, ts in enumerate((0.0, 0.5, 2.0, 3.5, 5.0)):
+        rec = json.loads(lines[i])
+        rec["timestamp"] = ts
+        lines[i] = json.dumps(rec)
+    uneven.write_text("\n".join(lines) + "\n")
+    runs = []
+    for scenes in (even, uneven):
+        dets = tmp_path / f"{scenes.stem}-dets.jsonl"
+        assert run(detect_args(scenes, dets, extra=("--temporal", "--stride", "2"))) == 0
+        runs.append(read_detections(dets))
+    for fa, fb in zip(*runs):
+        assert [d.box.tobytes() for d in fa.detections] == [d.box.tobytes() for d in fb.detections]
+        same = [np.array_equal(a.velocity, b.velocity) for a, b in zip(fa.detections, fb.detections)]
+        assert all(same) != fa.fused, (fa.timestamp, same)
+
+
 # ---------------------------------------------------------------- eval
 
 

@@ -9,7 +9,8 @@ from qebev.bevscene import BoxAttributes, SceneConfig, decode_feature, generate_
 from qebev.dqem import (
     DetectionFrame,
     DqemParams,
-    ProjectionPair,
+    Pillar,
+    QuerySet,
     aggregate_over_centers,
     attention_scores,
     blend_and_rescale,
@@ -59,10 +60,10 @@ def test_init_pillars_single_cell_center():
 
 
 def test_init_pillars_two_by_two_centers():
-    qs = init_pillars(2, 2, (0.0, 10.0, 0.0, 10.0))
+    qs = init_pillars(2, 2, 10.0)
     got = [(p.attrs.x, p.attrs.y) for p in qs.pillars]
     # row-major, x fastest
-    assert got == [(2.5, 2.5), (7.5, 2.5), (2.5, 7.5), (7.5, 7.5)]
+    assert got == [(-5.0, -5.0), (5.0, -5.0), (-5.0, 5.0), (5.0, 5.0)]
 
 
 def test_init_pillars_grid_in_bounds():
@@ -77,23 +78,12 @@ def test_init_pillars_grid_in_bounds():
 def test_init_pillars_validation():
     with pytest.raises(ValueError):
         init_pillars(0, 3, 50.0)
-    with pytest.raises(ValueError):
-        init_pillars(3, 3, (5.0, 1.0, 0.0, 10.0))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
 def test_init_pillars_rejects_a_bad_half_extent(value):
     with pytest.raises(ValueError, match=f"bounds must be positive and finite, got {value}"):
         init_pillars(3, 3, value)
-
-
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("index", range(4))
-def test_init_pillars_rejects_a_non_finite_rectangle(index, value):
-    rect = [0.0, 10.0, 0.0, 10.0]
-    rect[index] = value
-    with pytest.raises(ValueError, match="bounds rectangle must be finite"):
-        init_pillars(3, 3, tuple(rect))
 
 
 # ---------------------------------------------------------------- gather
@@ -233,10 +223,9 @@ def test_kmeans_validation():
 
 def test_attention_scores_identity_projection():
     d = 4
-    proj = ProjectionPair(np.eye(d), np.eye(d))
     q = np.array([1.0, 0.0, 0.0, 0.0])
     centers = np.vstack([np.eye(d), np.full((1, d), 0.5)])
-    s = attention_scores(q, centers, proj)
+    s = attention_scores(q, centers)
     # q . c / sqrt(4)
     assert np.allclose(s, [0.5, 0.0, 0.0, 0.0, 0.25], atol=1e-12)
 
@@ -247,18 +236,27 @@ def test_attention_scores_matches_triple_loop():
     for _ in range(25):
         q = rng.normal(size=d)
         centers = rng.normal(size=(K, d))
-        wq = rng.normal(size=(d, d))
-        wk = rng.normal(size=(d, d))
-        got = attention_scores(q, centers, ProjectionPair(wq, wk))
+        got = attention_scores(q, centers)
         want = np.empty(K)
-        qp = wq @ q
         for c in range(K):
-            kp = wk @ centers[c]
             acc = 0.0
             for i in range(d):
-                acc += qp[i] * kp[i]
+                acc += q[i] * centers[c, i]
             want[c] = acc / math.sqrt(d)
         assert np.allclose(got, want, atol=1e-10)
+
+
+@pytest.mark.parametrize("d", [4, 9, 16])
+def test_attention_scores_equal_the_identity_projected_product_bitwise(d):
+    # The golden outputs were pinned with (I @ c.T).T @ (I @ q) / sqrt(d);
+    # a row-major c @ q sums in another order and misses them by an ulp.
+    rng = make_rng(22)
+    eye = np.eye(d)
+    for _ in range(200):
+        q = rng.normal(size=d)
+        centers = rng.normal(size=(int(rng.integers(1, 13)), d))
+        want = (eye @ centers.T).T @ (eye @ q) / math.sqrt(d)
+        assert attention_scores(q, centers).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- diversity
@@ -323,10 +321,6 @@ def test_diversity_grad_finite_difference():
 # ---------------------------------------------------------------- aggregate
 
 
-def identity_proj(d):
-    return ProjectionPair(np.eye(d), np.eye(d))
-
-
 def test_initial_aggregate_is_mean():
     rng = make_rng(70)
     feats = rng.normal(size=(12, 5))
@@ -337,7 +331,7 @@ def test_aggregate_all_equal_centers_returns_that_center():
     d = 6
     centers = np.tile(np.linspace(1, 2, d), (5, 1))
     q = np.ones(d)
-    r = aggregate_over_centers(q, centers, identity_proj(d), top_k=3)
+    r = aggregate_over_centers(q, centers, top_k=3)
     assert np.allclose(r.aggregated, centers[0], atol=1e-12)
     assert not r.degenerate
 
@@ -349,7 +343,7 @@ def test_aggregate_dominant_center_wins():
     q = rng.normal(size=d)
     # push one center to overwhelming alignment with q
     centers[3] = q * 50.0
-    r = aggregate_over_centers(q, centers, identity_proj(d), top_k=2)
+    r = aggregate_over_centers(q, centers, top_k=2)
     assert r.selected[0] == 3
     assert np.allclose(r.aggregated, centers[3], atol=1e-10 * 50)
     assert r.weights[0] > 1.0 - 1e-12
@@ -363,24 +357,20 @@ def test_aggregate_composition_oracle():
     for _ in range(30):
         q = rng.normal(size=d)
         centers = rng.normal(size=(K, d))
-        wq = rng.normal(size=(d, d))
-        wk = rng.normal(size=(d, d))
-        proj = ProjectionPair(wq, wk)
-        r = aggregate_over_centers(q, centers, proj, top_k=topk)
-        s = attention_scores(q, centers, proj)
+        r = aggregate_over_centers(q, centers, top_k=topk)
+        s = attention_scores(q, centers)
         order = sorted(range(K), key=lambda i: (-s[i], i))[:topk]
         assert r.selected.tolist() == order
         w = softmax(s[order])
         assert np.allclose(r.weights, w, atol=1e-12)
         assert np.allclose(r.aggregated, w @ centers[order], atol=1e-10)
-        assert r.diversity == pytest.approx(diversity_loss(s), abs=1e-12)
 
 
 def test_aggregate_clamps_top_k():
     d = 4
     centers = make_rng(74).normal(size=(2, d))
     q = np.ones(d)
-    r = aggregate_over_centers(q, centers, identity_proj(d), top_k=5)
+    r = aggregate_over_centers(q, centers, top_k=5)
     assert len(r.selected) == 2
     assert np.isclose(r.weights.sum(), 1.0)
 
@@ -395,7 +385,7 @@ def test_blend_noiseless_exactness():
     c = np.linspace(0.5, 2.0, d)
     centers = np.tile(c, (4, 1))
     q = c / np.linalg.norm(c)
-    r = aggregate_over_centers(q, centers, identity_proj(d), top_k=3)
+    r = aggregate_over_centers(q, centers, top_k=3)
     qn, scale, flag = blend_and_rescale(q, 1.0, r, centers, beta=0.6)
     assert flag == ""
     assert np.allclose(qn * scale, c, atol=1e-10)
@@ -407,7 +397,7 @@ def test_blend_population_weighted_anchor():
     centers = np.array([[2.0, 0.0, 0.0], [0.0, 4.0, 0.0], [0.0, 0.0, 6.0]])
     sizes = np.array([10, 5, 1])
     q = np.array([1.0, 0.0, 0.0])
-    r = aggregate_over_centers(q, centers, identity_proj(d), top_k=2)
+    r = aggregate_over_centers(q, centers, top_k=2)
     sel = r.selected
     w = sizes[sel].astype(float)
     want = float(w @ np.linalg.norm(centers[sel], axis=1) / w.sum())
@@ -420,7 +410,7 @@ def test_blend_zero_flag():
     d = 4
     centers = np.zeros((3, d))
     q = np.zeros(d)
-    r = aggregate_over_centers(q, centers, identity_proj(d), top_k=2)
+    r = aggregate_over_centers(q, centers, top_k=2)
     qn, scale, flag = blend_and_rescale(q, 1.0, r, centers, beta=0.6)
     assert flag == "degenerate-zero-blend"
     assert np.all(np.isfinite(qn)) and np.isfinite(scale)
@@ -432,7 +422,7 @@ def test_blend_beta_zero_takes_aggregate_direction():
     centers = rng.normal(size=(6, d)) + 3.0
     q = rng.normal(size=d)
     q /= np.linalg.norm(q)
-    r = aggregate_over_centers(q, centers, identity_proj(d), top_k=3)
+    r = aggregate_over_centers(q, centers, top_k=3)
     qn, _, _ = blend_and_rescale(q, 1.0, r, centers, beta=0.0)
     want = r.aggregated / np.linalg.norm(r.aggregated)
     assert np.allclose(qn, want, atol=1e-12)
@@ -445,10 +435,10 @@ def test_evolve_noiseless_on_target_query():
     cfg = SceneConfig(n_objects=1, noise_sigma=0.0, background_points=0)
     fr = generate_frame(cfg, make_rng(3))
     gt = fr.boxes[0]
-    proj = identity_proj(fr.d)
-    qs = init_pillars(1, 1, (gt.x - 1, gt.x + 1, gt.y - 1, gt.y + 1))
+    qs = QuerySet([Pillar(attrs=BoxAttributes(gt.x, gt.y, 0.8, 2.0, 4.5, 1.6, 0.0, 0.0, 0.0),
+                          feat=np.zeros(0))])
     params = DqemParams(k=3, top_k=2, beta=0.0, radius=8.0, iterations=1)
-    out, traces = evolve_queries(qs, fr, params, proj, make_rng(5))
+    out, traces = evolve_queries(qs, fr, params, make_rng(5))
     p = out.pillars[0]
     assert p.flag == ""
     dec = decode_feature(p.feat * p.feat_scale, fr.encoder_seed)
@@ -461,9 +451,10 @@ def test_evolve_noiseless_on_target_query():
 def test_evolve_empty_neighborhood_flagged():
     cfg = SceneConfig(n_objects=1, background_points=0)
     fr = generate_frame(cfg, make_rng(2))
-    qs = init_pillars(1, 1, (1000.0, 1002.0, 1000.0, 1002.0))
+    qs = QuerySet([Pillar(attrs=BoxAttributes(1001.0, 1001.0, 0.8, 2.0, 4.5, 1.6, 0.0, 0.0, 0.0),
+                          feat=np.zeros(0))])
     params = DqemParams()
-    out, traces = evolve_queries(qs, fr, params, identity_proj(fr.d), make_rng(1))
+    out, traces = evolve_queries(qs, fr, params, make_rng(1))
     assert out.pillars[0].flag == "empty"
     assert extract_detections(out, traces) == []
 
@@ -473,9 +464,8 @@ def test_evolve_deterministic():
     fr = generate_frame(cfg, make_rng(14))
     qs = init_pillars(4, 4, 50.0)
     params = DqemParams(iterations=2)
-    proj = identity_proj(fr.d)
-    a, _ = evolve_queries(qs, fr, params, proj, make_rng(9))
-    b, _ = evolve_queries(qs, fr, params, proj, make_rng(9))
+    a, _ = evolve_queries(qs, fr, params, make_rng(9))
+    b, _ = evolve_queries(qs, fr, params, make_rng(9))
     for pa, pb in zip(a.pillars, b.pillars):
         assert np.array_equal(pa.feat, pb.feat)
         assert pa.feat_scale == pb.feat_scale
@@ -488,7 +478,7 @@ def test_evolve_outputs_finite_on_hard_scenes():
     fr = generate_frame(cfg, make_rng(44))
     qs = init_pillars(5, 5, 50.0)
     params = DqemParams(k=6, top_k=4, radius=6.0)
-    out, traces = evolve_queries(qs, fr, params, identity_proj(fr.d), make_rng(4))
+    out, traces = evolve_queries(qs, fr, params, make_rng(4))
     for p in out.pillars:
         assert np.all(np.isfinite(p.feat))
         assert np.isfinite(p.feat_scale)
@@ -516,8 +506,8 @@ def test_fit_zero_steps_is_near_identity_init():
     params = DqemParams(iterations=1)
     res = fit_projections(frames, params, steps=0, rng=make_rng(1))
     d = frames[0].d
-    assert np.allclose(res.projections.w_q, np.eye(d), atol=0.05)
-    assert np.allclose(res.projections.w_k, np.eye(d), atol=0.05)
+    assert np.allclose(res.w_q, np.eye(d), atol=0.05)
+    assert np.allclose(res.w_k, np.eye(d), atol=0.05)
     # log holds only the objective at the starting point
     assert len(res.objective_log) == 1
 
@@ -538,7 +528,7 @@ def test_fit_deterministic():
     params = DqemParams(iterations=1)
     a = fit_projections(frames, params, steps=4, rng=make_rng(3))
     b = fit_projections(frames, params, steps=4, rng=make_rng(3))
-    assert np.array_equal(a.projections.w_q, b.projections.w_q)
+    assert np.array_equal(a.w_q, b.w_q)
     assert a.objective_log == b.objective_log
 
 

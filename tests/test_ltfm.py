@@ -1,17 +1,17 @@
 import copy
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import qebev.dqem
 import qebev.ltfm
-from qebev.bevscene import SceneConfig, generate_sequence
+from qebev.bevscene import SceneConfig, generate_frame, generate_sequence
 from qebev.dqem import (
     Detection,
     DqemParams,
-    ProjectionPair,
     aggregate_over_centers,
     kmeans,
 )
@@ -26,10 +26,6 @@ from qebev.ltfm import (
 )
 from qebev import evolve_queries, init_pillars
 from qebev.numerics import derive_seed, draw_seed, make_rng
-
-
-def identity_proj(d):
-    return ProjectionPair(np.eye(d), np.eye(d))
 
 
 # ------------------------------------------------------------- primitives
@@ -58,13 +54,11 @@ def test_temporal_aggregate_no_history_matches_plain():
     pts = rng.normal(size=(50, 8))
     cs = kmeans(pts, 5, 20, make_rng(1))
     q = rng.normal(size=8)
-    proj = identity_proj(8)
-    a = temporal_aggregate(q, cs, None, proj, top_k=3)
-    b = aggregate_over_centers(q, cs.centers, proj, top_k=3)
+    a = temporal_aggregate(q, cs, None, top_k=3)
+    b = aggregate_over_centers(q, cs.centers, top_k=3)
     assert np.array_equal(a.selected, b.selected)
     assert np.array_equal(a.weights, b.weights)
     assert np.array_equal(a.aggregated, b.aggregated)
-    assert a.diversity == b.diversity
 
 
 def test_temporal_aggregate_pools_center_sets():
@@ -72,17 +66,16 @@ def test_temporal_aggregate_pools_center_sets():
     cur = kmeans(rng.normal(size=(40, 6)), 4, 20, make_rng(2))
     prev = kmeans(rng.normal(size=(40, 6)) + 2.0, 3, 20, make_rng(3))
     q = rng.normal(size=6)
-    proj = identity_proj(6)
-    r = temporal_aggregate(q, cur, prev, proj, top_k=3)
+    r = temporal_aggregate(q, cur, prev, top_k=3)
     pooled = np.vstack([cur.centers, prev.centers])
-    want = aggregate_over_centers(q, pooled, proj, top_k=3)
+    want = aggregate_over_centers(q, pooled, top_k=3)
     assert np.array_equal(r.selected, want.selected)
     assert np.allclose(r.aggregated, want.aggregated, atol=1e-12)
 
 
 def test_temporal_aggregate_both_empty_flagged():
     q = np.ones(4)
-    r = temporal_aggregate(q, None, None, identity_proj(4), top_k=2)
+    r = temporal_aggregate(q, None, None, top_k=2)
     assert r.degenerate
     assert np.all(np.isfinite(r.aggregated))
 
@@ -104,23 +97,23 @@ def det_at(x, y, vx=0.0, vy=0.0, frame=0, qid=0):
 
 def test_velocity_no_history_uses_channel():
     d = det_at(5.0, 5.0, vx=2.0, vy=-1.0)
-    v = _velocity_estimate(d, [], stride=2, interval=0.5)
+    v = _velocity_estimate(d, [], dt=1.0)
     assert np.allclose(v, [2.0, -1.0])
 
 
 def test_velocity_gate_exceeded_uses_channel():
     d = det_at(0.0, 0.0, vx=1.0, vy=0.0)
     far = [det_at(50.0, 50.0, frame=0)]
-    v = _velocity_estimate(d, far, stride=2, interval=0.5)
+    v = _velocity_estimate(d, far, dt=1.0)
     assert np.allclose(v, [1.0, 0.0])
 
 
 def test_velocity_association_mixes_motion_and_channel():
     # object at (3, 0) moving +x at 2 m/s, dt = 1 s; it was near (1, 0)
-    dt = 2 * 0.5
+    dt = 1.0
     cur = det_at(3.0, 0.0, vx=2.0, vy=0.0, frame=2)
     prev = [det_at(1.2, 0.0, frame=0), det_at(-8.0, 4.0, frame=0)]
-    v = _velocity_estimate(cur, prev, stride=2, interval=0.5)
+    v = _velocity_estimate(cur, prev, dt=1.0)
     v_mot = (np.array([3.0, 0.0]) - np.array([1.2, 0.0])) / dt
     assert np.allclose(v, 0.5 * (v_mot + np.array([2.0, 0.0])), atol=1e-12)
 
@@ -133,7 +126,7 @@ def test_velocity_backtracks_with_channel_prediction():
     # predicted back-position is (-4, 0)
     right = det_at(-3.8, 0.0, frame=0, qid=1)
     wrong = det_at(0.5, 0.0, frame=0, qid=2)
-    v = _velocity_estimate(cur, [wrong, right], stride=2, interval=0.5)
+    v = _velocity_estimate(cur, [wrong, right], dt=1.0)
     v_mot = (np.array([0.0, 0.0]) - np.array([-3.8, 0.0])) / dt
     assert np.allclose(v, 0.5 * (v_mot + np.array([4.0, 0.0])), atol=1e-12)
 
@@ -160,9 +153,8 @@ def test_run_sequence_single_frame_matches_no_temporal():
     cfg = tiny_scene()
     seq = generate_sequence(cfg, 1, 0.5, make_rng(10))
     params = DqemParams(radius=10.0, iterations=2)
-    proj = identity_proj(cfg.d)
-    with_t = run_sequence(seq, params, TemporalParams(), proj, make_rng(3), **run_kwargs())
-    without = run_sequence(seq, params, None, proj, make_rng(3), **run_kwargs())
+    with_t = run_sequence(seq.frames, params, TemporalParams(), make_rng(3), **run_kwargs())
+    without = run_sequence(seq.frames, params, None, make_rng(3), **run_kwargs())
     assert len(with_t.frames) == len(without.frames) == 1
     assert not with_t.frames[0].fused
     da, db = with_t.frames[0].detections, without.frames[0].detections
@@ -190,9 +182,8 @@ def test_evolve_queries_matches_run_sequence_frame_by_frame(iterations):
     for s in (20, 21, 22):
         cfg = tiny_scene()
         seq = generate_sequence(cfg, 3, 0.5, make_rng(100 + s))
-        proj = identity_proj(cfg.d)
-        res = run_sequence(seq, params, None, proj, make_rng(s), **run_kwargs())
-        frames = list(iter_sequence(seq, params, None, proj, make_rng(s), **run_kwargs()))
+        res = run_sequence(seq.frames, params, None, make_rng(s), **run_kwargs())
+        frames = list(iter_sequence(seq.frames, params, None, make_rng(s), **run_kwargs()))
         assert len(res.frames) == len(frames) == len(seq.frames)
         for t, (frame, done, (fr, queries, fr_traces)) in enumerate(
             zip(seq.frames, res.frames, frames)
@@ -200,7 +191,7 @@ def test_evolve_queries_matches_run_sequence_frame_by_frame(iterations):
             assert [d.box.tobytes() for d in done.detections] \
                 == [d.box.tobytes() for d in fr.detections]
             frame_rng = make_rng(derive_seed(draw_seed(make_rng(s)), f"frame:{t}"))
-            out, traces = evolve_queries(init_pillars(4, 4, 30.0), frame, params, proj, frame_rng)
+            out, traces = evolve_queries(init_pillars(4, 4, 30.0), frame, params, frame_rng)
             assert len(out) == len(queries) and len(traces) == len(fr_traces)
             for pa, ta, pb, tb in zip(out.pillars, traces, queries.pillars, fr_traces):
                 assert same_bits(pa.attrs.as_array(), pb.attrs.as_array())
@@ -222,10 +213,9 @@ def test_run_sequence_none_tparams_matches_never_fusing_stride():
     cfg = tiny_scene()
     seq = generate_sequence(cfg, 4, 0.5, make_rng(11))
     params = DqemParams(radius=10.0, iterations=1)
-    proj = identity_proj(cfg.d)
-    plain = run_sequence(seq, params, None, proj, make_rng(5), **run_kwargs())
-    never = run_sequence(seq, params, TemporalParams(stride=99), proj,
-                         make_rng(5), **run_kwargs())
+    plain = run_sequence(seq.frames, params, None, make_rng(5), **run_kwargs())
+    never = run_sequence(seq.frames, params, TemporalParams(stride=99), make_rng(5),
+                         **run_kwargs())
     for fa, fb in zip(plain.frames, never.frames):
         assert not fb.fused
         assert len(fa.detections) == len(fb.detections)
@@ -238,8 +228,8 @@ def test_run_sequence_fused_flags_and_count():
     cfg = tiny_scene()
     seq = generate_sequence(cfg, 5, 0.5, make_rng(12))
     params = DqemParams(radius=10.0, iterations=1)
-    res = run_sequence(seq, params, TemporalParams(stride=2),
-                       identity_proj(cfg.d), make_rng(6), **run_kwargs())
+    res = run_sequence(seq.frames, params, TemporalParams(stride=2), make_rng(6),
+                       **run_kwargs())
     flags = [f.fused for f in res.frames]
     assert flags == [False, False, True, False, True]
     assert sum(flags) == (5 - 1) // 2
@@ -252,8 +242,8 @@ def test_run_sequence_static_noiseless_low_velocity():
                      speed_min=0.0, speed_max=0.0)
     seq = generate_sequence(cfg, 4, 0.5, make_rng(13))
     params = DqemParams(radius=12.0, iterations=1, beta=0.0)
-    res = run_sequence(seq, params, TemporalParams(stride=2),
-                       identity_proj(cfg.d), make_rng(7), **run_kwargs())
+    res = run_sequence(seq.frames, params, TemporalParams(stride=2), make_rng(7),
+                       **run_kwargs())
     assert any(fr.detections for fr in res.frames)
     for fr in res.frames:
         for det in fr.detections:
@@ -264,9 +254,8 @@ def test_run_sequence_deterministic():
     cfg = tiny_scene()
     seq = generate_sequence(cfg, 4, 0.5, make_rng(14))
     params = DqemParams(radius=10.0, iterations=1)
-    proj = identity_proj(cfg.d)
-    a = run_sequence(seq, params, TemporalParams(), proj, make_rng(8), **run_kwargs())
-    b = run_sequence(seq, params, TemporalParams(), proj, make_rng(8), **run_kwargs())
+    a = run_sequence(seq.frames, params, TemporalParams(), make_rng(8), **run_kwargs())
+    b = run_sequence(seq.frames, params, TemporalParams(), make_rng(8), **run_kwargs())
     for fa, fb in zip(a.frames, b.frames):
         assert fa.fused == fb.fused
         assert len(fa.detections) == len(fb.detections)
@@ -298,8 +287,7 @@ def test_fused_frames_make_same_kmeans_calls_per_frame(monkeypatch):
     cfg = tiny_scene(background_points=200, bounds=12.0)
     seq = generate_sequence(cfg, 3, 0.5, make_rng(15))
     params = DqemParams(radius=40.0, iterations=3)  # radius covers the scene
-    res = run_sequence(seq, params, TemporalParams(stride=2),
-                       identity_proj(cfg.d), make_rng(9),
+    res = run_sequence(seq.frames, params, TemporalParams(stride=2), make_rng(9),
                        grid_nx=2, grid_ny=2, bounds=12.0)
     assert res.frames[2].fused
     expected = 2 * 2 * params.iterations
@@ -307,11 +295,47 @@ def test_fused_frames_make_same_kmeans_calls_per_frame(monkeypatch):
     assert set(counts.values()) == {expected}
 
 
+def test_fused_velocities_use_the_timestamp_gap():
+    # Restamped 0, 0.5, 2, 3.5, 5 s: fused frames 2 and 4 lie 2 s and 3 s
+    # after the frame one stride back, and each fused velocity is the
+    # estimate over that gap, bit for bit.
+    seq = generate_sequence(tiny_scene(speed_min=1.0, speed_max=3.0), 5, 0.5, make_rng(18))
+    frames = [replace(fr, timestamp=ts) for fr, ts in zip(seq.frames, (0.0, 0.5, 2.0, 3.5, 5.0))]
+    res = run_sequence(frames, DqemParams(radius=10.0, iterations=1), TemporalParams(stride=2),
+                       make_rng(3), **run_kwargs())
+    hits = 0
+    for t in (2, 4):
+        assert res.frames[t].fused
+        dt = frames[t].timestamp - frames[t - 2].timestamp
+        for det in res.frames[t].detections:
+            want = _velocity_estimate(det, res.frames[t - 2].detections, dt)
+            assert same_bits(det.velocity, want)
+            hits += not np.array_equal(want, det.box[7:9])
+    assert hits > 0
+
+
+@pytest.mark.parametrize("stride, stamps", [
+    (1, (0.0, 0.0)), (1, (1.0, 0.5)), (2, (0.0, 1.0, 0.0)),
+])
+def test_iter_sequence_rejects_a_fused_frame_not_later_than_a_stride_back(stride, stamps):
+    frames = [replace(generate_frame(tiny_scene(), make_rng(30 + i)), timestamp=ts)
+              for i, ts in enumerate(stamps)]
+    t = len(stamps) - 1
+    message = (f"^frame {t} \\(timestamp {stamps[t]}\\) is not later than frame 0 "
+               f"\\(timestamp {stamps[0]}\\), one stride back$")
+    params = DqemParams(radius=10.0, iterations=1)
+    with pytest.raises(ValueError, match=message):
+        list(iter_sequence(frames, params, TemporalParams(stride=stride), make_rng(1),
+                           **run_kwargs()))
+    # Without fusion no frame differences over time.
+    assert len(list(iter_sequence(frames, params, None, make_rng(1), **run_kwargs()))) == t + 1
+
+
 def test_run_sequence_interval_passthrough():
     cfg = tiny_scene()
     seq = generate_sequence(cfg, 2, 0.25, make_rng(16))
-    res = run_sequence(seq, DqemParams(radius=10.0, iterations=1), None,
-                       identity_proj(cfg.d), make_rng(1), **run_kwargs())
+    res = run_sequence(seq.frames, DqemParams(radius=10.0, iterations=1), None, make_rng(1),
+                       **run_kwargs())
     assert res.frames[1].timestamp == pytest.approx(0.25)
 
 
@@ -337,8 +361,8 @@ def test_run_sequence_memory_grows_only_by_its_detections():
         seq = generate_sequence(cfg, n, 0.5, make_rng(17))
 
         def run():
-            return run_sequence(seq, params, TemporalParams(), identity_proj(cfg.d),
-                                make_rng(4), grid_nx=8, grid_ny=8, bounds=30.0)
+            return run_sequence(seq.frames, params, TemporalParams(), make_rng(4),
+                                grid_nx=8, grid_ny=8, bounds=30.0)
 
         run()  # builds the frames' cell indices outside the traced run
         res, peak, _ = traced_memory(run)
