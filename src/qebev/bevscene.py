@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from array import array
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -198,20 +199,6 @@ def standardize(attrs: np.ndarray) -> np.ndarray:
     return out
 
 
-def destandardize(channels: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`standardize`; yaw is re-wrapped."""
-    c = np.asarray(channels, dtype=np.float64)
-    out = np.empty_like(c)
-    out[..., 0] = c[..., 0] * POSITION_SCALE
-    out[..., 1] = c[..., 1] * POSITION_SCALE
-    out[..., 2] = c[..., 2] * HEIGHT_SCALE
-    out[..., 3:6] = np.exp(c[..., 3:6])
-    out[..., 6] = (c[..., 6] * math.pi + math.pi) % (2.0 * math.pi) - math.pi
-    out[..., 7] = c[..., 7] * VELOCITY_SCALE
-    out[..., 8] = c[..., 8] * VELOCITY_SCALE
-    return out
-
-
 @lru_cache(maxsize=64)
 def encoding_matrix(encoder_seed: int, d: int) -> np.ndarray:
     """Seeded (d, 9) matrix with orthonormal columns.
@@ -260,13 +247,23 @@ def decode_feature(
     f = np.asarray(feat, dtype=np.float64)
     if f.ndim != 1:
         raise ValueError("decode_feature expects a single feature vector")
-    if float(np.linalg.norm(f)) <= tau_bg:
+    # The vector 2-norm, computed as np.linalg.norm computes it.
+    if math.sqrt(f.dot(f)) <= tau_bg:
         return None
     e = encoding_matrix(encoder_seed, f.shape[0])
     channels = e.T @ f
-    if not all(_LOG_SIZE_MIN <= v <= _LOG_SIZE_MAX for v in channels[3:6].tolist()):
+    x, y, z, log_w, log_l, log_h, yaw, vx, vy = channels.tolist()
+    if not all(_LOG_SIZE_MIN <= v <= _LOG_SIZE_MAX for v in (log_w, log_l, log_h)):
         raise ValueError(_SIZE_OVERFLOW)
-    return BoxAttributes.from_array(destandardize(channels))
+    # Undo standardize() channel by channel.  The sizes take numpy's exp,
+    # which rounds some values differently from math.exp.  The yaw is
+    # wrapped here and again by BoxAttributes: a single wrap rounds some
+    # angles differently.
+    w, l, h = np.exp(channels[3:6]).tolist()
+    return BoxAttributes(
+        x * POSITION_SCALE, y * POSITION_SCALE, z * HEIGHT_SCALE, w, l, h,
+        wrap_angle(yaw * math.pi), vx * VELOCITY_SCALE, vy * VELOCITY_SCALE,
+    )
 
 
 # Center draws an object gets before the scene counts as over-packed.
@@ -418,6 +415,37 @@ def write_scenes(frames: Iterable[Frame], path: str) -> None:
             fh.write("\n")
 
 
+def _packed_point(obj: dict) -> dict | array:
+    """json.loads object hook: a point record ``{"xy": [x, y], "f": [...]}``
+    becomes one packed float64 row (x, y, then the features).
+
+    A parsed line then holds one small buffer per point instead of a dict,
+    two lists and their float objects.  Any other object, and a point whose
+    values are not two coordinates and a list of numbers, stays as parsed.
+    """
+    xy, f = obj.get("xy"), obj.get("f")
+    if type(xy) is list and len(xy) == 2 and type(f) is list:
+        try:
+            return array("d", xy + f)
+        except (TypeError, OverflowError):
+            pass
+    return obj
+
+
+def _point_arrays(records: list) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, 2) positions and (n, d) features of a line's packed points."""
+    try:
+        packed = b"".join(records)  # buffers only: any unpacked record fails
+    except TypeError:
+        bad = next(i for i, row in enumerate(records) if not isinstance(row, array))
+        raise ValueError(f"point {bad}: not an xy pair and a list of numbers") from None
+    width = len(records[0])
+    if any(len(row) != width for row in records):
+        raise ValueError("points differ in feature width")
+    table = np.frombuffer(packed).reshape(len(records), width)
+    return table[:, :2].copy(), table[:, 2:].copy()
+
+
 def read_scenes(path: str) -> list[Frame]:
     """Parse a scene JSONL file back into frames, timestamps strictly rising."""
     frames: list[Frame] = []
@@ -428,7 +456,7 @@ def read_scenes(path: str) -> list[Frame]:
             if line.isspace():
                 continue
             try:
-                rec = json.loads(line)
+                rec = json.loads(line, object_hook=_packed_point)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{line_no}: bad JSON ({exc})") from exc
             del line
@@ -437,9 +465,7 @@ def read_scenes(path: str) -> list[Frame]:
                 gt_rows = [np.asarray(g["box"], dtype=np.float64) for g in rec["gt"]]
                 track_ids = [int(g["track_id"]) for g in rec["gt"]]
                 if rec["points"]:
-                    xy = np.array([p["xy"] for p in rec["points"]], dtype=np.float64)
-                    feat = np.array([p["f"] for p in rec["points"]], dtype=np.float64)
-                    points = PointSet(xy, feat)
+                    points = PointSet(*_point_arrays(rec["points"]))
                 else:
                     points = PointSet.empty(d)
                 timestamp = float(rec["timestamp"])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -147,8 +148,10 @@ def _scene_config(args: argparse.Namespace) -> SceneConfig:
     )
 
 
-def _dqem_params(args: argparse.Namespace) -> DqemParams:
-    return DqemParams(
+def _detect_params(args: argparse.Namespace) -> tuple[DqemParams, TemporalParams]:
+    """The detection settings, every value checked before a run reads,
+    draws or writes anything."""
+    params = DqemParams(
         k=args.k,
         top_k=args.topk,
         beta=args.beta,
@@ -157,18 +160,27 @@ def _dqem_params(args: argparse.Namespace) -> DqemParams:
         kmeans_iters=args.kmeans_iters,
         tau_bg=args.tau_bg,
     )
+    # Built even without --temporal, so that a bad --alpha or --stride fails.
+    tparams = TemporalParams(alpha=args.alpha, stride=args.stride)
+    if not args.dedup_radius >= 0.0:
+        # dedup_detections' check, made before detection runs.
+        raise ValueError("dedup radius must be non-negative")
+    return params, tparams
 
 
-def _detect_over_scenes(args: argparse.Namespace, scenes_path: str, out_path: str) -> None:
+def _detect_over_scenes(
+    args: argparse.Namespace,
+    params: DqemParams,
+    tparams: TemporalParams,
+    scenes_path: str,
+    out_path: str,
+) -> None:
     frames = read_scenes(scenes_path)
     if not frames:
         raise ValueError(f"{scenes_path}: no frames")
     widths = {f.d for f in frames}
     if len(widths) != 1:
         raise ValueError(f"{scenes_path}: mixed feature widths {sorted(widths)}")
-    params = _dqem_params(args)
-    # Built even without --temporal, so that a bad --alpha or --stride fails.
-    tparams = TemporalParams(alpha=args.alpha, stride=args.stride)
     result = run_sequence(
         frames, params, tparams if args.temporal else None,
         make_rng(derive_seed(args.seed, "detect")),
@@ -207,7 +219,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
 
 
 def _run_detect(args: argparse.Namespace) -> int:
-    _detect_over_scenes(args, args.scenes, args.out)
+    _detect_over_scenes(args, *_detect_params(args), args.scenes, args.out)
     print(f"wrote detections to {args.out}")
     return 0
 
@@ -302,12 +314,16 @@ def _run_pipeline(args: argparse.Namespace) -> int:
     report_path = os.path.join(args.out_dir, "report.json")
 
     cfg = _scene_config(args)
+    params, tparams = _detect_params(args)
+    if not args.tp_threshold > 0.0 or not math.isfinite(args.tp_threshold):
+        # evaluate_detections' check, made before anything is simulated.
+        raise ValueError(f"tp_threshold must be positive and finite, got {args.tp_threshold}")
     seq = generate_sequence(
         cfg, args.frames, args.interval, make_rng(derive_seed(args.seed, "simulate"))
     )
     os.makedirs(args.out_dir, exist_ok=True)
     write_scenes(seq.frames, scenes_path)
-    _detect_over_scenes(args, scenes_path, dets_path)
+    _detect_over_scenes(args, params, tparams, scenes_path, dets_path)
 
     report = evaluate_detections(
         read_detections(dets_path),
@@ -316,7 +332,7 @@ def _run_pipeline(args: argparse.Namespace) -> int:
         # Everything the run depends on, echoed into its report.
         config={
             "seed": args.seed, "frames": args.frames, "interval": args.interval,
-            "scene": asdict(cfg), "detect": asdict(_dqem_params(args)),
+            "scene": asdict(cfg), "detect": asdict(params),
             "temporal": args.temporal, "tp_threshold": args.tp_threshold,
         },
     )

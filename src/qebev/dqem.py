@@ -300,50 +300,62 @@ def _kmeans_pp_draws(k: int, n: int) -> int:
     return min(2 + int(math.log(k)), n) if k > 1 else 1
 
 
-def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp_init(
+    x: np.ndarray, k: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
     """k-means++ seeding with greedy local trials (better single-run optima).
 
-    Stops early, returning fewer than ``k`` centers, once every point
-    coincides with a chosen center.  The trial count then follows the
-    number of centers actually found: if it differs from the one for ``k``,
-    the generator is rewound and the seeding redone with that count, so
-    the generator always ends where seeding for the found count leaves it.
+    Returns the centers and their (n, found) squared-distance columns, the
+    distances Lloyd's first pass needs.  Stops early, returning fewer
+    than ``k`` centers, once every point coincides with a chosen center.
+    The trial count then follows the number of centers actually found: if
+    it differs from the one for ``k``, the generator is rewound and the
+    seeding redone with that count, so the generator always ends where
+    seeding for the found count leaves it.
     """
     n = x.shape[0]
     start = rng.bit_generator.state
     while True:
-        centers = _kmeans_pp_pass(x, k, rng)
+        centers, d2 = _kmeans_pp_pass(x, k, rng)
         found = centers.shape[0]
         if _kmeans_pp_draws(found, n) == _kmeans_pp_draws(k, n):
-            return centers
+            return centers, d2
         rng.bit_generator.state = start
         k = found
 
 
-def _kmeans_pp_pass(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp_pass(
+    x: np.ndarray, k: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
     n = x.shape[0]
     n_draws = _kmeans_pp_draws(k, n)
-    centers = np.empty((k, x.shape[1]))
-    first = int(rng.integers(n))
-    centers[0] = x[first]
-    d2 = pairwise_sq_dist(x, centers[:1])[:, 0]
+    picked = [int(rng.integers(n))]
+    # Row j: the squared distances to center j, as pairwise_sq_dist(x,
+    # centers) computes its column j.
+    cols = np.empty((k, n))
+    cols[0] = pairwise_sq_dist(x, x.take(picked, axis=0))[:, 0]
+    d2 = cols[0].copy()
+    pot = np.empty((n, n_draws))
     for j in range(1, k):
-        total = d2.sum()
+        total = np.add.reduce(d2)
         if total <= 0.0:
             # All remaining points coincide with chosen centers.
-            return centers[:j]
+            break
         if not math.isfinite(total):
             raise ValueError("k-means++ potential is not finite (non-finite or overflowing features)")
         # rng.choice(n, n_draws, p=d2 / total), as numpy computes it.
-        cdf = (d2 / total).cumsum()
+        cdf = np.divide(d2, total)
+        cdf.cumsum(out=cdf)
         cdf /= cdf[-1]
         cand = cdf.searchsorted(rng.random(n_draws), side="right")
         # Keep the candidate that lowers the potential the most.
-        cand_d2 = np.minimum(d2[:, None], pairwise_sq_dist(x, x.take(cand, axis=0)))
-        best = int(cand_d2.sum(axis=0).argmin())
-        centers[j] = x[cand[best]]
-        d2 = cand_d2[:, best]
-    return centers
+        raw = pairwise_sq_dist(x, x.take(cand, axis=0))
+        np.minimum(d2[:, None], raw, out=pot)
+        best = int(np.add.reduce(pot, axis=0).argmin())
+        picked.append(int(cand[best]))
+        cols[j] = raw[:, best]
+        np.minimum(d2, cols[j], out=d2)
+    return x.take(picked, axis=0), cols[: len(picked)].T
 
 
 def kmeans(
@@ -384,29 +396,32 @@ def kmeans(
 
 def _kmeans_once(x: np.ndarray, k: int, iters: int, rng: np.random.Generator) -> ClusterSet:
     n, d = x.shape
-    centers = _kmeans_pp_init(x, k, rng)
+    # Distances to the current centers: the seeding's for the first pass;
+    # after that, the pass that scores an update also gives the next round
+    # its assignment distances.
+    centers, d2 = _kmeans_pp_init(x, k, rng)
     k_eff = centers.shape[0]
     flat_x = x.ravel()
-    # Column of each flat_x entry, and the flat position in d2 of row i, column 0.
-    cols = np.tile(np.arange(d), n)
+    # bins[c, j]: the bin of column j of cluster c in the per-cluster sums;
+    # row_starts[i]: the flat position in d2 of row i, column 0.
+    bins = np.arange(k_eff * d).reshape(k_eff, d)
     row_starts = np.arange(0, n * k_eff, k_eff)
 
     trace: list[float] = []
-    prev_assign: np.ndarray | None = None
-    # Distances to the current centers.  The pass that scores an update
-    # also gives the next round its assignment distances.
-    d2 = pairwise_sq_dist(x, centers)
+    prev_assign = b""
     for _ in range(iters):
         assign = d2.argmin(axis=1)
-        if prev_assign is not None and (assign == prev_assign).all():
+        # Equal int64 bytes are equal assignments.
+        assign_bytes = assign.tobytes()
+        if assign_bytes == prev_assign:
             break
         counts = np.bincount(assign, minlength=k_eff)
         # Per-cluster feature sums: one bincount over (cluster, column) bins
         # adds each cluster's rows in point order from +0.0, as np.add.at does.
         sums = np.bincount(
-            (assign * d).repeat(d) + cols, weights=flat_x, minlength=k_eff * d
+            bins.take(assign, axis=0).ravel(), weights=flat_x, minlength=k_eff * d
         ).reshape(k_eff, d)
-        if counts.all():
+        if np.count_nonzero(counts) == k_eff:
             centers = sums / counts[:, None]
         else:
             nonempty = counts > 0
@@ -415,12 +430,12 @@ def _kmeans_once(x: np.ndarray, k: int, iters: int, rng: np.random.Generator) ->
             for j in np.flatnonzero(~nonempty):
                 centers[j] = x[int(np.argmax(d2[:, j]))]
         d2 = pairwise_sq_dist(x, centers)
-        trace.append(float(d2.take(row_starts + assign).sum()))
-        prev_assign = assign
+        trace.append(float(np.add.reduce(d2.take(row_starts + assign))))
+        prev_assign = assign_bytes
 
     # Compact away clusters left empty by the final assignment, whose
     # counts are the last ones taken (a break repeats that assignment).
-    if not counts.all():
+    if np.count_nonzero(counts) < k_eff:
         keep = np.flatnonzero(counts)
         relabel = np.full(k_eff, -1, dtype=np.int64)
         relabel[keep] = np.arange(keep.size)
@@ -488,10 +503,9 @@ def aggregate_over_centers(q: np.ndarray, centers: np.ndarray, top_k: int) -> At
             degenerate=True,
         )
     scores = attention_scores(qv, c)
-    kt = min(top_k, c.shape[0])
-    selected = top_k_indices(scores, kt)
-    weights = softmax(scores[selected])
-    aggregated = weights @ c[selected]
+    selected = top_k_indices(scores, min(top_k, c.shape[0]))
+    weights = softmax(scores.take(selected))
+    aggregated = weights @ c.take(selected, axis=0)
     return AttentionResult(selected=selected, weights=weights, aggregated=aggregated)
 
 
@@ -522,21 +536,23 @@ def blend_and_rescale(
     """
     qp = result.aggregated
     u = qp + beta * q
-    nu = float(np.linalg.norm(u))
+    # Vector 2-norms computed as np.linalg.norm computes them.
+    nu = math.sqrt(u.dot(u))
     if nu == 0.0:
         return q, scale, "degenerate-zero-blend"
     q_new = u / nu
-    if result.selected.size:
-        norms = np.linalg.norm(centers[result.selected], axis=1)
+    selected = result.selected
+    if selected.size:
+        norms = np.linalg.norm(centers.take(selected, axis=0), axis=1)
         if sizes is not None:
-            w = np.asarray(sizes, dtype=np.float64)[result.selected]
+            w = np.asarray(sizes, dtype=np.float64).take(selected)
         else:
-            w = np.ones(result.selected.size)
-        tot = float(w.sum())
+            w = np.ones(selected.size)
+        tot = float(np.add.reduce(w))
         anchor = float(w @ norms / tot) if tot > 0.0 else 0.0
         if anchor > 0.0:
             return q_new, anchor, ""
-    npq = float(np.linalg.norm(qp))
+    npq = math.sqrt(qp.dot(qp))
     return q_new, (npq if npq > 0.0 else scale), ""
 
 

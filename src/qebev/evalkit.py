@@ -162,9 +162,19 @@ def match_detections(
     pairs = hungarian_assign(dist)
     keep = dist[pairs[:, 0], pairs[:, 1]] <= threshold
     pairs = pairs[keep]
-    unmatched_pred = np.setdiff1d(np.arange(p.shape[0]), pairs[:, 0])
-    unmatched_gt = np.setdiff1d(np.arange(g.shape[0]), pairs[:, 1])
-    return MatchResult(pairs, unmatched_pred, unmatched_gt, threshold)
+    return MatchResult(
+        pairs, _unmatched(p.shape[0], pairs[:, 0]), _unmatched(g.shape[0], pairs[:, 1]), threshold
+    )
+
+
+def _unmatched(n: int, matched: np.ndarray) -> np.ndarray:
+    """Ascending indices below ``n`` that ``matched`` leaves out.
+
+    A mask, not np.setdiff1d: its np.unique imports numpy.ma on first use.
+    """
+    free = np.ones(n, dtype=bool)
+    free[matched] = False
+    return np.flatnonzero(free)
 
 
 @dataclass

@@ -148,7 +148,8 @@ def _evolve_single(
 
     with np.errstate(over="ignore", invalid="ignore"):
         mean = initial_aggregate(pts.feat)
-        norm0 = float(np.linalg.norm(mean))
+        # Vector 2-norms here and below are computed as np.linalg.norm does.
+        norm0 = math.sqrt(mean.dot(mean))
     if not math.isfinite(norm0):
         raise ValueError(_NON_FINITE_MEAN)
     if norm0 == 0.0:
@@ -158,7 +159,7 @@ def _evolve_single(
     fuse = tparams is not None and q_prev is not None
     if fuse:
         blended = temporal_init(q, q_prev, tparams.alpha)
-        nb = float(np.linalg.norm(blended))
+        nb = math.sqrt(blended.dot(blended))
         if nb > 0.0:
             q = blended / nb
     dec = decode_feature(q * scale, frame.encoder_seed, params.tau_bg)

@@ -27,10 +27,10 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("softmax expects a non-empty 1-D array")
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise ValueError("softmax scores must be finite")
     z = np.exp(s - s.max())
-    return z / z.sum()
+    return z / np.add.reduce(z)
 
 
 def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
@@ -45,15 +45,17 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     if not 1 <= k <= s.size:
         raise ValueError(f"k must be in [1, {s.size}], got {k}")
     # Stable sort on the negated scores keeps equal scores in index order.
-    order = np.argsort(-s, kind="stable")
-    return order[:k]
+    return (-s).argsort(kind="stable")[:k]
 
 
 def pairwise_sq_dist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances, shape (n, k) for (n, d) x (k, d) inputs.
 
     Computed from explicit differences rather than the expanded dot-product
-    form, so an entry is exactly 0.0 when a point equals a center.
+    form, so an entry is exactly 0.0 when a point equals a center.  The
+    points are repeated once per center and the centers subtracted in place:
+    the same subtractions into the same (n, k, d) layout as a broadcast
+    difference, so the same bits, without the broadcast's slower loop.
     """
     p = np.asarray(points, dtype=np.float64)
     c = np.asarray(centers, dtype=np.float64)
@@ -61,7 +63,8 @@ def pairwise_sq_dist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
         p, c = np.atleast_2d(p, c)
     if p.shape[1] != c.shape[1]:
         raise ValueError(f"dimension mismatch: {p.shape[1]} vs {c.shape[1]}")
-    diff = p[:, None, :] - c[None, :, :]
+    diff = p[:, None, :].repeat(c.shape[0], axis=1)
+    diff -= c
     return np.einsum("nkd,nkd->nk", diff, diff)
 
 

@@ -3,7 +3,9 @@ with ``np.unique`` and draws k-means++ candidates with ``rng.choice``.
 
 ``qebev.dqem.kmeans`` must match it bit for bit, including how far it
 advances the generator.  Do not edit this file to follow changes in
-``dqem``; it is the reference those changes are checked against.
+``dqem``; it is the reference those changes are checked against.  It keeps
+its own copy of the distance kernel too, so a change to
+``qebev.numerics.pairwise_sq_dist`` cannot move the reference with it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,19 @@ import math
 import numpy as np
 
 from qebev.dqem import ClusterSet
-from qebev.numerics import make_rng, pairwise_sq_dist
+from qebev.numerics import make_rng
+
+
+def pairwise_sq_dist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances from one broadcast (n, k, d) difference."""
+    p = np.asarray(points, dtype=np.float64)
+    c = np.asarray(centers, dtype=np.float64)
+    if p.ndim < 2 or c.ndim < 2:
+        p, c = np.atleast_2d(p, c)
+    if p.shape[1] != c.shape[1]:
+        raise ValueError(f"dimension mismatch: {p.shape[1]} vs {c.shape[1]}")
+    diff = p[:, None, :] - c[None, :, :]
+    return np.einsum("nkd,nkd->nk", diff, diff)
 
 
 def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from qebev.bevscene import (
     SceneConfig,
     background_threshold,
     decode_feature,
-    destandardize,
     encode_attributes,
     encoding_matrix,
     generate_frame,
@@ -59,10 +59,12 @@ def test_wrap_angle_range_and_identity():
 
 
 def test_standardize_round_trip():
+    # decode_feature undoes standardize() once the encoding is inverted.
+    e = encoding_matrix(5, ATTR_DIM)
     rng = make_rng(17)
     for _ in range(1000):
         a = random_box(rng).as_array()
-        back = destandardize(standardize(a))
+        back = decode_feature(e @ standardize(a), encoder_seed=5).as_array()
         assert np.allclose(back, a, atol=1e-10)
 
 
@@ -277,6 +279,50 @@ def test_read_scenes_rejects_non_finite_values(tmp_path, where, value, message):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=message):
         read_scenes(path)
+
+
+@pytest.mark.parametrize("point", [
+    {"xy": [1.0, 2.0]},                                  # no features
+    {"f": [0.0] * 16},                                   # no position
+    {"xy": [1.0, 2.0, 3.0], "f": [0.0] * 15},            # three coordinates
+    {"xy": [1.0], "f": [0.0] * 17},                      # one coordinate
+    {"xy": [1.0, 2.0], "f": [0.0] * 15 + [{"v": 1}]},    # a feature that is no number
+    {"xy": [1.0, 2.0], "f": [0.0] * 17},                 # a wider feature row
+    [1.0, 2.0] + [0.0] * 16,                             # a bare row
+])
+def test_read_scenes_rejects_a_malformed_point(tmp_path, point):
+    path = tmp_path / "bad.jsonl"
+    cfg = SceneConfig(n_objects=1, points_per_object=4, background_points=2)
+    write_scenes(generate_sequence(cfg, 2, 0.5, make_rng(3)).frames, path)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["points"][2] = point
+    lines[1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r":2: malformed frame record"):
+        read_scenes(path)
+
+
+def test_read_scenes_peak_memory_follows_the_arrays(tmp_path):
+    # A 6000-point frame's arrays take 0.86 MB.  Parsing each point into a
+    # dict, two lists and 18 floats before building them peaked at 8.5 MB;
+    # packing each point as it parses keeps the peak near 5.3 MB.
+    cfg = SceneConfig(n_objects=40, points_per_object=100, background_points=2000)
+    path = tmp_path / "large.jsonl"
+    write_scenes([generate_frame(cfg, make_rng(42))], path)
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        (frame,) = read_scenes(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert len(frame.points) == 6000
+    assert peak < 6.5 * 2**20
 
 
 @pytest.mark.parametrize("timestamp", [0.5, 0.25])

@@ -204,6 +204,29 @@ def test_pipeline_bad_interval_writes_nothing(tmp_path, capsys, interval):
     assert not d.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tp-threshold", "nan", "tp_threshold must be positive and finite, got nan"),
+    ("--tp-threshold", "0", "tp_threshold must be positive and finite, got 0.0"),
+    ("--dedup-radius", "nan", "dedup radius must be non-negative"),
+    ("--dedup-radius", "-1", "dedup radius must be non-negative"),
+])
+def test_pipeline_bad_threshold_or_radius_writes_nothing(tmp_path, capsys, flag, value, message):
+    # Checked before the scene is simulated, so no output directory appears.
+    d = tmp_path / "run"
+    assert run(pipeline_args(d, extra=(flag, value))) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not d.exists()
+
+
+def test_detect_bad_dedup_radius_fails_before_reading(tmp_path, capsys):
+    # The scene file does not exist: a check made after reading would
+    # report the missing file instead.
+    out = tmp_path / "d.jsonl"
+    assert run(detect_args(tmp_path / "missing.jsonl", out, extra=("--dedup-radius", "nan"))) == 1
+    assert capsys.readouterr().err == "error: dedup radius must be non-negative\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- gradcheck
 
 
@@ -403,17 +426,21 @@ def test_detect_and_eval_reject_a_timestamp_going_back(tmp_path, capsys):
 
 def test_import_simulate_and_detect_load_no_scipy(tmp_path):
     # scipy takes most of start-up; only bench (the slope fit) uses it, so
-    # import, simulate, detect, eval and pipeline never load it.
+    # import, simulate, detect, eval and pipeline never load it.  Nor do
+    # they load numpy.ma, which np.unique imports on first use.
     scenes, dets = tmp_path / "s.jsonl", tmp_path / "d.jsonl"
     eval_args = ["eval", "--dets", str(dets), "--scenes", str(scenes),
                  "--report", str(tmp_path / "r.json")]
-    scipy_now = "loaded.append(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    loaded_now = (
+        "loaded.append(sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']))\n"
+    )
     code = (
         "import sys, qebev.cli\n"
         "loaded = []\n"
-        + scipy_now
+        + loaded_now
         + "".join(
-            f"assert qebev.cli.main({argv!r}) == 0\n" + scipy_now
+            f"assert qebev.cli.main({argv!r}) == 0\n" + loaded_now
             for argv in (simulate_args(scenes), detect_args(scenes, dets), eval_args,
                          pipeline_args(tmp_path / "p"))
         )
