@@ -8,7 +8,7 @@ step's cost is dominated by Lloyd updates, so the slope should sit near 1.
 from __future__ import annotations
 
 import csv
-import platform
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -19,20 +19,19 @@ from .numerics import derive_seed, make_rng
 
 __all__ = ["BenchConfig", "BenchRow", "ScalingReport", "run_scaling", "write_bench_csv"]
 
-
-def _default_sweep() -> tuple[int, ...]:
-    return (1000, 2000, 4000, 8000, 16000, 32000, 64000, 128000)
+# Clusters attention keeps (clamped to the clusters k-means returns), and
+# untimed steps before each size's timed repeats.
+_TOP_K = 4
+_WARMUP = 1
 
 
 @dataclass
 class BenchConfig:
-    n_sweep: tuple[int, ...] = field(default_factory=_default_sweep)
+    n_sweep: tuple[int, ...] = (1000, 2000, 4000, 8000, 16000, 32000, 64000, 128000)
     k: int = 6
-    top_k: int = 4
     kmeans_iters: int = 20
     d: int = 16
     repeats: int = 5
-    warmup: int = 1
 
     def __post_init__(self) -> None:
         self.n_sweep = tuple(int(n) for n in self.n_sweep)
@@ -42,10 +41,8 @@ class BenchConfig:
             raise ValueError("n_sweep must be strictly increasing")
         if self.repeats < 3:
             raise ValueError("repeats must be at least 3 for a stable median")
-        if self.k < 1 or self.top_k < 1 or self.top_k > self.k:
-            raise ValueError("need 1 <= top_k <= k")
-        if self.d < 1 or self.kmeans_iters < 1 or self.warmup < 0:
-            raise ValueError("d, kmeans_iters must be >= 1 and warmup >= 0")
+        if self.k < 1 or self.d < 1 or self.kmeans_iters < 1:
+            raise ValueError("k, d and kmeans_iters must be at least 1")
 
 
 @dataclass
@@ -63,7 +60,6 @@ class ScalingReport:
     rows: list[BenchRow]
     slope: float | None
     slope_ci: tuple[float, float] | None
-    machine: dict
     notes: list[str] = field(default_factory=list)
 
 
@@ -78,12 +74,45 @@ def _make_workload(n: int, cfg: BenchConfig, seed: int) -> tuple[np.ndarray, np.
     return feats, q
 
 
-def _fit_slope(ns: list[int], ts: list[float]) -> tuple[float, tuple[float, float]]:
-    from scipy import stats  # deferred: slow to import, and only the fit needs it
+def _t_quantile_975(df: int) -> float:
+    """The 0.975 quantile of Student's t with ``df`` >= 1 degrees of freedom.
 
-    res = stats.linregress(np.log(ns), np.log(ts))
-    half = float(stats.t.ppf(0.975, len(ns) - 2)) * res.stderr if len(ns) > 2 else float("inf")
-    return float(res.slope), (float(res.slope) - half, float(res.slope) + half)
+    For integer df the two-sided CDF A(t | df) is a finite cosine series in
+    theta = atan(t / sqrt(df)) (Abramowitz & Stegun 26.7.3-26.7.4); the
+    quantile solves A = 0.95 by bisection on theta.
+    """
+
+    def two_sided(theta: float) -> float:
+        c, s = math.cos(theta), math.sin(theta)
+        term = total = 1.0
+        for j in range(1 + df % 2, df - 2, 2):
+            term *= c * c * j / (j + 1)
+            total += term
+        if df % 2 == 0:
+            return s * total
+        return 2.0 / math.pi * (theta + (s * c * total if df > 1 else 0.0))
+
+    lo, hi = 0.0, math.pi / 2
+    for _ in range(64):  # halves the bracket below one ulp of theta
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if two_sided(mid) < 0.95 else (lo, mid)
+    return math.sqrt(df) * math.tan(lo)
+
+
+def _fit_slope(ns: list[int], ts: list[float]) -> tuple[float, tuple[float, float]]:
+    """OLS slope of log t on log n and its 95% confidence interval."""
+    x = np.log(ns)
+    y = np.log(ts)
+    x -= x.mean()
+    y -= y.mean()
+    sxx = float(x @ x)
+    slope = float(x @ y) / sxx
+    if len(ns) <= 2:
+        return slope, (-math.inf, math.inf)
+    resid = y - slope * x
+    stderr = math.sqrt(float(resid @ resid) / (len(ns) - 2) / sxx)
+    half = _t_quantile_975(len(ns) - 2) * stderr
+    return slope, (slope - half, slope + half)
 
 
 def run_scaling(cfg: BenchConfig, rng: np.random.Generator) -> ScalingReport:
@@ -106,16 +135,18 @@ def run_scaling(cfg: BenchConfig, rng: np.random.Generator) -> ScalingReport:
 
         def step() -> None:
             cs = kmeans(feats, cfg.k, cfg.kmeans_iters, make_rng(work_seed))
-            aggregate_over_centers(q, cs.centers, cfg.top_k)
+            aggregate_over_centers(q, cs.centers, _TOP_K)
 
-        for _ in range(cfg.warmup):
+        for _ in range(_WARMUP):
             step()
         times = []
         for _ in range(cfg.repeats):
             t0 = time.perf_counter()
             step()
             times.append(time.perf_counter() - t0)
-        median = float(np.median(times))
+        # np.median's value, without the numpy.ma import np.median makes.
+        times.sort()
+        median = 0.5 * (times[(cfg.repeats - 1) // 2] + times[cfg.repeats // 2])
 
         if median < 100.0 * resolution:
             notes.append(
@@ -136,12 +167,7 @@ def run_scaling(cfg: BenchConfig, rng: np.random.Generator) -> ScalingReport:
     slope, ci = (None, None)
     if len(fit_ns) >= 2:
         slope, ci = _fit_slope(fit_ns, fit_ts)
-    machine = {
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-    }
-    return ScalingReport(rows=rows, slope=slope, slope_ci=ci, machine=machine, notes=notes)
+    return ScalingReport(rows=rows, slope=slope, slope_ci=ci, notes=notes)
 
 
 def write_bench_csv(report: ScalingReport, path: str) -> None:

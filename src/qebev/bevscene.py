@@ -30,7 +30,6 @@ __all__ = [
     "encoding_matrix",
     "encode_attributes",
     "decode_feature",
-    "background_threshold",
     "generate_frame",
     "generate_sequence",
     "write_scenes",
@@ -221,16 +220,6 @@ def encode_attributes(box: BoxAttributes, encoder_seed: int, d: int) -> np.ndarr
     """Noise-free feature vector for a box."""
     e = encoding_matrix(encoder_seed, d)
     return e @ standardize(box.as_array())
-
-
-def background_threshold(noise_sigma: float, d: int) -> float:
-    """Feature-norm level below which a vector reads as background.
-
-    Three noise standard deviations of a d-dimensional isotropic Gaussian,
-    so pure-noise features are rejected while object features (norm around
-    1 or larger after channel scaling) pass.
-    """
-    return 3.0 * noise_sigma * math.sqrt(d)
 
 
 # Log-size channels whose exp() is a normal positive float; beyond them a

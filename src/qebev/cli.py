@@ -25,6 +25,7 @@ from .dqem import (
     diversity_loss,
     diversity_loss_grad,
     fit_projections,
+    init_pillars,
     read_detections,
     write_detections,
 )
@@ -165,7 +166,14 @@ def _detect_params(args: argparse.Namespace) -> tuple[DqemParams, TemporalParams
     if not args.dedup_radius >= 0.0:
         # dedup_detections' check, made before detection runs.
         raise ValueError("dedup radius must be non-negative")
+    init_pillars(args.grid_nx, args.grid_ny, args.bounds)  # for its grid and bounds checks
     return params, tparams
+
+
+def _check_tp_threshold(args: argparse.Namespace) -> None:
+    """evaluate_detections' check, made before any file is read or written."""
+    if not args.tp_threshold > 0.0 or not math.isfinite(args.tp_threshold):
+        raise ValueError(f"tp_threshold must be positive and finite, got {args.tp_threshold}")
 
 
 def _detect_over_scenes(
@@ -225,6 +233,7 @@ def _run_detect(args: argparse.Namespace) -> int:
 
 
 def _run_eval(args: argparse.Namespace) -> int:
+    _check_tp_threshold(args)
     det_frames = read_detections(args.dets)
     scene_frames = read_scenes(args.scenes)
     report = evaluate_detections(
@@ -315,9 +324,7 @@ def _run_pipeline(args: argparse.Namespace) -> int:
 
     cfg = _scene_config(args)
     params, tparams = _detect_params(args)
-    if not args.tp_threshold > 0.0 or not math.isfinite(args.tp_threshold):
-        # evaluate_detections' check, made before anything is simulated.
-        raise ValueError(f"tp_threshold must be positive and finite, got {args.tp_threshold}")
+    _check_tp_threshold(args)
     seq = generate_sequence(
         cfg, args.frames, args.interval, make_rng(derive_seed(args.seed, "simulate"))
     )

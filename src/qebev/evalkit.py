@@ -129,10 +129,7 @@ def _shortest_augmenting_path(cost: list[list[float]]) -> list[int]:
 class MatchResult:
     """Pairing of predictions to ground truth under a distance gate."""
 
-    pairs: np.ndarray            # (p, 2) pred/gt index pairs
-    unmatched_pred: np.ndarray   # indices
-    unmatched_gt: np.ndarray
-    threshold: float
+    pairs: np.ndarray  # (p, 2) pred/gt index pairs
 
 
 def _center_cost(pred_boxes: np.ndarray, gt_boxes: np.ndarray) -> np.ndarray:
@@ -151,30 +148,10 @@ def match_detections(
         raise ValueError("threshold must be positive")
     p = np.asarray(pred_boxes, dtype=np.float64).reshape(-1, 9)
     g = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 9)
-    if p.shape[0] == 0 or g.shape[0] == 0:
-        return MatchResult(
-            pairs=np.zeros((0, 2), dtype=np.int64),
-            unmatched_pred=np.arange(p.shape[0]),
-            unmatched_gt=np.arange(g.shape[0]),
-            threshold=threshold,
-        )
     dist = _center_cost(p, g)
     pairs = hungarian_assign(dist)
     keep = dist[pairs[:, 0], pairs[:, 1]] <= threshold
-    pairs = pairs[keep]
-    return MatchResult(
-        pairs, _unmatched(p.shape[0], pairs[:, 0]), _unmatched(g.shape[0], pairs[:, 1]), threshold
-    )
-
-
-def _unmatched(n: int, matched: np.ndarray) -> np.ndarray:
-    """Ascending indices below ``n`` that ``matched`` leaves out.
-
-    A mask, not np.setdiff1d: its np.unique imports numpy.ma on first use.
-    """
-    free = np.ones(n, dtype=bool)
-    free[matched] = False
-    return np.flatnonzero(free)
+    return MatchResult(pairs[keep])
 
 
 @dataclass

@@ -93,6 +93,20 @@ def temporal_init(q_cur: np.ndarray, q_prev: np.ndarray, alpha: float = 0.4) -> 
     return alpha * qc + (1.0 - alpha) * qp
 
 
+def _pooled(
+    clusters_cur: ClusterSet | None, clusters_prev: ClusterSet | None
+) -> ClusterSet | None:
+    """The current clusters with the previous frame's centers and sizes
+    appended: what a fused first round attends over and blends with."""
+    if clusters_cur is None or clusters_prev is None or clusters_prev.k_eff == 0:
+        return clusters_cur if clusters_cur is not None else clusters_prev
+    return replace(
+        clusters_cur,
+        centers=np.concatenate([clusters_cur.centers, clusters_prev.centers]),
+        sizes=np.concatenate([clusters_cur.sizes, clusters_prev.sizes]),
+    )
+
+
 def temporal_aggregate(
     q: np.ndarray,
     clusters_cur: ClusterSet | None,
@@ -104,24 +118,8 @@ def temporal_aggregate(
     Re-uses already computed centers instead of re-clustering; with no
     previous clusters this is exactly the single-frame aggregation.
     """
-    parts = []
-    for cs in (clusters_cur, clusters_prev):
-        if cs is not None and cs.k_eff > 0:
-            parts.append(cs.centers)
-    d = np.asarray(q).shape[0]
-    pooled = np.concatenate(parts) if parts else np.zeros((0, d))
-    return aggregate_over_centers(q, pooled, top_k)
-
-
-def _pooled_centers(
-    clusters_cur: ClusterSet, clusters_prev: ClusterSet | None
-) -> tuple[np.ndarray, np.ndarray]:
-    if clusters_prev is not None and clusters_prev.k_eff > 0:
-        return (
-            np.concatenate([clusters_cur.centers, clusters_prev.centers]),
-            np.concatenate([clusters_cur.sizes, clusters_prev.sizes]),
-        )
-    return clusters_cur.centers, clusters_cur.sizes
+    pooled = _pooled(clusters_cur, clusters_prev)
+    return aggregate_over_centers(q, pooled.centers if pooled is not None else np.zeros(0), top_k)
 
 
 def _evolve_single(
@@ -183,14 +181,16 @@ def _evolve_single(
         krng.bit_generator.state = kstate
         clusters = kmeans(pts.feat, params.k, params.kmeans_iters, krng)
         if fuse and it == 0:
-            result = temporal_aggregate(q, clusters, clusters_prev, params.top_k)
-            anchor, anchor_sizes = _pooled_centers(clusters, clusters_prev)
+            # Attention and the blend share one pooled set, so it is built
+            # here and temporal_aggregate has nothing left to pool.
+            anchor = _pooled(clusters, clusters_prev)
+            result = temporal_aggregate(q, anchor, None, params.top_k)
         else:
-            result = aggregate_over_centers(q, clusters.centers, params.top_k)
-            anchor, anchor_sizes = clusters.centers, clusters.sizes
+            anchor = clusters
+            result = aggregate_over_centers(q, anchor.centers, params.top_k)
         trace.attention.append(result)
         q, scale, blend_flag = blend_and_rescale(
-            q, scale, result, anchor, params.beta, sizes=anchor_sizes
+            q, scale, result, anchor.centers, params.beta, sizes=anchor.sizes
         )
         flag = blend_flag or flag
         dec = decode_feature(q * scale, frame.encoder_seed, params.tau_bg)

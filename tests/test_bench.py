@@ -7,6 +7,7 @@ from qebev.bench import (
     BenchConfig,
     ScalingReport,
     _fit_slope,
+    _t_quantile_975,
     run_scaling,
     write_bench_csv,
 )
@@ -44,8 +45,39 @@ def test_fit_slope_ci_tightens_on_clean_data():
     assert (chi - clo) < (nhi - nlo)
 
 
+def test_t_quantile_matches_scipy():
+    # scipy is only the oracle here; the package computes the quantile itself.
+    from scipy import stats
+
+    for df in range(1, 201):
+        want = float(stats.t.ppf(0.975, df))
+        assert _t_quantile_975(df) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("ns, ts", [
+    ([1000, 2000, 4000], [3.1e-4, 5.9e-4, 1.3e-3]),
+    ([500, 1000, 2000, 4000, 8000], [2.0e-4, 3.7e-4, 8.1e-4, 1.5e-3, 3.4e-3]),
+    ([16, 64, 256, 1024, 4096, 16384, 65536], [1e-5, 3e-5, 9e-5, 4e-4, 2e-3, 6e-3, 3e-2]),
+])
+def test_fit_slope_matches_scipy_linregress(ns, ts):
+    from scipy import stats
+
+    res = stats.linregress(np.log(ns), np.log(ts))
+    half = float(stats.t.ppf(0.975, len(ns) - 2)) * res.stderr
+    slope, (lo, hi) = _fit_slope(ns, ts)
+    assert slope == pytest.approx(res.slope, rel=0.0, abs=1e-10)
+    assert lo == pytest.approx(res.slope - half, rel=0.0, abs=1e-10)
+    assert hi == pytest.approx(res.slope + half, rel=0.0, abs=1e-10)
+
+
+def test_fit_slope_of_two_sizes_has_an_unbounded_interval():
+    slope, (lo, hi) = _fit_slope([1000, 2000], [1e-3, 2e-3])
+    assert slope == pytest.approx(1.0, abs=1e-12)
+    assert (lo, hi) == (-math.inf, math.inf)
+
+
 def test_run_scaling_tiny_sweep():
-    cfg = BenchConfig(n_sweep=(500, 1000, 2000), repeats=3, warmup=1)
+    cfg = BenchConfig(n_sweep=(500, 1000, 2000), repeats=3)
     rep = run_scaling(cfg, make_rng(0))
     assert len(rep.rows) == 3
     assert [r.n for r in rep.rows] == [500, 1000, 2000]
@@ -55,11 +87,10 @@ def test_run_scaling_tiny_sweep():
         assert row.k == cfg.k and row.d == cfg.d
     assert math.isfinite(rep.slope)
     assert rep.slope_ci[0] <= rep.slope <= rep.slope_ci[1]
-    assert rep.machine
 
 
 def test_bench_csv_layout(tmp_path):
-    cfg = BenchConfig(n_sweep=(500, 1000), repeats=3, warmup=0)
+    cfg = BenchConfig(n_sweep=(500, 1000), repeats=3)
     rep = run_scaling(cfg, make_rng(1))
     path = tmp_path / "bench.csv"
     write_bench_csv(rep, path)

@@ -9,7 +9,6 @@ from qebev.bevscene import (
     ATTR_DIM,
     BoxAttributes,
     SceneConfig,
-    background_threshold,
     decode_feature,
     encode_attributes,
     encoding_matrix,
@@ -93,8 +92,7 @@ def test_encode_decode_round_trip_noiseless():
 
 
 def test_decode_feature_background_gate():
-    tau = background_threshold(0.05, 16)
-    assert abs(tau - 3 * 0.05 * 4.0) < 1e-12
+    tau = 3 * 0.05 * math.sqrt(16)  # three noise sigmas of a 16-d feature
     assert decode_feature(np.zeros(16), encoder_seed=1, tau_bg=tau) is None
     # a barely-above-threshold feature decodes to something
     f = encode_attributes(BoxAttributes(0, 0, 1, 1, 2, 1, 0, 0, 0), 1, 16)

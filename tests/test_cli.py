@@ -227,6 +227,39 @@ def test_detect_bad_dedup_radius_fails_before_reading(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--grid-nx", "0", "grid dimensions must be at least 1"),
+    ("--grid-ny", "0", "grid dimensions must be at least 1"),
+])
+def test_pipeline_bad_grid_writes_nothing(tmp_path, capsys, flag, value, message):
+    # Checked before the scene is simulated, so no scenes.jsonl is left behind.
+    d = tmp_path / "run"
+    assert run(pipeline_args(d, extra=(flag, value))) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not d.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--grid-nx", "0", "grid dimensions must be at least 1"),
+    ("--bounds", "nan", "bounds must be positive and finite, got nan"),
+])
+def test_detect_bad_grid_or_bounds_fails_before_reading(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "d.jsonl"
+    assert run(detect_args(tmp_path / "missing.jsonl", out, extra=(flag, value))) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_eval_bad_tp_threshold_fails_before_reading(tmp_path, capsys):
+    # Both files are missing: a check made after reading would report them.
+    report = tmp_path / "r.json"
+    assert run(["eval", "--dets", str(tmp_path / "d.jsonl"),
+                "--scenes", str(tmp_path / "s.jsonl"), "--report", str(report),
+                "--tp-threshold", "nan"]) == 1
+    assert capsys.readouterr().err == "error: tp_threshold must be positive and finite, got nan\n"
+    assert not report.exists()
+
+
 # ---------------------------------------------------------------- gradcheck
 
 
@@ -247,6 +280,15 @@ def test_bench_tiny_sweep(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "n,K,I,d,median_seconds,slope_running"
     assert len(lines) == 4  # 500, 1000, 2000
+
+
+def test_bench_accepts_fewer_clusters_than_attention_keeps(tmp_path):
+    # Attention keeps 4 clusters, clamped to the clusters k-means returns.
+    out = tmp_path / "bench.csv"
+    assert run(["bench", "--n-min", "200", "--n-max", "400", "--repeats", "3",
+                "--k", "2", "--out", str(out)]) == 0
+    rows = out.read_text().strip().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["200", "2"], ["400", "2"]]
 
 
 # ---------------------------------------------------------------- config file
@@ -425,12 +467,14 @@ def test_detect_and_eval_reject_a_timestamp_going_back(tmp_path, capsys):
 
 
 def test_import_simulate_and_detect_load_no_scipy(tmp_path):
-    # scipy takes most of start-up; only bench (the slope fit) uses it, so
-    # import, simulate, detect, eval and pipeline never load it.  Nor do
-    # they load numpy.ma, which np.unique imports on first use.
+    # The package runs on numpy alone: import, simulate, detect, eval,
+    # pipeline and bench never load scipy, which would dominate start-up.
+    # Nor do they load numpy.ma, which np.unique imports on first use.
     scenes, dets = tmp_path / "s.jsonl", tmp_path / "d.jsonl"
     eval_args = ["eval", "--dets", str(dets), "--scenes", str(scenes),
                  "--report", str(tmp_path / "r.json")]
+    bench_args = ["bench", "--n-min", "200", "--n-max", "400", "--repeats", "3",
+                  "--out", str(tmp_path / "b.csv")]
     loaded_now = (
         "loaded.append(sorted(m for m in sys.modules"
         " if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']))\n"
@@ -442,7 +486,7 @@ def test_import_simulate_and_detect_load_no_scipy(tmp_path):
         + "".join(
             f"assert qebev.cli.main({argv!r}) == 0\n" + loaded_now
             for argv in (simulate_args(scenes), detect_args(scenes, dets), eval_args,
-                         pipeline_args(tmp_path / "p"))
+                         pipeline_args(tmp_path / "p"), bench_args)
         )
         + "print(loaded)\n"
     )
@@ -450,7 +494,7 @@ def test_import_simulate_and_detect_load_no_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "[[], [], [], [], []]"
+    assert out.stdout.splitlines()[-1] == "[[], [], [], [], [], []]"
 
 
 # ---------------------------------------------------------------- NaN knobs

@@ -112,19 +112,15 @@ def test_match_simple_pairs_and_leftovers():
     pred = np.stack([box(0, 0), box(5, 0)])
     gt = np.stack([box(0.5, 0), box(5.2, 0), box(20, 0)])
     m = match_detections(pred, gt, threshold=2.0)
+    # the far gt 2 is left over
     assert m.pairs.tolist() == [[0, 0], [1, 1]]
-    assert m.unmatched_pred.tolist() == []
-    assert m.unmatched_gt.tolist() == [2]
-    assert m.threshold == 2.0
 
 
 def test_match_threshold_discards_far_pairs():
     pred = np.stack([box(0, 0)])
     gt = np.stack([box(3.0, 0)])
     m = match_detections(pred, gt, threshold=2.0)
-    assert m.pairs.size == 0
-    assert m.unmatched_pred.tolist() == [0]
-    assert m.unmatched_gt.tolist() == [0]
+    assert m.pairs.shape == (0, 2)
 
 
 def test_match_is_globally_optimal_on_crossing():
@@ -138,21 +134,16 @@ def test_match_is_globally_optimal_on_crossing():
 
 def test_match_empty_inputs():
     m = match_detections(np.zeros((0, 9)), np.stack([box(0, 0)]), 2.0)
-    assert m.pairs.size == 0 and m.unmatched_gt.tolist() == [0]
+    assert m.pairs.shape == (0, 2)
     m2 = match_detections(np.stack([box(0, 0)]), np.zeros((0, 9)), 2.0)
-    assert m2.pairs.size == 0 and m2.unmatched_pred.tolist() == [0]
+    assert m2.pairs.shape == (0, 2)
 
 
 # ---------------------------------------------------------------- tp errors
 
 
 def two_pair_match():
-    return MatchResult(
-        pairs=np.array([[0, 0], [1, 1]]),
-        unmatched_pred=np.array([], dtype=int),
-        unmatched_gt=np.array([], dtype=int),
-        threshold=2.0,
-    )
+    return MatchResult(pairs=np.array([[0, 0], [1, 1]]))
 
 
 def test_tp_errors_hand_computed():
@@ -177,8 +168,7 @@ def test_tp_errors_hand_computed():
 def test_tp_errors_orientation_wraps():
     pred = np.stack([box(0, 0, theta=math.pi - 0.1)])
     gt = np.stack([box(0, 0, theta=-math.pi + 0.1)])
-    m = MatchResult(np.array([[0, 0]]), np.array([], dtype=int),
-                    np.array([], dtype=int), 2.0)
+    m = MatchResult(np.array([[0, 0]]))
     e = tp_errors(m, pred, gt)
     assert e.aoe == pytest.approx(0.2, abs=1e-12)
 
@@ -186,16 +176,14 @@ def test_tp_errors_orientation_wraps():
 def test_tp_errors_velocity_override():
     pred = np.stack([box(0, 0, vx=9.0, vy=9.0)])
     gt = np.stack([box(0, 0, vx=1.0, vy=0.0)])
-    m = MatchResult(np.array([[0, 0]]), np.array([], dtype=int),
-                    np.array([], dtype=int), 2.0)
+    m = MatchResult(np.array([[0, 0]]))
     fused = np.array([[1.0, 0.0]])
     e = tp_errors(m, pred, gt, pred_velocity=fused)
     assert e.ave == pytest.approx(0.0, abs=1e-12)
 
 
 def test_tp_errors_no_matches_saturate():
-    m = MatchResult(np.zeros((0, 2), dtype=int), np.array([0]),
-                    np.array([0]), 2.0)
+    m = MatchResult(np.zeros((0, 2), dtype=int))
     e = tp_errors(m, np.stack([box(0, 0)]), np.stack([box(9, 9)]))
     assert (e.ate, e.ase, e.aoe, e.ave, e.aae) == (1.0, 1.0, 1.0, 1.0, 1.0)
     assert e.matched == 0
