@@ -435,6 +435,13 @@ def _point_arrays(records: list) -> tuple[np.ndarray, np.ndarray]:
     return table[:, :2].copy(), table[:, 2:].copy()
 
 
+def _json_int(value, name: str) -> int:
+    """A JSON integer field; a float or a bool is refused, not truncated."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def read_scenes(path: str) -> list[Frame]:
     """Parse a scene JSONL file back into frames, timestamps strictly rising."""
     frames: list[Frame] = []
@@ -450,15 +457,17 @@ def read_scenes(path: str) -> list[Frame]:
                 raise ValueError(f"{path}:{line_no}: bad JSON ({exc})") from exc
             del line
             try:
-                d = int(rec["d"])
+                d = _json_int(rec["d"], "d")
+                if d < ATTR_DIM:
+                    raise ValueError(f"d must be at least {ATTR_DIM}, got {d}")
                 gt_rows = [np.asarray(g["box"], dtype=np.float64) for g in rec["gt"]]
-                track_ids = [int(g["track_id"]) for g in rec["gt"]]
+                track_ids = [_json_int(g["track_id"], "track_id") for g in rec["gt"]]
                 if rec["points"]:
                     points = PointSet(*_point_arrays(rec["points"]))
                 else:
                     points = PointSet.empty(d)
                 timestamp = float(rec["timestamp"])
-                encoder_seed = int(rec["encoder_seed"])
+                encoder_seed = _json_int(rec["encoder_seed"], "encoder_seed")
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{line_no}: malformed frame record ({exc})") from exc
             if not math.isfinite(timestamp):

@@ -254,6 +254,8 @@ def _run_eval(args: argparse.Namespace) -> int:
 def _run_gradcheck(args: argparse.Namespace) -> int:
     if args.cases < 1:
         raise ValueError("--cases must be at least 1")
+    if args.fit_steps < 0:
+        raise ValueError("--fit-steps must be non-negative")
     rng = make_rng(derive_seed(args.seed, "gradcheck"))
     h = 1e-6
     worst = 0.0

@@ -359,11 +359,7 @@ def _kmeans_pp_pass(
 
 
 def kmeans(
-    features: np.ndarray,
-    k: int,
-    iters: int = 20,
-    rng: np.random.Generator | None = None,
-    n_init: int = 1,
+    features: np.ndarray, k: int, iters: int, rng: np.random.Generator
 ) -> ClusterSet:
     """Lloyd's algorithm over feature vectors with k-means++ seeding.
 
@@ -371,9 +367,8 @@ def kmeans(
     stabilize.  A cluster emptied during an update is re-seeded at the point
     farthest from its previous center, which keeps the within-cluster
     objective non-increasing.  When the input has fewer than k distinct
-    vectors, only that many clusters come back.  ``n_init`` reruns the whole
-    procedure with fresh seedings and keeps the lowest-inertia result; the
-    default single run is what the per-neighborhood pipeline budgets for.
+    vectors, only that many clusters come back.  One run draws its seeding
+    from ``rng``; restarts are successive calls on the same generator.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -382,19 +377,6 @@ def kmeans(
         raise ValueError("k must be at least 1")
     if iters < 1:
         raise ValueError("iters must be at least 1")
-    if n_init < 1:
-        raise ValueError("n_init must be at least 1")
-    if rng is None:
-        rng = make_rng(0)
-    best: ClusterSet | None = None
-    for _ in range(n_init):
-        run = _kmeans_once(x, k, iters, rng)
-        if best is None or run.inertia < best.inertia:
-            best = run
-    return best
-
-
-def _kmeans_once(x: np.ndarray, k: int, iters: int, rng: np.random.Generator) -> ClusterSet:
     n, d = x.shape
     # Distances to the current centers: the seeding's for the first pass;
     # after that, the pass that scores an update also gives the next round
@@ -525,14 +507,14 @@ def blend_and_rescale(
     result: AttentionResult,
     centers: np.ndarray,
     beta: float,
-    sizes: np.ndarray | None = None,
+    sizes: np.ndarray,
 ) -> tuple[np.ndarray, float, str]:
     """One query update: blend the aggregate into the query, re-normalize.
 
     The unit direction carries the query forward; the decode magnitude is
     re-anchored to the selected cluster centers' norms, weighted by cluster
-    population when sizes are given.  Center norms track the raw feature
-    scale, unlike the softmax-diluted blend norm.
+    population ``sizes``.  Center norms track the raw feature scale, unlike
+    the softmax-diluted blend norm.
     """
     qp = result.aggregated
     u = qp + beta * q
@@ -544,10 +526,7 @@ def blend_and_rescale(
     selected = result.selected
     if selected.size:
         norms = np.linalg.norm(centers.take(selected, axis=0), axis=1)
-        if sizes is not None:
-            w = np.asarray(sizes, dtype=np.float64).take(selected)
-        else:
-            w = np.ones(selected.size)
+        w = np.asarray(sizes, dtype=np.float64).take(selected)
         tot = float(np.add.reduce(w))
         anchor = float(w @ norms / tot) if tot > 0.0 else 0.0
         if anchor > 0.0:
@@ -872,7 +851,7 @@ def read_detections(path: str) -> list[DetectionFrame]:
                     (
                         np.array(d["box"], dtype=np.float64),
                         float(d["score"]),
-                        int(d["query_id"]),
+                        d["query_id"],
                         np.array(d["velocity"], dtype=np.float64) if "velocity" in d else None,
                     )
                     for d in rec["detections"]
@@ -881,7 +860,7 @@ def read_detections(path: str) -> list[DetectionFrame]:
                 raise ValueError(f"{path}:{line_no}: malformed detection record ({exc})") from exc
             dets = []
             for i, (box, score, query_id, velocity) in enumerate(raw):
-                problem = _detection_problem(box, score, velocity)
+                problem = _detection_problem(box, score, query_id, velocity)
                 if problem:
                     raise ValueError(f"{path}:{line_no}: detection {i}: {problem}")
                 dets.append(
@@ -896,7 +875,9 @@ def read_detections(path: str) -> list[DetectionFrame]:
     return frames
 
 
-def _detection_problem(box: np.ndarray, score: float, velocity: np.ndarray | None) -> str:
+def _detection_problem(
+    box: np.ndarray, score: float, query_id, velocity: np.ndarray | None
+) -> str:
     """What is wrong with one parsed detection, or "" when nothing is."""
     if box.shape != (ATTR_DIM,):
         return f"box must be {ATTR_DIM} numbers, got shape {box.shape}"
@@ -906,6 +887,8 @@ def _detection_problem(box: np.ndarray, score: float, velocity: np.ndarray | Non
         return "box size must be positive"
     if not math.isfinite(score):
         return "score is not finite"
+    if type(query_id) is not int:  # a float or bool is refused, not truncated
+        return f"query_id must be an integer, got {query_id!r}"
     if velocity is not None:
         if velocity.shape != (2,):
             return f"velocity must be 2 numbers, got shape {velocity.shape}"

@@ -18,7 +18,6 @@ from .bevscene import Frame
 from .dqem import Detection, DetectionFrame
 
 __all__ = [
-    "MatchResult",
     "TpErrors",
     "EvalReport",
     "AP_THRESHOLDS",
@@ -125,22 +124,11 @@ def _shortest_augmenting_path(cost: list[list[float]]) -> list[int]:
     return col4row
 
 
-@dataclass
-class MatchResult:
-    """Pairing of predictions to ground truth under a distance gate."""
-
-    pairs: np.ndarray  # (p, 2) pred/gt index pairs
-
-
-def _center_cost(pred_boxes: np.ndarray, gt_boxes: np.ndarray) -> np.ndarray:
-    diff = pred_boxes[:, None, :2] - gt_boxes[None, :, :2]
-    return np.sqrt(np.einsum("pgd,pgd->pg", diff, diff))
-
-
 def match_detections(
     pred_boxes: np.ndarray, gt_boxes: np.ndarray, threshold: float
-) -> MatchResult:
-    """Optimal one-to-one matching on BEV center distance.
+) -> np.ndarray:
+    """Optimal one-to-one matching on BEV center distance: (p, 2) pred/gt
+    index pairs.
 
     Pairs farther apart than ``threshold`` are discarded after assignment.
     """
@@ -148,10 +136,11 @@ def match_detections(
         raise ValueError("threshold must be positive")
     p = np.asarray(pred_boxes, dtype=np.float64).reshape(-1, 9)
     g = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 9)
-    dist = _center_cost(p, g)
+    diff = p[:, None, :2] - g[None, :, :2]
+    dist = np.sqrt(np.einsum("pgd,pgd->pg", diff, diff))
     pairs = hungarian_assign(dist)
     keep = dist[pairs[:, 0], pairs[:, 1]] <= threshold
-    return MatchResult(pairs[keep])
+    return pairs[keep]
 
 
 @dataclass
@@ -168,7 +157,6 @@ class TpErrors:
     aoe: float
     ave: float
     aae: float
-    matched: int
 
     def as_dict(self) -> dict[str, float]:
         return {
@@ -181,18 +169,18 @@ class TpErrors:
 
 
 def tp_errors(
-    matches: MatchResult,
+    pairs: np.ndarray,
     pred_boxes: np.ndarray,
     gt_boxes: np.ndarray,
-    pred_velocity: np.ndarray | None = None,
+    pred_velocity: np.ndarray,
 ) -> TpErrors:
-    """Errors over matched pairs; ``pred_velocity`` overrides the boxes'
-    velocity channels (fused temporal estimates)."""
+    """Errors over matched pred/gt index ``pairs``, scoring each
+    prediction's ``pred_velocity`` (its fused estimate or box channels)."""
     p = np.asarray(pred_boxes, dtype=np.float64).reshape(-1, 9)
     g = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 9)
-    if matches.pairs.shape[0] == 0:
-        return TpErrors(1.0, 1.0, 1.0, 1.0, 1.0, matched=0)
-    pi, gi = matches.pairs[:, 0], matches.pairs[:, 1]
+    if pairs.shape[0] == 0:
+        return TpErrors(1.0, 1.0, 1.0, 1.0, 1.0)
+    pi, gi = pairs[:, 0], pairs[:, 1]
     pm, gm = p[pi], g[gi]
 
     ate = float(np.linalg.norm(pm[:, :2] - gm[:, :2], axis=1).mean())
@@ -205,13 +193,10 @@ def tp_errors(
     dtheta = np.where(dtheta > math.pi, 2.0 * math.pi - dtheta, dtheta)
     aoe = float(dtheta.mean())
 
-    if pred_velocity is not None:
-        vel = np.asarray(pred_velocity, dtype=np.float64).reshape(-1, 2)[pi]
-    else:
-        vel = pm[:, 7:9]
+    vel = np.asarray(pred_velocity, dtype=np.float64).reshape(-1, 2)[pi]
     ave = float(np.linalg.norm(vel - gm[:, 7:9], axis=1).mean())
 
-    return TpErrors(ate, ase, aoe, ave, 0.0, matched=int(pi.size))
+    return TpErrors(ate, ase, aoe, ave, 0.0)
 
 
 def average_precision(
@@ -287,14 +272,14 @@ class EvalReport:
 def evaluate_detections(
     det_frames: list[DetectionFrame],
     scene_frames: list[Frame],
-    thresholds: tuple[float, ...] = AP_THRESHOLDS,
     tp_threshold: float = TP_THRESHOLD,
     config: dict | None = None,
 ) -> EvalReport:
     """Score a detection file against its scene file.
 
-    AP is computed per threshold over all frames pooled; true-positive
-    errors use optimal one-to-one matching at ``tp_threshold`` per frame.
+    AP is computed at each of ``AP_THRESHOLDS`` over all frames pooled;
+    true-positive errors use optimal one-to-one matching at ``tp_threshold``
+    per frame.
     """
     if not tp_threshold > 0.0 or not math.isfinite(tp_threshold):
         raise ValueError(f"tp_threshold must be positive and finite, got {tp_threshold}")
@@ -315,7 +300,7 @@ def evaluate_detections(
     all_dets = [d for df in det_frames for d in df.detections]
 
     per_threshold: dict[float, float | None] = {}
-    for th in thresholds:
+    for th in AP_THRESHOLDS:
         per_threshold[th] = average_precision(all_dets, gt_frames, th)
     aps = [v for v in per_threshold.values() if v is not None]
     map_ = float(np.mean(aps)) if aps else None
@@ -329,18 +314,18 @@ def evaluate_detections(
         vels = np.stack(
             [d.velocity if d.velocity is not None else d.box[7:9] for d in df.detections]
         )
-        m = match_detections(boxes, gt, tp_threshold)
-        if m.pairs.shape[0]:
-            e = tp_errors(m, boxes, gt, pred_velocity=vels)
+        pairs = match_detections(boxes, gt, tp_threshold)
+        if pairs.shape[0]:
+            e = tp_errors(pairs, boxes, gt, vels)
             row = np.array([e.ate, e.ase, e.aoe, e.ave, e.aae])
-            err_rows.append(np.concatenate([row * m.pairs.shape[0], [m.pairs.shape[0]]]))
+            err_rows.append(np.concatenate([row * pairs.shape[0], [pairs.shape[0]]]))
     if err_rows:
         stacked = np.stack(err_rows)
         n = stacked[:, -1].sum()
         means = stacked[:, :-1].sum(axis=0) / n
-        tp = TpErrors(*(float(v) for v in means), matched=int(n))
+        tp = TpErrors(*(float(v) for v in means))
     else:
-        tp = TpErrors(1.0, 1.0, 1.0, 1.0, 1.0, matched=0)
+        tp = TpErrors(1.0, 1.0, 1.0, 1.0, 1.0)
 
     nds_val = nds(map_, tp.as_dict()) if map_ is not None else None
     return EvalReport(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import repeat
 from dataclasses import dataclass, replace
 from typing import Iterator
 
@@ -40,7 +41,6 @@ from .numerics import derive_seed, draw_seed, make_rng
 
 __all__ = [
     "TemporalParams",
-    "TemporalState",
     "SequenceResult",
     "temporal_init",
     "temporal_aggregate",
@@ -52,6 +52,9 @@ __all__ = [
 # A query whose starting mean overflows would decode to NaN; refuse it as
 # k-means refuses an overflowing potential.
 _NON_FINITE_MEAN = "neighborhood mean is not finite (non-finite or overflowing features)"
+
+# A healthy query's final direction and last cluster set, for the next frame.
+_Carry = tuple[np.ndarray, ClusterSet | None]
 
 
 @dataclass
@@ -69,20 +72,11 @@ class TemporalParams:
 
 
 @dataclass
-class TemporalState:
-    """What one frame hands to the next: evolved queries and their final
-    cluster sets (None for queries that never clustered)."""
-
-    queries: QuerySet
-    clusters: list[ClusterSet | None]
-
-
-@dataclass
 class SequenceResult:
     frames: list[DetectionFrame]
 
 
-def temporal_init(q_cur: np.ndarray, q_prev: np.ndarray, alpha: float = 0.4) -> np.ndarray:
+def temporal_init(q_cur: np.ndarray, q_prev: np.ndarray, alpha: float) -> np.ndarray:
     """Blend the current query with the previous frame's: a*cur + (1-a)*prev."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
@@ -127,16 +121,16 @@ def _evolve_single(
     frame: Frame,
     params: DqemParams,
     qrng: np.random.Generator,
-    tparams: TemporalParams | None,
-    q_prev: np.ndarray | None,
-    clusters_prev: ClusterSet | None,
-) -> tuple[Pillar, EvolutionTrace, ClusterSet | None]:
-    """One query against one frame, optionally fusing the previous state.
+    alpha: float,
+    carry: _Carry | None,
+) -> tuple[Pillar, EvolutionTrace, _Carry | None]:
+    """One query against one frame, fusing the previous frame's ``carry``.
 
-    With no previous query this is plain single-frame evolution.  On a fused
-    frame the first round aggregates over the pooled current and previous
-    centers; later rounds are plain.  The k-means call count is the same
-    either way.
+    With no carry this is plain single-frame evolution.  With one, the
+    previous direction is blended in with weight ``1 - alpha``, and the
+    first round aggregates over the pooled current and previous centers;
+    later rounds are plain.  The k-means call count is the same either way.
+    Returns the pillar, its trace and its carry (None when flagged).
     """
     trace = EvolutionTrace()
     attrs = pillar.attrs
@@ -154,9 +148,8 @@ def _evolve_single(
         return replace(pillar, flag="degenerate-zero-mean"), trace, None
     q = mean / norm0
     scale = norm0
-    fuse = tparams is not None and q_prev is not None
-    if fuse:
-        blended = temporal_init(q, q_prev, tparams.alpha)
+    if carry is not None:
+        blended = temporal_init(q, carry[0], alpha)
         nb = math.sqrt(blended.dot(blended))
         if nb > 0.0:
             q = blended / nb
@@ -180,17 +173,17 @@ def _evolve_single(
                 break
         krng.bit_generator.state = kstate
         clusters = kmeans(pts.feat, params.k, params.kmeans_iters, krng)
-        if fuse and it == 0:
+        if carry is not None and it == 0:
             # Attention and the blend share one pooled set, so it is built
             # here and temporal_aggregate has nothing left to pool.
-            anchor = _pooled(clusters, clusters_prev)
+            anchor = _pooled(clusters, carry[1])
             result = temporal_aggregate(q, anchor, None, params.top_k)
         else:
             anchor = clusters
             result = aggregate_over_centers(q, anchor.centers, params.top_k)
         trace.attention.append(result)
         q, scale, blend_flag = blend_and_rescale(
-            q, scale, result, anchor.centers, params.beta, sizes=anchor.sizes
+            q, scale, result, anchor.centers, params.beta, anchor.sizes
         )
         flag = blend_flag or flag
         dec = decode_feature(q * scale, frame.encoder_seed, params.tau_bg)
@@ -199,7 +192,8 @@ def _evolve_single(
             attrs = dec
     if not flag and trace.decoded[-1] is None:
         flag = "background"
-    return Pillar(attrs=attrs, feat=q, feat_scale=scale, flag=flag), trace, clusters
+    evolved = Pillar(attrs=attrs, feat=q, feat_scale=scale, flag=flag)
+    return evolved, trace, None if flag else (q, clusters)
 
 
 def _evolve_frame(
@@ -207,32 +201,23 @@ def _evolve_frame(
     frame: Frame,
     params: DqemParams,
     rng: np.random.Generator,
-    tparams: TemporalParams | None = None,
-    prev: TemporalState | None = None,
-) -> tuple[TemporalState, list[EvolutionTrace]]:
-    """Run the kernel for every query of one frame, fusing ``prev`` when
-    ``tparams`` is given.
+    alpha: float,
+    carries: list[_Carry | None] | None,
+) -> tuple[QuerySet, list[EvolutionTrace], list[_Carry | None]]:
+    """Run the kernel for every query of one frame, fusing each query's
+    carry from ``carries`` when it is given.
 
     Each query gets its own generator seeded from a single draw XOR the
     query index, so results do not depend on processing order.
     """
     base_seed = draw_seed(rng)
-    pillars: list[Pillar] = []
-    traces: list[EvolutionTrace] = []
-    clusters: list[ClusterSet | None] = []
-    for qi, pillar in enumerate(queries.pillars):
-        q_prev, c_prev = None, None
-        if tparams is not None:
-            prev_pillar = prev.queries.pillars[qi]
-            q_prev = prev_pillar.feat if prev_pillar.feat.size and not prev_pillar.flag else None
-            c_prev = prev.clusters[qi]
-        new_pillar, trace, cs = _evolve_single(
-            pillar, frame, params, make_rng(base_seed ^ qi), tparams, q_prev, c_prev
+    pillars, traces, carried = zip(*(
+        _evolve_single(pillar, frame, params, make_rng(base_seed ^ qi), alpha, carry)
+        for qi, (pillar, carry) in enumerate(
+            zip(queries.pillars, carries if carries is not None else repeat(None))
         )
-        pillars.append(new_pillar)
-        traces.append(trace)
-        clusters.append(cs)
-    return TemporalState(queries=QuerySet(pillars), clusters=clusters), traces
+    ))
+    return QuerySet(list(pillars)), list(traces), list(carried)
 
 
 def evolve_queries(
@@ -245,8 +230,8 @@ def evolve_queries(
 
     Inputs are left untouched.
     """
-    state, traces = _evolve_frame(queries, frame, params, rng)
-    return state.queries, traces
+    evolved, traces, _ = _evolve_frame(queries, frame, params, rng, 0.0, None)
+    return evolved, traces
 
 
 def iter_sequence(
@@ -277,7 +262,7 @@ def iter_sequence(
     so with- and without-fusion runs see identical per-frame streams.
     """
     base_seed = draw_seed(rng)
-    state: TemporalState | None = None
+    carries: list[_Carry | None] | None = None
     # recent[0] is the (timestamp, detections) of the frame one stride back
     # once a stride has passed.
     recent: deque[tuple[float, list[Detection]]] = deque(
@@ -285,7 +270,7 @@ def iter_sequence(
     )
 
     for t, frame in enumerate(frames):
-        fused = tparams is not None and state is not None and t % tparams.stride == 0
+        fused = tparams is not None and carries is not None and t % tparams.stride == 0
         prev_dets: list[Detection] = []
         dt = 0.0
         if fused:
@@ -298,11 +283,12 @@ def iter_sequence(
                 )
         frame_rng = make_rng(derive_seed(base_seed, f"frame:{t}"))
         pillars = init_pillars(grid_nx, grid_ny, bounds)
-        state, traces = _evolve_frame(
-            pillars, frame, params, frame_rng, tparams if fused else None, state
+        queries, traces, carries = _evolve_frame(
+            pillars, frame, params, frame_rng,
+            tparams.alpha if fused else 0.0, carries if fused else None,
         )
 
-        detections = extract_detections(state.queries, traces, frame_index=t)
+        detections = extract_detections(queries, traces, frame_index=t)
         if tparams is not None:
             detections = [
                 replace(det, velocity=_velocity_estimate(det, prev_dets, dt))
@@ -310,7 +296,7 @@ def iter_sequence(
             ]
             recent.append((frame.timestamp, detections))
         fused_out = fused if tparams is not None else None
-        yield DetectionFrame(frame.timestamp, detections, fused_out), state.queries, traces
+        yield DetectionFrame(frame.timestamp, detections, fused_out), queries, traces
 
 
 def run_sequence(
@@ -338,7 +324,6 @@ def _velocity_estimate(
     det: Detection,
     prev_dets: list[Detection],
     dt: float,
-    gate: float = BACKTRACK_GATE,
 ) -> np.ndarray:
     """Average the decoded velocity channels with a track position delta.
 
@@ -357,7 +342,7 @@ def _velocity_estimate(
     prev_xy = np.array([p.box[:2] for p in prev_dets])
     gaps = np.linalg.norm(prev_xy - predicted_back, axis=1)
     j = int(np.argmin(gaps))
-    if gaps[j] > gate:
+    if gaps[j] > BACKTRACK_GATE:
         return np.array(v_chan)
     v_mot = (cur - prev_xy[j]) / dt
     return 0.5 * (v_mot + v_chan)

@@ -301,6 +301,28 @@ def test_read_scenes_rejects_a_malformed_point(tmp_path, point):
         read_scenes(path)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("d", 9.4, "d must be an integer, got 9.4"),
+    ("d", True, "d must be an integer, got True"),
+    ("d", 4, "d must be at least 9, got 4"),
+    ("encoder_seed", 7.9, "encoder_seed must be an integer, got 7.9"),
+    ("track_id", 2.7, "track_id must be an integer, got 2.7"),
+])
+def test_read_scenes_rejects_a_malformed_frame_field(tmp_path, key, value, message):
+    # A float was once truncated to an integer, and a d below 9 was read.
+    path = tmp_path / "bad.jsonl"
+    cfg = SceneConfig(n_objects=1, points_per_object=4, background_points=2)
+    write_scenes(generate_sequence(cfg, 2, 0.5, make_rng(3)).frames, path)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[1])
+    (rec["gt"][0] if key == "track_id" else rec)[key] = value
+    lines[1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_scenes(path)
+    assert str(info.value) == f"{path}:2: malformed frame record ({message})"
+
+
 def test_read_scenes_peak_memory_follows_the_arrays(tmp_path):
     # A 6000-point frame's arrays take 0.86 MB.  Parsing each point into a
     # dict, two lists and 18 floats before building them peaked at 8.5 MB;

@@ -269,6 +269,16 @@ def test_gradcheck_passes(capsys):
     assert "ok" in out.lower()
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--cases=0", "--cases must be at least 1"),
+    ("--fit-steps=-1", "--fit-steps must be non-negative"),
+])
+def test_gradcheck_bad_count_fails_before_any_case(capsys, flag, message):
+    # Nothing printed: no gradient case ran before the check.
+    assert run(["gradcheck", flag]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------- bench
 
 
@@ -368,6 +378,25 @@ def test_detect_nan_feature_exits_one_with_location(tmp_path, capsys):
     capsys.readouterr()
     assert run(detect_args(bad, tmp_path / "d.jsonl")) == 1
     assert f"{bad}:2: point 3: feature is not finite" in capsys.readouterr().err
+
+
+def test_detect_narrow_features_exit_one_with_location(tmp_path, capsys):
+    # A d below 9 once ran every gather and k-means of the file, then
+    # failed naming no file or line.
+    scenes, bad, out = tmp_path / "s.jsonl", tmp_path / "bad.jsonl", tmp_path / "d.jsonl"
+    run(simulate_args(scenes, frames=2))
+    recs = [json.loads(line) for line in scenes.read_text().splitlines()]
+    for rec in recs:
+        rec["d"] = 4
+        for p in rec["points"]:
+            p["f"] = p["f"][:4]
+    bad.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+    capsys.readouterr()
+    assert run(detect_args(bad, out)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}:1: malformed frame record (d must be at least 9, got 4)\n"
+    )
+    assert not out.exists()
 
 
 def test_eval_infinite_point_exits_one(tmp_path):

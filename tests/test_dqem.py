@@ -194,28 +194,13 @@ def test_kmeans_near_best_of_restarts():
         assert got <= best * 1.25 + 1e-12
 
 
-def test_kmeans_restarts_only_improve():
-    rng = make_rng(23)
-    for trial in range(20):
-        pts = rng.normal(size=(40, 3))
-        single = kmeans(pts, 5, 20, make_rng(trial))
-        multi = kmeans(pts, 5, 20, make_rng(trial), n_init=8)
-        assert multi.inertia <= single.inertia + 1e-12
-    # one restart is the plain call, draw for draw
-    pts = make_rng(24).normal(size=(30, 4))
-    a = kmeans(pts, 4, 20, make_rng(1))
-    b = kmeans(pts, 4, 20, make_rng(1), n_init=1)
-    assert np.array_equal(a.centers, b.centers)
-    assert a.inertia_trace == b.inertia_trace
-
-
 def test_kmeans_validation():
     with pytest.raises(ValueError):
-        kmeans(np.zeros((0, 3)), 2)
+        kmeans(np.zeros((0, 3)), 2, 20, make_rng(0))
     with pytest.raises(ValueError):
-        kmeans(np.zeros((5, 3)), 0)
+        kmeans(np.zeros((5, 3)), 0, 20, make_rng(0))
     with pytest.raises(ValueError):
-        kmeans(np.ones((5, 3)), 2, n_init=0)
+        kmeans(np.ones((5, 3)), 2, 0, make_rng(0))
 
 
 # ---------------------------------------------------------------- attention
@@ -386,7 +371,7 @@ def test_blend_noiseless_exactness():
     centers = np.tile(c, (4, 1))
     q = c / np.linalg.norm(c)
     r = aggregate_over_centers(q, centers, top_k=3)
-    qn, scale, flag = blend_and_rescale(q, 1.0, r, centers, beta=0.6)
+    qn, scale, flag = blend_and_rescale(q, 1.0, r, centers, beta=0.6, sizes=np.ones(4))
     assert flag == ""
     assert np.allclose(qn * scale, c, atol=1e-10)
     assert np.isclose(np.linalg.norm(qn), 1.0)
@@ -411,7 +396,7 @@ def test_blend_zero_flag():
     centers = np.zeros((3, d))
     q = np.zeros(d)
     r = aggregate_over_centers(q, centers, top_k=2)
-    qn, scale, flag = blend_and_rescale(q, 1.0, r, centers, beta=0.6)
+    qn, scale, flag = blend_and_rescale(q, 1.0, r, centers, beta=0.6, sizes=np.ones(3))
     assert flag == "degenerate-zero-blend"
     assert np.all(np.isfinite(qn)) and np.isfinite(scale)
 
@@ -423,7 +408,7 @@ def test_blend_beta_zero_takes_aggregate_direction():
     q = rng.normal(size=d)
     q /= np.linalg.norm(q)
     r = aggregate_over_centers(q, centers, top_k=3)
-    qn, _, _ = blend_and_rescale(q, 1.0, r, centers, beta=0.0)
+    qn, _, _ = blend_and_rescale(q, 1.0, r, centers, beta=0.0, sizes=np.ones(6))
     want = r.aggregated / np.linalg.norm(r.aggregated)
     assert np.allclose(qn, want, atol=1e-12)
 
@@ -609,6 +594,8 @@ def test_detections_io_velocity_preserved(tmp_path):
         ("velocity", [0.0, math.inf], "velocity is not finite"),
         ("box", [1.0] * 3 + [-2.0] + [1.0] * 5, "box size must be positive"),
         ("box", [1.0] * 5 + [0.0] + [1.0] * 3, "box size must be positive"),
+        ("query_id", 3.9, "query_id must be an integer, got 3.9"),
+        ("query_id", True, "query_id must be an integer, got True"),
     ],
 )
 def test_read_detections_rejects_bad_detection(tmp_path, field, value, message):

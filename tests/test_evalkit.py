@@ -8,7 +8,6 @@ import pytest
 from qebev.bevscene import SceneConfig, generate_sequence
 from qebev.dqem import Detection, DetectionFrame
 from qebev.evalkit import (
-    MatchResult,
     average_precision,
     evaluate_detections,
     hungarian_assign,
@@ -111,16 +110,15 @@ def test_hungarian_known_case():
 def test_match_simple_pairs_and_leftovers():
     pred = np.stack([box(0, 0), box(5, 0)])
     gt = np.stack([box(0.5, 0), box(5.2, 0), box(20, 0)])
-    m = match_detections(pred, gt, threshold=2.0)
+    pairs = match_detections(pred, gt, threshold=2.0)
     # the far gt 2 is left over
-    assert m.pairs.tolist() == [[0, 0], [1, 1]]
+    assert pairs.tolist() == [[0, 0], [1, 1]]
 
 
 def test_match_threshold_discards_far_pairs():
     pred = np.stack([box(0, 0)])
     gt = np.stack([box(3.0, 0)])
-    m = match_detections(pred, gt, threshold=2.0)
-    assert m.pairs.shape == (0, 2)
+    assert match_detections(pred, gt, threshold=2.0).shape == (0, 2)
 
 
 def test_match_is_globally_optimal_on_crossing():
@@ -128,22 +126,16 @@ def test_match_is_globally_optimal_on_crossing():
     # crosses, a nearest-first greedy would not
     pred = np.stack([box(1.0, 0), box(2.0, 0)])
     gt = np.stack([box(2.2, 0), box(0.0, 0)])
-    m = match_detections(pred, gt, threshold=5.0)
-    assert {tuple(p) for p in m.pairs.tolist()} == {(0, 1), (1, 0)}
+    pairs = match_detections(pred, gt, threshold=5.0)
+    assert {tuple(p) for p in pairs.tolist()} == {(0, 1), (1, 0)}
 
 
 def test_match_empty_inputs():
-    m = match_detections(np.zeros((0, 9)), np.stack([box(0, 0)]), 2.0)
-    assert m.pairs.shape == (0, 2)
-    m2 = match_detections(np.stack([box(0, 0)]), np.zeros((0, 9)), 2.0)
-    assert m2.pairs.shape == (0, 2)
+    assert match_detections(np.zeros((0, 9)), np.stack([box(0, 0)]), 2.0).shape == (0, 2)
+    assert match_detections(np.stack([box(0, 0)]), np.zeros((0, 9)), 2.0).shape == (0, 2)
 
 
 # ---------------------------------------------------------------- tp errors
-
-
-def two_pair_match():
-    return MatchResult(pairs=np.array([[0, 0], [1, 1]]))
 
 
 def test_tp_errors_hand_computed():
@@ -155,38 +147,34 @@ def test_tp_errors_hand_computed():
         box(0.0, 0.0, w=1.0, l=2.0, h=1.0, theta=0.0, vx=0.0, vy=0.0),
         box(0.0, 0.0, w=1.0, l=4.0, h=2.0, theta=0.0, vx=0.0, vy=1.0),
     ])
-    e = tp_errors(two_pair_match(), pred, gt)
+    e = tp_errors(np.array([[0, 0], [1, 1]]), pred, gt, pred[:, 7:9])
     assert e.ate == pytest.approx((1.0 + 2.0) / 2, abs=1e-12)
     # pair 0 dims identical (ratio product 1), pair 1 ratios 1/2, 2/4, 2/2
     assert e.ase == pytest.approx((0.0 + (1 - 0.25)) / 2, abs=1e-12)
     assert e.aoe == pytest.approx((0.0 + 0.5) / 2, abs=1e-12)
     assert e.ave == pytest.approx((1.0 + 1.0) / 2, abs=1e-12)
     assert e.aae == 0.0
-    assert e.matched == 2
 
 
 def test_tp_errors_orientation_wraps():
     pred = np.stack([box(0, 0, theta=math.pi - 0.1)])
     gt = np.stack([box(0, 0, theta=-math.pi + 0.1)])
-    m = MatchResult(np.array([[0, 0]]))
-    e = tp_errors(m, pred, gt)
+    e = tp_errors(np.array([[0, 0]]), pred, gt, pred[:, 7:9])
     assert e.aoe == pytest.approx(0.2, abs=1e-12)
 
 
 def test_tp_errors_velocity_override():
     pred = np.stack([box(0, 0, vx=9.0, vy=9.0)])
     gt = np.stack([box(0, 0, vx=1.0, vy=0.0)])
-    m = MatchResult(np.array([[0, 0]]))
     fused = np.array([[1.0, 0.0]])
-    e = tp_errors(m, pred, gt, pred_velocity=fused)
+    e = tp_errors(np.array([[0, 0]]), pred, gt, pred_velocity=fused)
     assert e.ave == pytest.approx(0.0, abs=1e-12)
 
 
 def test_tp_errors_no_matches_saturate():
-    m = MatchResult(np.zeros((0, 2), dtype=int))
-    e = tp_errors(m, np.stack([box(0, 0)]), np.stack([box(9, 9)]))
+    pred = np.stack([box(0, 0)])
+    e = tp_errors(np.zeros((0, 2), dtype=int), pred, np.stack([box(9, 9)]), pred[:, 7:9])
     assert (e.ate, e.ase, e.aoe, e.ave, e.aae) == (1.0, 1.0, 1.0, 1.0, 1.0)
-    assert e.matched == 0
 
 
 # ---------------------------------------------------------------- AP

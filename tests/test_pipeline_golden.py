@@ -67,3 +67,22 @@ def test_detect_large_frame_matches_baseline(tmp_path, capsys):
     ]) == 0
     capsys.readouterr()
     assert hashlib.sha256(dets.read_bytes()).hexdigest() == LARGE_DETECTIONS_SHA256
+
+
+TEMPORAL_NO_ROUNDS_SHA256 = "f55915c0e9b0ad7ab0c6c12dae4042c2bf8d92e6998b6e6a48fd8bc890f72104"
+
+
+@pytest.mark.filterwarnings("error")
+def test_temporal_detect_without_rounds_matches_baseline(tmp_path, capsys):
+    """``detect --temporal --iters 0`` on the ``pipeline --seed 42`` scenes:
+    every fused frame blends in previous queries that never clustered, so
+    each carry holds a direction and no cluster set."""
+    scenes, dets = tmp_path / "scenes.jsonl", tmp_path / "detections.jsonl"
+    assert cli.main(["simulate", "--seed", "42", "--out", str(scenes)]) == 0
+    assert hashlib.sha256(scenes.read_bytes()).hexdigest() == BASELINE_SHA256["scenes.jsonl"]
+    assert cli.main([
+        "detect", "--seed", "3", "--temporal", "--iters", "0",
+        "--scenes", str(scenes), "--out", str(dets),
+    ]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(dets.read_bytes()).hexdigest() == TEMPORAL_NO_ROUNDS_SHA256

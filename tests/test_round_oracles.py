@@ -82,7 +82,7 @@ def ref_aggregate_over_centers(q, centers, top_k):
     return AttentionResult(selected, weights, weights @ c[selected])
 
 
-def ref_blend_and_rescale(q, scale, result, centers, beta, sizes=None):
+def ref_blend_and_rescale(q, scale, result, centers, beta, sizes):
     qp = result.aggregated
     u = qp + beta * q
     nu = float(np.linalg.norm(u))
@@ -91,10 +91,7 @@ def ref_blend_and_rescale(q, scale, result, centers, beta, sizes=None):
     q_new = u / nu
     if result.selected.size:
         norms = np.linalg.norm(centers[result.selected], axis=1)
-        if sizes is not None:
-            w = np.asarray(sizes, dtype=np.float64)[result.selected]
-        else:
-            w = np.ones(result.selected.size)
+        w = np.asarray(sizes, dtype=np.float64)[result.selected]
         tot = float(w.sum())
         anchor = float(w @ norms / tot) if tot > 0.0 else 0.0
         if anchor > 0.0:
@@ -222,10 +219,7 @@ def blend_cases(draw):
     if draw(st.integers(0, 4)) == 0:
         # An aggregate that cancels the query exactly: a zero blend.
         result.aggregated = -beta * q
-    sizes = draw(st.one_of(
-        st.none(),
-        arrays(np.int64, centers.shape[0], elements=st.integers(0, 3)),  # zero weights
-    ))
+    sizes = draw(arrays(np.int64, centers.shape[0], elements=st.integers(0, 3)))  # zero weights
     scale = draw(st.sampled_from([0.0, 1.5]))
     return q, scale, result, centers, beta, sizes
 
@@ -246,9 +240,10 @@ def test_blend_covers_the_zero_blend_and_zero_anchor_edges():
     q = np.array([0.6, 0.8])
     zero_anchor = AttentionResult(np.array([0]), np.array([1.0]), np.array([0.3, 0.4]))
     centers = np.zeros((1, 2))  # every selected centre has norm 0
-    for sizes in (None, np.array([2])):
+    for sizes in (np.array([1]), np.array([2])):
         got = blend_and_rescale(q, 1.5, zero_anchor, centers, 0.6, sizes=sizes)
         want = ref_blend_and_rescale(q, 1.5, zero_anchor, centers, 0.6, sizes=sizes)
         assert got[1] == want[1] == 0.5 and got[2] == want[2] == ""
     cancel = AttentionResult(np.array([0]), np.array([1.0]), -0.5 * q)
-    assert blend_and_rescale(q, 1.5, cancel, centers, 0.5)[1:] == (1.5, "degenerate-zero-blend")
+    assert blend_and_rescale(q, 1.5, cancel, centers, 0.5, np.array([1]))[1:] == (
+        1.5, "degenerate-zero-blend")
