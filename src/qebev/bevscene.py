@@ -25,12 +25,10 @@ __all__ = [
     "BoxAttributes",
     "PointSet",
     "Frame",
-    "SceneSequence",
     "SceneConfig",
     "encoding_matrix",
     "encode_attributes",
     "decode_feature",
-    "generate_frame",
     "generate_sequence",
     "write_scenes",
     "read_scenes",
@@ -131,20 +129,6 @@ class Frame:
             raise ValueError("one track id per ground-truth box")
         if self.points.feat.shape[1] != self.d:
             raise ValueError("feature width disagrees with d")
-
-
-@dataclass
-class SceneSequence:
-    """Frames of one scene; objects keep stable track ids."""
-
-    frames: list[Frame]
-    # track id -> index of the first frame the object is absent from,
-    # recorded when motion carries it outside the scene bounds.
-    dropped: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.frames:
-            raise ValueError("a sequence needs at least one frame")
 
 
 @dataclass
@@ -337,25 +321,16 @@ def _render_frame(
     )
 
 
-def generate_frame(cfg: SceneConfig, rng: np.random.Generator) -> Frame:
-    """One static frame; identical (cfg, seed) gives identical output."""
-    encoder_seed = draw_seed(rng)
-    boxes, track_ids = _sample_boxes(cfg, rng)
-    return _render_frame(cfg, boxes, track_ids, 0.0, encoder_seed, rng)
-
-
 def generate_sequence(
     cfg: SceneConfig,
     frames: int,
     interval: float,
     rng: np.random.Generator,
-) -> SceneSequence:
-    """Frames of one scene with objects translating at their velocities.
-
-    Objects whose centers leave the scene square are dropped from that frame
-    on, with the drop frame recorded.  A single-frame sequence matches
-    :func:`generate_frame` draw for draw.
-    """
+) -> list[Frame]:
+    """Frames of one scene with objects translating at their velocities
+    under stable track ids; identical (cfg, seed) gives identical frames.
+    Objects whose centers leave the scene square are dropped from that
+    frame on."""
     if frames < 1:
         raise ValueError("frames must be at least 1")
     if not interval > 0.0 or not math.isfinite(interval):
@@ -363,33 +338,30 @@ def generate_sequence(
     encoder_seed = draw_seed(rng)
     boxes, track_ids = _sample_boxes(cfg, rng)
     out: list[Frame] = []
-    dropped: dict[int, int] = {}
     for t in range(frames):
         if t > 0:
             moved: list[BoxAttributes] = []
             kept_ids: list[int] = []
             for box, tid in zip(boxes, track_ids):
                 nb = replace(box, x=box.x + box.vx * interval, y=box.y + box.vy * interval)
-                if abs(nb.x) > cfg.bounds or abs(nb.y) > cfg.bounds:
-                    dropped[tid] = t
-                else:
+                if abs(nb.x) <= cfg.bounds and abs(nb.y) <= cfg.bounds:
                     moved.append(nb)
                     kept_ids.append(tid)
             boxes, track_ids = moved, kept_ids
         out.append(_render_frame(cfg, boxes, track_ids, t * interval, encoder_seed, rng))
-    return SceneSequence(frames=out, dropped=dropped)
+    return out
 
 
 def _frame_record(frame: Frame) -> dict:
     return {
         "timestamp": frame.timestamp,
         "gt": [
-            {"box": [float(v) for v in box.as_array()], "track_id": tid}
+            {"box": box.as_array().tolist(), "track_id": tid}
             for box, tid in zip(frame.boxes, frame.track_ids)
         ],
         "points": [
-            {"xy": [float(x), float(y)], "f": [float(v) for v in f]}
-            for (x, y), f in zip(frame.points.xy, frame.points.feat)
+            {"xy": xy, "f": f}
+            for xy, f in zip(frame.points.xy.tolist(), frame.points.feat.tolist())
         ],
         "encoder_seed": frame.encoder_seed,
         "d": frame.d,
@@ -421,6 +393,15 @@ def _packed_point(obj: dict) -> dict | array:
     return obj
 
 
+def _packed_point_no_bool(obj: dict) -> dict | array:
+    """:func:`_packed_point` for a line that may hold a JSON bool, which a
+    packed row would read as 1.0 or 0.0: a point holding one stays as parsed."""
+    row = _packed_point(obj)
+    if row is not obj and any(type(v) is bool for v in obj["xy"] + obj["f"]):
+        return obj
+    return row
+
+
 def _point_arrays(records: list) -> tuple[np.ndarray, np.ndarray]:
     """The (n, 2) positions and (n, d) features of a line's packed points."""
     try:
@@ -442,8 +423,16 @@ def _json_int(value, name: str) -> int:
     return value
 
 
+def _json_number(value, name: str) -> float:
+    """A JSON number field as a float; a string or a bool is refused, not
+    converted."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def read_scenes(path: str) -> list[Frame]:
-    """Parse a scene JSONL file back into frames, timestamps strictly rising."""
+    """Parse a scene JSONL file into frames of one feature width, timestamps strictly rising."""
     frames: list[Frame] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -451,8 +440,11 @@ def read_scenes(path: str) -> list[Frame]:
             # as read, without a stripped copy, and dropped once parsed.
             if line.isspace():
                 continue
+            # A JSON bool holds a "u" (true) or an "l" (false), and a scene
+            # line holds neither, so only a line with one checks its points.
+            hook = _packed_point_no_bool if "u" in line or "l" in line else _packed_point
             try:
-                rec = json.loads(line, object_hook=_packed_point)
+                rec = json.loads(line, object_hook=hook)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{line_no}: bad JSON ({exc})") from exc
             del line
@@ -460,15 +452,17 @@ def read_scenes(path: str) -> list[Frame]:
                 d = _json_int(rec["d"], "d")
                 if d < ATTR_DIM:
                     raise ValueError(f"d must be at least {ATTR_DIM}, got {d}")
-                gt_rows = [np.asarray(g["box"], dtype=np.float64) for g in rec["gt"]]
+                if frames and d != frames[0].d:
+                    raise ValueError(f"d must be the first frame's {frames[0].d}, got {d}")
+                gt_rows = [np.array([_json_number(v, "box") for v in g["box"]]) for g in rec["gt"]]
                 track_ids = [_json_int(g["track_id"], "track_id") for g in rec["gt"]]
                 if rec["points"]:
                     points = PointSet(*_point_arrays(rec["points"]))
                 else:
                     points = PointSet.empty(d)
-                timestamp = float(rec["timestamp"])
+                timestamp = _json_number(rec["timestamp"], "timestamp")
                 encoder_seed = _json_int(rec["encoder_seed"], "encoder_seed")
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}:{line_no}: malformed frame record ({exc})") from exc
             if not math.isfinite(timestamp):
                 raise ValueError(f"{path}:{line_no}: timestamp {timestamp} is not finite")

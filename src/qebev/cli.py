@@ -21,6 +21,7 @@ from . import bench as bench_mod
 from .bevscene import SceneConfig, generate_sequence, read_scenes, write_scenes
 from .dqem import (
     DqemParams,
+    QuerySet,
     dedup_detections,
     diversity_loss,
     diversity_loss_grad,
@@ -149,9 +150,9 @@ def _scene_config(args: argparse.Namespace) -> SceneConfig:
     )
 
 
-def _detect_params(args: argparse.Namespace) -> tuple[DqemParams, TemporalParams]:
-    """The detection settings, every value checked before a run reads,
-    draws or writes anything."""
+def _detect_params(args: argparse.Namespace) -> tuple[DqemParams, TemporalParams, QuerySet]:
+    """The detection settings and the query grid, every value checked
+    before a run reads, draws or writes anything."""
     params = DqemParams(
         k=args.k,
         top_k=args.topk,
@@ -166,8 +167,7 @@ def _detect_params(args: argparse.Namespace) -> tuple[DqemParams, TemporalParams
     if not args.dedup_radius >= 0.0:
         # dedup_detections' check, made before detection runs.
         raise ValueError("dedup radius must be non-negative")
-    init_pillars(args.grid_nx, args.grid_ny, args.bounds)  # for its grid and bounds checks
-    return params, tparams
+    return params, tparams, init_pillars(args.grid_nx, args.grid_ny, args.bounds)
 
 
 def _check_tp_threshold(args: argparse.Namespace) -> None:
@@ -180,19 +180,16 @@ def _detect_over_scenes(
     args: argparse.Namespace,
     params: DqemParams,
     tparams: TemporalParams,
+    pillars: QuerySet,
     scenes_path: str,
     out_path: str,
 ) -> None:
     frames = read_scenes(scenes_path)
     if not frames:
         raise ValueError(f"{scenes_path}: no frames")
-    widths = {f.d for f in frames}
-    if len(widths) != 1:
-        raise ValueError(f"{scenes_path}: mixed feature widths {sorted(widths)}")
     result = run_sequence(
         frames, params, tparams if args.temporal else None,
-        make_rng(derive_seed(args.seed, "detect")),
-        grid_nx=args.grid_nx, grid_ny=args.grid_ny, bounds=args.bounds,
+        make_rng(derive_seed(args.seed, "detect")), pillars,
     )
     echo = asdict(params)
     echo.update(
@@ -216,13 +213,11 @@ def _detect_over_scenes(
 
 def _run_simulate(args: argparse.Namespace) -> int:
     cfg = _scene_config(args)
-    if args.frames < 1:
-        raise ValueError("--frames must be at least 1")
     rng = make_rng(derive_seed(args.seed, "simulate"))
-    seq = generate_sequence(cfg, args.frames, args.interval, rng)
-    write_scenes(seq.frames, args.out)
-    n_pts = sum(len(f.points) for f in seq.frames)
-    print(f"wrote {len(seq.frames)} frames ({n_pts} points) to {args.out}")
+    frames = generate_sequence(cfg, args.frames, args.interval, rng)
+    write_scenes(frames, args.out)
+    n_pts = sum(len(f.points) for f in frames)
+    print(f"wrote {len(frames)} frames ({n_pts} points) to {args.out}")
     return 0
 
 
@@ -278,7 +273,7 @@ def _run_gradcheck(args: argparse.Namespace) -> int:
     cfg = SceneConfig(bounds=20.0, n_objects=3, d=12, noise_sigma=0.1)
     suite = generate_sequence(cfg, 2, 0.5, make_rng(derive_seed(args.seed, "gradcheck-suite")))
     fit = fit_projections(
-        suite.frames,
+        suite,
         DqemParams(),
         steps=args.fit_steps,
         rng=make_rng(derive_seed(args.seed, "gradcheck-fit")),
@@ -325,14 +320,14 @@ def _run_pipeline(args: argparse.Namespace) -> int:
     report_path = os.path.join(args.out_dir, "report.json")
 
     cfg = _scene_config(args)
-    params, tparams = _detect_params(args)
+    params, tparams, pillars = _detect_params(args)
     _check_tp_threshold(args)
-    seq = generate_sequence(
+    frames = generate_sequence(
         cfg, args.frames, args.interval, make_rng(derive_seed(args.seed, "simulate"))
     )
     os.makedirs(args.out_dir, exist_ok=True)
-    write_scenes(seq.frames, scenes_path)
-    _detect_over_scenes(args, params, tparams, scenes_path, dets_path)
+    write_scenes(frames, scenes_path)
+    _detect_over_scenes(args, params, tparams, pillars, scenes_path, dets_path)
 
     report = evaluate_detections(
         read_detections(dets_path),

@@ -23,9 +23,10 @@ from .bevscene import (
     BoxAttributes,
     Frame,
     PointSet,
+    _json_number,
     encoding_matrix,
 )
-from .numerics import make_rng, pairwise_sq_dist, softmax, top_k_indices
+from .numerics import pairwise_sq_dist, softmax, top_k_indices
 
 __all__ = [
     "DqemParams",
@@ -163,7 +164,6 @@ class FitResult:
     w_q: np.ndarray
     w_k: np.ndarray
     objective_log: list[float]
-    center_error: float
     attention_entropy: float
 
 
@@ -638,9 +638,9 @@ def _snapshot_metrics(snap: _Snapshots, w_q: np.ndarray, w_k: np.ndarray) -> tup
 def fit_projections(
     frames: list[Frame],
     params: DqemParams,
+    rng: np.random.Generator,
     steps: int = 25,
     lr: float = 0.05,
-    rng: np.random.Generator | None = None,
     diversity_weight: float = 0.1,
 ) -> FitResult:
     """Calibrate (w_q, w_k) by finite-difference descent on a frozen suite.
@@ -652,8 +652,6 @@ def fit_projections(
     the objective are retried with a halved rate, so the accepted-objective
     log is non-increasing.  steps=0 returns the initialization.
     """
-    if rng is None:
-        rng = make_rng(0)
     if steps < 0:
         raise ValueError("steps must be non-negative")
     if lr <= 0.0:
@@ -713,13 +711,11 @@ def fit_projections(
             best = (obj, w_q.copy(), w_k.copy())
 
     _, bq, bk = best
-    err, ent = _snapshot_metrics(snap, bq, bk)
     return FitResult(
         w_q=bq,
         w_k=bk,
         objective_log=log,
-        center_error=err,
-        attention_entropy=ent,
+        attention_entropy=_snapshot_metrics(snap, bq, bk)[1],
     )
 
 
@@ -816,14 +812,10 @@ def write_detections(path: str, frames: list[DetectionFrame], params_echo: dict)
                 "timestamp": frame.timestamp,
                 "detections": [
                     {
-                        "box": [float(v) for v in det.box],
+                        "box": det.box.tolist(),
                         "score": det.score,
                         "query_id": det.query_id,
-                        **(
-                            {"velocity": [float(det.velocity[0]), float(det.velocity[1])]}
-                            if det.velocity is not None
-                            else {}
-                        ),
+                        **({"velocity": det.velocity.tolist()} if det.velocity is not None else {}),
                     }
                     for det in frame.detections
                 ],
@@ -846,21 +838,24 @@ def read_detections(path: str) -> list[DetectionFrame]:
                 continue
             try:
                 rec = json.loads(line)
-                timestamp = float(rec["timestamp"])
+                timestamp = _json_number(rec["timestamp"], "timestamp")
                 raw = [
                     (
+                        d,
                         np.array(d["box"], dtype=np.float64),
-                        float(d["score"]),
+                        _json_number(d["score"], "score"),
                         d["query_id"],
                         np.array(d["velocity"], dtype=np.float64) if "velocity" in d else None,
                     )
                     for d in rec["detections"]
                 ]
-            except (KeyError, TypeError, ValueError) as exc:
+                if type(rec.get("fused", False)) is not bool:
+                    raise ValueError(f"fused must be true or false, got {rec['fused']!r}")
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}:{line_no}: malformed detection record ({exc})") from exc
             dets = []
-            for i, (box, score, query_id, velocity) in enumerate(raw):
-                problem = _detection_problem(box, score, query_id, velocity)
+            for i, (d, box, score, query_id, velocity) in enumerate(raw):
+                problem = _detection_problem(d, box, score, query_id, velocity)
                 if problem:
                     raise ValueError(f"{path}:{line_no}: detection {i}: {problem}")
                 dets.append(
@@ -876,9 +871,10 @@ def read_detections(path: str) -> list[DetectionFrame]:
 
 
 def _detection_problem(
-    box: np.ndarray, score: float, query_id, velocity: np.ndarray | None
+    d: dict, box: np.ndarray, score: float, query_id, velocity: np.ndarray | None
 ) -> str:
-    """What is wrong with one parsed detection, or "" when nothing is."""
+    """What is wrong with the detection record ``d``, parsed as the other
+    arguments, or "" when nothing is."""
     if box.shape != (ATTR_DIM,):
         return f"box must be {ATTR_DIM} numbers, got shape {box.shape}"
     if not np.isfinite(box).all():
@@ -894,4 +890,12 @@ def _detection_problem(
             return f"velocity must be 2 numbers, got shape {velocity.shape}"
         if not np.isfinite(velocity).all():
             return "velocity is not finite"
+    # The shapes passed, so both are flat lists; a string or bool parsed
+    # as a number above is refused here.
+    try:
+        for name in ("box", "velocity"):
+            for v in d.get(name, ()):
+                _json_number(v, name)
+    except ValueError as exc:
+        return str(exc)
     return ""

@@ -18,7 +18,6 @@ from .bevscene import Frame
 from .dqem import Detection, DetectionFrame
 
 __all__ = [
-    "TpErrors",
     "EvalReport",
     "AP_THRESHOLDS",
     "TP_THRESHOLD",
@@ -143,43 +142,22 @@ def match_detections(
     return pairs[keep]
 
 
-@dataclass
-class TpErrors:
-    """Mean true-positive errors; all saturate to 1.0 when nothing matched.
-
-    The size term is a center-aligned proxy: one minus the product of
-    per-axis min/max dimension ratios.  The attribute term has no analogue
-    in this synthetic setting and is pinned to 0.
-    """
-
-    ate: float
-    ase: float
-    aoe: float
-    ave: float
-    aae: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "mATE": self.ate,
-            "mASE": self.ase,
-            "mAOE": self.aoe,
-            "mAVE": self.ave,
-            "mAAE": self.aae,
-        }
-
-
 def tp_errors(
     pairs: np.ndarray,
     pred_boxes: np.ndarray,
     gt_boxes: np.ndarray,
     pred_velocity: np.ndarray,
-) -> TpErrors:
-    """Errors over matched pred/gt index ``pairs``, scoring each
-    prediction's ``pred_velocity`` (its fused estimate or box channels)."""
+) -> dict[str, float]:
+    """Mean errors, keyed by ``TP_KEYS``, over the matched pred/gt index
+    ``pairs`` (at least one), scoring each prediction's ``pred_velocity``
+    (its fused estimate or box channels).
+
+    The size term is a center-aligned proxy: one minus the product of
+    per-axis min/max dimension ratios.  The attribute term has no analogue
+    in this synthetic setting and is pinned to 0.
+    """
     p = np.asarray(pred_boxes, dtype=np.float64).reshape(-1, 9)
     g = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 9)
-    if pairs.shape[0] == 0:
-        return TpErrors(1.0, 1.0, 1.0, 1.0, 1.0)
     pi, gi = pairs[:, 0], pairs[:, 1]
     pm, gm = p[pi], g[gi]
 
@@ -196,7 +174,7 @@ def tp_errors(
     vel = np.asarray(pred_velocity, dtype=np.float64).reshape(-1, 2)[pi]
     ave = float(np.linalg.norm(vel - gm[:, 7:9], axis=1).mean())
 
-    return TpErrors(ate, ase, aoe, ave, 0.0)
+    return dict(zip(TP_KEYS, (ate, ase, aoe, ave, 0.0)))
 
 
 def average_precision(
@@ -255,14 +233,14 @@ def nds(map_: float, tp: dict[str, float]) -> float:
 @dataclass
 class EvalReport:
     map_: float | None
-    tp: TpErrors
+    tp: dict[str, float]
     nds_: float | None
     per_threshold_ap: dict[float, float | None]
     config: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         rec: dict = {"mAP": self.map_}
-        rec.update(self.tp.as_dict())
+        rec.update(self.tp)
         rec["NDS"] = self.nds_
         rec["per_threshold_AP"] = {f"{t:g}": ap for t, ap in self.per_threshold_ap.items()}
         rec["config"] = self.config
@@ -316,18 +294,16 @@ def evaluate_detections(
         )
         pairs = match_detections(boxes, gt, tp_threshold)
         if pairs.shape[0]:
-            e = tp_errors(pairs, boxes, gt, vels)
-            row = np.array([e.ate, e.ase, e.aoe, e.ave, e.aae])
+            row = np.array(list(tp_errors(pairs, boxes, gt, vels).values()))
             err_rows.append(np.concatenate([row * pairs.shape[0], [pairs.shape[0]]]))
+    # Every term saturates to 1.0 when nothing matched.
+    tp = dict.fromkeys(TP_KEYS, 1.0)
     if err_rows:
         stacked = np.stack(err_rows)
         n = stacked[:, -1].sum()
-        means = stacked[:, :-1].sum(axis=0) / n
-        tp = TpErrors(*(float(v) for v in means))
-    else:
-        tp = TpErrors(1.0, 1.0, 1.0, 1.0, 1.0)
+        tp = dict(zip(TP_KEYS, (stacked[:, :-1].sum(axis=0) / n).tolist()))
 
-    nds_val = nds(map_, tp.as_dict()) if map_ is not None else None
+    nds_val = nds(map_, tp) if map_ is not None else None
     return EvalReport(
         map_=map_,
         tp=tp,

@@ -33,7 +33,6 @@ from .dqem import (
     blend_and_rescale,
     extract_detections,
     gather_neighborhood,
-    init_pillars,
     initial_aggregate,
     kmeans,
 )
@@ -78,8 +77,6 @@ class SequenceResult:
 
 def temporal_init(q_cur: np.ndarray, q_prev: np.ndarray, alpha: float) -> np.ndarray:
     """Blend the current query with the previous frame's: a*cur + (1-a)*prev."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
     qc = np.asarray(q_cur, dtype=np.float64)
     qp = np.asarray(q_prev, dtype=np.float64)
     if qc.shape != qp.shape:
@@ -239,14 +236,13 @@ def iter_sequence(
     params: DqemParams,
     tparams: TemporalParams | None,
     rng: np.random.Generator,
-    grid_nx: int = 10,
-    grid_ny: int = 10,
-    bounds: float = 50.0,
+    pillars: QuerySet,
 ) -> Iterator[tuple[DetectionFrame, QuerySet, list[EvolutionTrace]]]:
     """Detect over every frame of a sequence, fusing per the stride.
 
-    Yields each frame's detections with its evolved queries and their
-    traces.  A frame's ``fused`` is None when ``tparams`` is None.
+    Every frame starts from the same ``pillars``, left untouched; yields
+    each frame's detections with its evolved queries and their traces.
+    A frame's ``fused`` is None when ``tparams`` is None.
     Between frames only the previous frame's fusion state and the last
     ``stride`` frames' detections are kept, so memory does not grow with
     the sequence.
@@ -282,7 +278,6 @@ def iter_sequence(
                     f"{t - tparams.stride} (timestamp {back_time}), one stride back"
                 )
         frame_rng = make_rng(derive_seed(base_seed, f"frame:{t}"))
-        pillars = init_pillars(grid_nx, grid_ny, bounds)
         queries, traces, carries = _evolve_frame(
             pillars, frame, params, frame_rng,
             tparams.alpha if fused else 0.0, carries if fused else None,
@@ -304,15 +299,11 @@ def run_sequence(
     params: DqemParams,
     tparams: TemporalParams | None,
     rng: np.random.Generator,
-    grid_nx: int = 10,
-    grid_ny: int = 10,
-    bounds: float = 50.0,
+    pillars: QuerySet,
 ) -> SequenceResult:
     """Every frame's detections from :func:`iter_sequence`, without the
     per-query state."""
-    return SequenceResult([
-        fr for fr, _, _ in iter_sequence(frames, params, tparams, rng, grid_nx, grid_ny, bounds)
-    ])
+    return SequenceResult([fr for fr, _, _ in iter_sequence(frames, params, tparams, rng, pillars)])
 
 
 # Largest accepted gap between a backward-predicted position and the

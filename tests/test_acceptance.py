@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from qebev.bench import BenchConfig, run_scaling
-from qebev.bevscene import BoxAttributes, SceneConfig, generate_frame, generate_sequence
+from qebev.bevscene import BoxAttributes, SceneConfig, generate_sequence
 from qebev.cli import main as cli_main
 from qebev.dqem import (
     DqemParams,
@@ -23,6 +23,7 @@ from qebev.dqem import (
     diversity_loss,
     diversity_loss_grad,
     fit_projections,
+    init_pillars,
     kmeans,
 )
 from qebev.evalkit import hungarian_assign, match_detections, nds
@@ -137,7 +138,7 @@ def test_criterion_5_evolution_reduces_error():
     curves = []
     for seed in range(100):
         rng = make_rng(derive_seed(seed, "crit5"))
-        fr = generate_frame(cfg, rng)
+        fr = generate_sequence(cfg, 1, 0.5, rng)[0]
         pillars, gts = [], []
         for box in fr.boxes:
             off = rng.uniform(-2.0, 2.0, size=2)
@@ -173,7 +174,7 @@ def crit6_velocity_error(result, seq, frames_eval):
     errs = []
     for t in frames_eval:
         dets = result.frames[t].detections
-        gts = seq.frames[t].boxes
+        gts = seq[t].boxes
         if not dets or not gts:
             continue
         pb = np.array([d.box for d in dets])
@@ -196,10 +197,10 @@ def test_criterion_6_temporal_fusion_helps():
     for seed in range(100):
         seq = generate_sequence(cfg, 8, 0.5, make_rng(derive_seed(seed, "crit6")))
         run_seed = derive_seed(seed, "crit6-run")
-        fused = run_sequence(seq.frames, params, TemporalParams(),
-                             make_rng(run_seed), grid_nx=6, grid_ny=6, bounds=30.0)
-        plain = run_sequence(seq.frames, params, None,
-                             make_rng(run_seed), grid_nx=6, grid_ny=6, bounds=30.0)
+        fused = run_sequence(seq, params, TemporalParams(),
+                             make_rng(run_seed), init_pillars(6, 6, 30.0))
+        plain = run_sequence(seq, params, None,
+                             make_rng(run_seed), init_pillars(6, 6, 30.0))
         ew = crit6_velocity_error(fused, seq, (2, 4, 6))
         eo = crit6_velocity_error(plain, seq, (2, 4, 6))
         if ew is None or eo is None:
@@ -226,7 +227,7 @@ def test_criterion_7_diversity_flattens_attention():
     entropy = {}
     for lam in (0.0, 0.1):
         fit = fit_projections(
-            suite.frames, DqemParams(), diversity_weight=lam,
+            suite, DqemParams(), diversity_weight=lam,
             steps=40, lr=2.0, rng=make_rng(derive_seed(7, "crit7-fit")),
         )
         entropy[lam] = fit.attention_entropy
@@ -278,7 +279,7 @@ def test_criterion_10_degenerate_robustness():
 
     # empty neighborhood: query far outside the populated area
     cfg = SceneConfig(n_objects=1, background_points=0)
-    fr = generate_frame(cfg, make_rng(1))
+    fr = generate_sequence(cfg, 1, 0.5, make_rng(1))[0]
     qs = QuerySet(pillars=[Pillar(
         attrs=BoxAttributes(200.0, 200.0, 1.0, 1.0, 2.0, 1.0, 0.0, 0.0, 0.0),
         feat=np.zeros(cfg.d))])
@@ -318,8 +319,8 @@ def test_criterion_10_degenerate_robustness():
     # zero-object frame through the full per-frame path
     cfg0 = SceneConfig(n_objects=0, background_points=30)
     seq0 = generate_sequence(cfg0, 3, 0.5, make_rng(5))
-    res = run_sequence(seq0.frames, DqemParams(), TemporalParams(), make_rng(6),
-                       grid_nx=3, grid_ny=3, bounds=50.0)
+    res = run_sequence(seq0, DqemParams(), TemporalParams(), make_rng(6),
+                       init_pillars(3, 3, 50.0))
     for frame in res.frames:
         for det in frame.detections:
             ok &= bool(np.all(np.isfinite(det.box)))

@@ -12,7 +12,6 @@ from qebev.bevscene import (
     decode_feature,
     encode_attributes,
     encoding_matrix,
-    generate_frame,
     generate_sequence,
     read_scenes,
     standardize,
@@ -102,7 +101,7 @@ def test_decode_feature_background_gate():
 
 def test_generate_frame_counts_and_bounds():
     cfg = SceneConfig()
-    fr = generate_frame(cfg, make_rng(4))
+    fr = generate_sequence(cfg, 1, 0.5, make_rng(4))[0]
     assert len(fr.boxes) == cfg.n_objects
     assert len(fr.points) == cfg.n_objects * cfg.points_per_object + cfg.background_points
     for b in fr.boxes:
@@ -113,7 +112,7 @@ def test_generate_frame_counts_and_bounds():
 
 def test_generate_frame_noiseless_points_decode_exactly():
     cfg = SceneConfig(n_objects=1, noise_sigma=0.0, background_points=0)
-    fr = generate_frame(cfg, make_rng(6))
+    fr = generate_sequence(cfg, 1, 0.5, make_rng(6))[0]
     gt = fr.boxes[0].as_array()
     for f in fr.points.feat:
         dec = decode_feature(f, fr.encoder_seed)
@@ -122,15 +121,15 @@ def test_generate_frame_noiseless_points_decode_exactly():
 
 def test_generate_frame_zero_objects():
     cfg = SceneConfig(n_objects=0, background_points=25)
-    fr = generate_frame(cfg, make_rng(9))
+    fr = generate_sequence(cfg, 1, 0.5, make_rng(9))[0]
     assert len(fr.boxes) == 0
     assert len(fr.points) == 25
 
 
 def test_generate_frame_deterministic():
     cfg = SceneConfig()
-    a = generate_frame(cfg, make_rng(31))
-    b = generate_frame(cfg, make_rng(31))
+    a = generate_sequence(cfg, 1, 0.5, make_rng(31))[0]
+    b = generate_sequence(cfg, 1, 0.5, make_rng(31))[0]
     assert a.encoder_seed == b.encoder_seed
     assert np.array_equal(a.points.xy, b.points.xy)
     assert np.array_equal(a.points.feat, b.points.feat)
@@ -148,7 +147,7 @@ def test_decode_error_grows_with_sigma():
         cfg = SceneConfig(n_objects=4, noise_sigma=sigma, background_points=0)
         total, count = 0.0, 0
         for seed in range(10):
-            fr = generate_frame(cfg, make_rng(1000 + seed))
+            fr = generate_sequence(cfg, 1, 0.5, make_rng(1000 + seed))[0]
             for i in range(len(fr.points)):
                 dec = decode_feature(fr.points.feat[i], fr.encoder_seed)
                 # nearest gt box is the generator one; use min distance
@@ -167,9 +166,9 @@ def test_decode_error_grows_with_sigma():
 def test_sequence_kinematics_and_identity():
     cfg = SceneConfig(n_objects=3, speed_min=2.0, speed_max=2.0, bounds=50.0)
     seq = generate_sequence(cfg, 4, 0.5, make_rng(12))
-    assert len(seq.frames) == 4
+    assert len(seq) == 4
     for t in range(3):
-        cur, nxt = seq.frames[t], seq.frames[t + 1]
+        cur, nxt = seq[t], seq[t + 1]
         assert nxt.timestamp - cur.timestamp == pytest.approx(0.5)
         for tid in set(cur.track_ids) & set(nxt.track_ids):
             bc = cur.boxes[cur.track_ids.index(tid)]
@@ -180,29 +179,36 @@ def test_sequence_kinematics_and_identity():
             assert math.hypot(bc.vx, bc.vy) == pytest.approx(2.0)
 
 
-def test_sequence_single_frame_matches_generate_frame():
-    cfg = SceneConfig()
-    seq = generate_sequence(cfg, 1, 0.5, make_rng(77))
-    fr = generate_frame(cfg, make_rng(77))
-    assert np.array_equal(seq.frames[0].points.feat, fr.points.feat)
-    assert seq.frames[0].encoder_seed == fr.encoder_seed
+def test_sequence_first_frame_does_not_depend_on_the_length():
+    # One frame is the first frame of a longer sequence, draw for draw.
+    cfg = SceneConfig(speed_max=3.0)
+    [one] = generate_sequence(cfg, 1, 0.5, make_rng(77))
+    first = generate_sequence(cfg, 4, 0.5, make_rng(77))[0]
+    assert one.encoder_seed == first.encoder_seed and one.timestamp == first.timestamp == 0.0
+    assert np.array_equal(one.points.xy, first.points.xy)
+    assert np.array_equal(one.points.feat, first.points.feat)
+    assert [b.as_array().tobytes() for b in one.boxes] \
+        == [b.as_array().tobytes() for b in first.boxes]
 
 
 def test_sequence_boundary_exit_recorded():
     cfg = SceneConfig(bounds=12.0, n_objects=3, speed_min=5.0, speed_max=5.0,
                       min_separation=4.0, margin=2.0)
     seq = generate_sequence(cfg, 8, 0.5, make_rng(21))
+    # The frame each object is first absent from.
+    dropped = {
+        tid: next(t for t, fr in enumerate(seq) if tid not in fr.track_ids)
+        for tid in seq[0].track_ids if tid not in seq[-1].track_ids
+    }
     # with 17.5 m of drift in a 12 m scene something must leave
-    assert seq.dropped, "expected at least one boundary exit"
-    for tid, t_gone in seq.dropped.items():
+    assert dropped, "expected at least one boundary exit"
+    for tid, t_gone in dropped.items():
         assert 1 <= t_gone < 8
-        assert tid in seq.frames[0].track_ids
-        assert tid not in seq.frames[t_gone].track_ids
-        assert tid in seq.frames[t_gone - 1].track_ids
-    first = len(seq.frames[0].boxes)
-    last = len(seq.frames[-1].boxes)
-    assert last == first - len(seq.dropped)
-    for fr in seq.frames:
+        assert all(tid not in fr.track_ids for fr in seq[t_gone:])  # gone for good
+    first = len(seq[0].boxes)
+    last = len(seq[-1].boxes)
+    assert last == first - len(dropped)
+    for fr in seq:
         for b in fr.boxes:
             assert abs(b.x) <= cfg.bounds and abs(b.y) <= cfg.bounds
 
@@ -211,10 +217,10 @@ def test_scene_io_round_trip(tmp_path):
     cfg = SceneConfig(n_objects=2, points_per_object=5, background_points=3)
     seq = generate_sequence(cfg, 3, 0.5, make_rng(42))
     path = tmp_path / "scenes.jsonl"
-    write_scenes(seq.frames, path)
+    write_scenes(seq, path)
     back = read_scenes(path)
     assert len(back) == 3
-    for a, b in zip(seq.frames, back):
+    for a, b in zip(seq, back):
         assert a.timestamp == b.timestamp
         assert a.encoder_seed == b.encoder_seed
         assert a.d == b.d
@@ -229,14 +235,14 @@ def test_scene_io_deterministic_bytes(tmp_path):
     cfg = SceneConfig(n_objects=2, points_per_object=4, background_points=2)
     seq = generate_sequence(cfg, 2, 0.5, make_rng(13))
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_scenes(seq.frames, p1)
-    write_scenes(seq.frames, p2)
+    write_scenes(seq, p1)
+    write_scenes(seq, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_scene_io_exact_keys(tmp_path):
     cfg = SceneConfig(n_objects=1, points_per_object=2, background_points=1)
-    fr = generate_frame(cfg, make_rng(5))
+    fr = generate_sequence(cfg, 1, 0.5, make_rng(5))[0]
     path = tmp_path / "one.jsonl"
     write_scenes([fr], path)
     rec = json.loads(path.read_text().splitlines()[0])
@@ -249,7 +255,7 @@ def test_scene_io_exact_keys(tmp_path):
 def test_read_scenes_reports_bad_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     cfg = SceneConfig(n_objects=1, points_per_object=2, background_points=0)
-    write_scenes([generate_frame(cfg, make_rng(1))], path)
+    write_scenes([generate_sequence(cfg, 1, 0.5, make_rng(1))[0]], path)
     with open(path, "a") as fh:
         fh.write("{not json\n")
     with pytest.raises(ValueError, match=r":2: bad JSON"):
@@ -268,7 +274,7 @@ def test_read_scenes_reports_bad_line(tmp_path):
 def test_read_scenes_rejects_non_finite_values(tmp_path, where, value, message):
     path = tmp_path / "bad.jsonl"
     cfg = SceneConfig(n_objects=1, points_per_object=4, background_points=2)
-    write_scenes(generate_sequence(cfg, 2, 0.5, make_rng(3)).frames, path)
+    write_scenes(generate_sequence(cfg, 2, 0.5, make_rng(3)), path)
     lines = path.read_text().splitlines()
     rec = json.loads(lines[1])
     group, index, key, channel = where
@@ -287,11 +293,13 @@ def test_read_scenes_rejects_non_finite_values(tmp_path, where, value, message):
     {"xy": [1.0, 2.0], "f": [0.0] * 15 + [{"v": 1}]},    # a feature that is no number
     {"xy": [1.0, 2.0], "f": [0.0] * 17},                 # a wider feature row
     [1.0, 2.0] + [0.0] * 16,                             # a bare row
+    {"xy": [1.0, True], "f": [0.0] * 16},                # a bool, once packed as 1.0
+    {"xy": [1.0, 2.0], "f": [0.0] * 15 + [False]},       # a bool, once packed as 0.0
 ])
 def test_read_scenes_rejects_a_malformed_point(tmp_path, point):
     path = tmp_path / "bad.jsonl"
     cfg = SceneConfig(n_objects=1, points_per_object=4, background_points=2)
-    write_scenes(generate_sequence(cfg, 2, 0.5, make_rng(3)).frames, path)
+    write_scenes(generate_sequence(cfg, 2, 0.5, make_rng(3)), path)
     lines = path.read_text().splitlines()
     rec = json.loads(lines[1])
     rec["points"][2] = point
@@ -307,15 +315,24 @@ def test_read_scenes_rejects_a_malformed_point(tmp_path, point):
     ("d", 4, "d must be at least 9, got 4"),
     ("encoder_seed", 7.9, "encoder_seed must be an integer, got 7.9"),
     ("track_id", 2.7, "track_id must be an integer, got 2.7"),
+    ("timestamp", "0.5", "timestamp must be a number, got '0.5'"),
+    ("timestamp", True, "timestamp must be a number, got True"),
+    ("box", ["1.0"] * 9, "box must be a number, got '1.0'"),
+    ("box", [1.0] * 8 + [False], "box must be a number, got False"),
+    ("d", 17, "d must be the first frame's 16, got 17"),
+    pytest.param("timestamp", 10**400, "int too large to convert to float", id="huge-int"),
 ])
 def test_read_scenes_rejects_a_malformed_frame_field(tmp_path, key, value, message):
-    # A float was once truncated to an integer, and a d below 9 was read.
+    # A float was once truncated to an integer, a d below 9 was read, a
+    # string or bool was read as a number, mixed feature widths were
+    # refused only by detect, after the whole file was read, and a huge
+    # integer timestamp ended the run as an unexpected failure.
     path = tmp_path / "bad.jsonl"
     cfg = SceneConfig(n_objects=1, points_per_object=4, background_points=2)
-    write_scenes(generate_sequence(cfg, 2, 0.5, make_rng(3)).frames, path)
+    write_scenes(generate_sequence(cfg, 2, 0.5, make_rng(3)), path)
     lines = path.read_text().splitlines()
     rec = json.loads(lines[1])
-    (rec["gt"][0] if key == "track_id" else rec)[key] = value
+    (rec["gt"][0] if key in ("track_id", "box") else rec)[key] = value
     lines[1] = json.dumps(rec)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError) as info:
@@ -329,7 +346,7 @@ def test_read_scenes_peak_memory_follows_the_arrays(tmp_path):
     # packing each point as it parses keeps the peak near 5.3 MB.
     cfg = SceneConfig(n_objects=40, points_per_object=100, background_points=2000)
     path = tmp_path / "large.jsonl"
-    write_scenes([generate_frame(cfg, make_rng(42))], path)
+    write_scenes([generate_sequence(cfg, 1, 0.5, make_rng(42))[0]], path)
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()
@@ -349,7 +366,7 @@ def test_read_scenes_peak_memory_follows_the_arrays(tmp_path):
 def test_read_scenes_rejects_a_timestamp_not_later_than_the_last(tmp_path, timestamp):
     path = tmp_path / "bad.jsonl"
     cfg = SceneConfig(n_objects=1, points_per_object=4, background_points=2)
-    write_scenes(generate_sequence(cfg, 3, 0.5, make_rng(3)).frames, path)
+    write_scenes(generate_sequence(cfg, 3, 0.5, make_rng(3)), path)
     lines = path.read_text().splitlines()
     rec = json.loads(lines[2])
     rec["timestamp"] = timestamp
@@ -367,7 +384,7 @@ def test_read_scenes_rejects_a_timestamp_not_later_than_the_last(tmp_path, times
 def test_read_scenes_rejects_a_non_finite_timestamp(tmp_path, line, timestamp):
     path = tmp_path / "bad.jsonl"
     cfg = SceneConfig(n_objects=1, points_per_object=4, background_points=2)
-    write_scenes(generate_sequence(cfg, 3, 0.5, make_rng(3)).frames, path)
+    write_scenes(generate_sequence(cfg, 3, 0.5, make_rng(3)), path)
     lines = path.read_text().splitlines()
     rec = json.loads(lines[line - 1])
     rec["timestamp"] = timestamp
@@ -403,7 +420,7 @@ def test_read_scenes_skips_blank_lines_and_counts_them(tmp_path):
     cfg = SceneConfig(n_objects=1, points_per_object=4, background_points=2)
     seq = generate_sequence(cfg, 2, 0.5, make_rng(3))
     path = tmp_path / "spaced.jsonl"
-    write_scenes(seq.frames, path)
+    write_scenes(seq, path)
     first, second = path.read_text().splitlines()
     path.write_text(f"\n  {first}\t\n \t\n{second}\r\n\n{{not json\n")
     with pytest.raises(ValueError, match=r":6: bad JSON"):
@@ -411,13 +428,13 @@ def test_read_scenes_skips_blank_lines_and_counts_them(tmp_path):
     path.write_text(f"\n  {first}\t\n \t\n{second}\r\n\n")
     back = read_scenes(path)
     assert [f.timestamp for f in back] == [0.0, 0.5]
-    for a, b in zip(seq.frames, back):
+    for a, b in zip(seq, back):
         assert np.array_equal(a.points.feat, b.points.feat)
 
 
 def test_sampled_centers_keep_min_separation():
     for seed in range(20):
-        frame = generate_frame(SceneConfig(bounds=30.0, n_objects=8), make_rng(seed))
+        [frame] = generate_sequence(SceneConfig(bounds=30.0, n_objects=8), 1, 0.5, make_rng(seed))
         xy = np.array([box.center() for box in frame.boxes])
         gaps = np.linalg.norm(xy[:, None] - xy[None], axis=2)
         assert gaps[np.triu_indices(len(xy), 1)].min() >= 6.0
@@ -428,7 +445,7 @@ def test_over_packed_scene_raises_naming_the_object():
     with pytest.raises(
         ValueError, match=r"^object \d+: no center at least min_separation 6\.0 m "
     ):
-        generate_frame(SceneConfig(bounds=10.0, n_objects=60), make_rng(0))
+        generate_sequence(SceneConfig(bounds=10.0, n_objects=60), 1, 0.5, make_rng(0))
     with pytest.raises(ValueError, match=r"^object 1: .* min_separation 30\.0 m "):
         generate_sequence(
             SceneConfig(bounds=15.0, n_objects=2, min_separation=30.0), 2, 0.5, make_rng(0)

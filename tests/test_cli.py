@@ -399,6 +399,29 @@ def test_detect_narrow_features_exit_one_with_location(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_detect_and_eval_reject_mixed_feature_widths_with_location(tmp_path, capsys):
+    # detect once refused them only after reading the whole file, naming no
+    # line, and eval scored them.
+    scenes, bad, dets = tmp_path / "s.jsonl", tmp_path / "bad.jsonl", tmp_path / "d.jsonl"
+    run(simulate_args(scenes))
+    assert run(detect_args(scenes, dets)) == 0
+
+    def wider_features(rec):
+        rec["d"] = 17
+        for p in rec["points"]:
+            p["f"].append(0.0)
+
+    _corrupt_second_frame(scenes, bad, wider_features)
+    capsys.readouterr()
+    message = f"error: {bad}:2: malformed frame record (d must be the first frame's 16, got 17)\n"
+    assert run(detect_args(bad, tmp_path / "out.jsonl")) == 1
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "out.jsonl").exists()
+    assert run(["eval", "--dets", str(dets), "--scenes", str(bad),
+                "--report", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == message
+
+
 def test_eval_infinite_point_exits_one(tmp_path):
     scenes, bad, dets = tmp_path / "s.jsonl", tmp_path / "bad.jsonl", tmp_path / "d.jsonl"
     run(simulate_args(scenes))

@@ -148,19 +148,19 @@ def test_tp_errors_hand_computed():
         box(0.0, 0.0, w=1.0, l=4.0, h=2.0, theta=0.0, vx=0.0, vy=1.0),
     ])
     e = tp_errors(np.array([[0, 0], [1, 1]]), pred, gt, pred[:, 7:9])
-    assert e.ate == pytest.approx((1.0 + 2.0) / 2, abs=1e-12)
+    assert e["mATE"] == pytest.approx((1.0 + 2.0) / 2, abs=1e-12)
     # pair 0 dims identical (ratio product 1), pair 1 ratios 1/2, 2/4, 2/2
-    assert e.ase == pytest.approx((0.0 + (1 - 0.25)) / 2, abs=1e-12)
-    assert e.aoe == pytest.approx((0.0 + 0.5) / 2, abs=1e-12)
-    assert e.ave == pytest.approx((1.0 + 1.0) / 2, abs=1e-12)
-    assert e.aae == 0.0
+    assert e["mASE"] == pytest.approx((0.0 + (1 - 0.25)) / 2, abs=1e-12)
+    assert e["mAOE"] == pytest.approx((0.0 + 0.5) / 2, abs=1e-12)
+    assert e["mAVE"] == pytest.approx((1.0 + 1.0) / 2, abs=1e-12)
+    assert e["mAAE"] == 0.0
 
 
 def test_tp_errors_orientation_wraps():
     pred = np.stack([box(0, 0, theta=math.pi - 0.1)])
     gt = np.stack([box(0, 0, theta=-math.pi + 0.1)])
     e = tp_errors(np.array([[0, 0]]), pred, gt, pred[:, 7:9])
-    assert e.aoe == pytest.approx(0.2, abs=1e-12)
+    assert e["mAOE"] == pytest.approx(0.2, abs=1e-12)
 
 
 def test_tp_errors_velocity_override():
@@ -168,13 +168,17 @@ def test_tp_errors_velocity_override():
     gt = np.stack([box(0, 0, vx=1.0, vy=0.0)])
     fused = np.array([[1.0, 0.0]])
     e = tp_errors(np.array([[0, 0]]), pred, gt, pred_velocity=fused)
-    assert e.ave == pytest.approx(0.0, abs=1e-12)
+    assert e["mAVE"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_tp_errors_no_matches_saturate():
-    pred = np.stack([box(0, 0)])
-    e = tp_errors(np.zeros((0, 2), dtype=int), pred, np.stack([box(9, 9)]), pred[:, 7:9])
-    assert (e.ate, e.ase, e.aoe, e.ave, e.aae) == (1.0, 1.0, 1.0, 1.0, 1.0)
+    # Every detection lies 1 km from every ground truth, beyond the TP gate.
+    det_frames, scene_frames = perfect_run()
+    for df in det_frames:
+        for det in df.detections:
+            det.box[0] += 1000.0
+    rep = evaluate_detections(det_frames, scene_frames)
+    assert rep.tp == dict.fromkeys(("mATE", "mASE", "mAOE", "mAVE", "mAAE"), 1.0)
 
 
 # ---------------------------------------------------------------- AP
@@ -279,7 +283,7 @@ def perfect_run(seed=1, frames=2):
     cfg = SceneConfig(n_objects=3, background_points=10)
     seq = generate_sequence(cfg, frames, 0.5, make_rng(seed))
     det_frames = []
-    for t, fr in enumerate(seq.frames):
+    for t, fr in enumerate(seq):
         dets = [
             Detection(frame=t, box=b.as_array().copy(), score=0.9, query_id=i)
             for i, b in enumerate(fr.boxes)
@@ -287,7 +291,7 @@ def perfect_run(seed=1, frames=2):
         det_frames.append(
             DetectionFrame(timestamp=fr.timestamp, detections=dets, fused=False)
         )
-    return det_frames, seq.frames
+    return det_frames, seq
 
 
 def test_evaluate_perfect_detections_scores_one():
@@ -295,7 +299,7 @@ def test_evaluate_perfect_detections_scores_one():
     rep = evaluate_detections(det_frames, scene_frames)
     assert rep.nds_ == pytest.approx(1.0, abs=1e-12)
     assert rep.map_ == pytest.approx(1.0, abs=1e-12)
-    assert rep.tp.ate == 0.0 and rep.tp.ave == 0.0
+    assert rep.tp["mATE"] == 0.0 and rep.tp["mAVE"] == 0.0
     assert set(rep.per_threshold_ap) == {0.5, 1.0, 2.0, 4.0}
 
 

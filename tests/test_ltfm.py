@@ -8,7 +8,7 @@ import pytest
 
 import qebev.dqem
 import qebev.ltfm
-from qebev.bevscene import SceneConfig, generate_frame, generate_sequence
+from qebev.bevscene import SceneConfig, generate_sequence
 from qebev.dqem import (
     Detection,
     DqemParams,
@@ -146,15 +146,15 @@ def tiny_scene(**kw):
 
 
 def run_kwargs():
-    return dict(grid_nx=4, grid_ny=4, bounds=30.0)
+    return dict(pillars=init_pillars(4, 4, 30.0))
 
 
 def test_run_sequence_single_frame_matches_no_temporal():
     cfg = tiny_scene()
     seq = generate_sequence(cfg, 1, 0.5, make_rng(10))
     params = DqemParams(radius=10.0, iterations=2)
-    with_t = run_sequence(seq.frames, params, TemporalParams(), make_rng(3), **run_kwargs())
-    without = run_sequence(seq.frames, params, None, make_rng(3), **run_kwargs())
+    with_t = run_sequence(seq, params, TemporalParams(), make_rng(3), **run_kwargs())
+    without = run_sequence(seq, params, None, make_rng(3), **run_kwargs())
     assert len(with_t.frames) == len(without.frames) == 1
     assert not with_t.frames[0].fused
     da, db = with_t.frames[0].detections, without.frames[0].detections
@@ -182,11 +182,11 @@ def test_evolve_queries_matches_run_sequence_frame_by_frame(iterations):
     for s in (20, 21, 22):
         cfg = tiny_scene()
         seq = generate_sequence(cfg, 3, 0.5, make_rng(100 + s))
-        res = run_sequence(seq.frames, params, None, make_rng(s), **run_kwargs())
-        frames = list(iter_sequence(seq.frames, params, None, make_rng(s), **run_kwargs()))
-        assert len(res.frames) == len(frames) == len(seq.frames)
+        res = run_sequence(seq, params, None, make_rng(s), **run_kwargs())
+        frames = list(iter_sequence(seq, params, None, make_rng(s), **run_kwargs()))
+        assert len(res.frames) == len(frames) == len(seq)
         for t, (frame, done, (fr, queries, fr_traces)) in enumerate(
-            zip(seq.frames, res.frames, frames)
+            zip(seq, res.frames, frames)
         ):
             assert [d.box.tobytes() for d in done.detections] \
                 == [d.box.tobytes() for d in fr.detections]
@@ -207,14 +207,28 @@ def test_evolve_queries_matches_run_sequence_frame_by_frame(iterations):
     assert {"", "empty"} <= flags
 
 
+def test_temporal_run_sequence_leaves_the_query_grid_untouched():
+    # One grid starts every frame, so no frame may change it.
+    pillars = init_pillars(4, 4, 30.0)
+    before = [(p, p.attrs, p.feat.copy(), p.feat_scale, p.flag) for p in pillars.pillars]
+    seq = generate_sequence(tiny_scene(speed_max=3.0), 5, 0.5, make_rng(19))
+    res = run_sequence(seq, DqemParams(radius=10.0, iterations=2), TemporalParams(stride=2),
+                       make_rng(2), pillars)
+    assert sum(bool(fr.fused) for fr in res.frames) == 2
+    assert len(pillars.pillars) == len(before)
+    for p, (pillar, attrs, feat, scale, flag) in zip(pillars.pillars, before):
+        assert p is pillar and p.attrs is attrs
+        assert same_bits(p.feat, feat) and p.feat_scale == scale and p.flag == flag
+
+
 def test_run_sequence_none_tparams_matches_never_fusing_stride():
     # a stride longer than the sequence never triggers fusion; boxes must
     # be identical to the plain path and velocity must equal the channel
     cfg = tiny_scene()
     seq = generate_sequence(cfg, 4, 0.5, make_rng(11))
     params = DqemParams(radius=10.0, iterations=1)
-    plain = run_sequence(seq.frames, params, None, make_rng(5), **run_kwargs())
-    never = run_sequence(seq.frames, params, TemporalParams(stride=99), make_rng(5),
+    plain = run_sequence(seq, params, None, make_rng(5), **run_kwargs())
+    never = run_sequence(seq, params, TemporalParams(stride=99), make_rng(5),
                          **run_kwargs())
     for fa, fb in zip(plain.frames, never.frames):
         assert not fb.fused
@@ -228,7 +242,7 @@ def test_run_sequence_fused_flags_and_count():
     cfg = tiny_scene()
     seq = generate_sequence(cfg, 5, 0.5, make_rng(12))
     params = DqemParams(radius=10.0, iterations=1)
-    res = run_sequence(seq.frames, params, TemporalParams(stride=2), make_rng(6),
+    res = run_sequence(seq, params, TemporalParams(stride=2), make_rng(6),
                        **run_kwargs())
     flags = [f.fused for f in res.frames]
     assert flags == [False, False, True, False, True]
@@ -242,7 +256,7 @@ def test_run_sequence_static_noiseless_low_velocity():
                      speed_min=0.0, speed_max=0.0)
     seq = generate_sequence(cfg, 4, 0.5, make_rng(13))
     params = DqemParams(radius=12.0, iterations=1, beta=0.0)
-    res = run_sequence(seq.frames, params, TemporalParams(stride=2), make_rng(7),
+    res = run_sequence(seq, params, TemporalParams(stride=2), make_rng(7),
                        **run_kwargs())
     assert any(fr.detections for fr in res.frames)
     for fr in res.frames:
@@ -254,8 +268,8 @@ def test_run_sequence_deterministic():
     cfg = tiny_scene()
     seq = generate_sequence(cfg, 4, 0.5, make_rng(14))
     params = DqemParams(radius=10.0, iterations=1)
-    a = run_sequence(seq.frames, params, TemporalParams(), make_rng(8), **run_kwargs())
-    b = run_sequence(seq.frames, params, TemporalParams(), make_rng(8), **run_kwargs())
+    a = run_sequence(seq, params, TemporalParams(), make_rng(8), **run_kwargs())
+    b = run_sequence(seq, params, TemporalParams(), make_rng(8), **run_kwargs())
     for fa, fb in zip(a.frames, b.frames):
         assert fa.fused == fb.fused
         assert len(fa.detections) == len(fb.detections)
@@ -287,8 +301,8 @@ def test_fused_frames_make_same_kmeans_calls_per_frame(monkeypatch):
     cfg = tiny_scene(background_points=200, bounds=12.0)
     seq = generate_sequence(cfg, 3, 0.5, make_rng(15))
     params = DqemParams(radius=40.0, iterations=3)  # radius covers the scene
-    res = run_sequence(seq.frames, params, TemporalParams(stride=2), make_rng(9),
-                       grid_nx=2, grid_ny=2, bounds=12.0)
+    res = run_sequence(seq, params, TemporalParams(stride=2), make_rng(9),
+                       init_pillars(2, 2, 12.0))
     assert res.frames[2].fused
     expected = 2 * 2 * params.iterations
     assert len(counts) == 3
@@ -300,7 +314,7 @@ def test_fused_velocities_use_the_timestamp_gap():
     # after the frame one stride back, and each fused velocity is the
     # estimate over that gap, bit for bit.
     seq = generate_sequence(tiny_scene(speed_min=1.0, speed_max=3.0), 5, 0.5, make_rng(18))
-    frames = [replace(fr, timestamp=ts) for fr, ts in zip(seq.frames, (0.0, 0.5, 2.0, 3.5, 5.0))]
+    frames = [replace(fr, timestamp=ts) for fr, ts in zip(seq, (0.0, 0.5, 2.0, 3.5, 5.0))]
     res = run_sequence(frames, DqemParams(radius=10.0, iterations=1), TemporalParams(stride=2),
                        make_rng(3), **run_kwargs())
     hits = 0
@@ -318,7 +332,7 @@ def test_fused_velocities_use_the_timestamp_gap():
     (1, (0.0, 0.0)), (1, (1.0, 0.5)), (2, (0.0, 1.0, 0.0)),
 ])
 def test_iter_sequence_rejects_a_fused_frame_not_later_than_a_stride_back(stride, stamps):
-    frames = [replace(generate_frame(tiny_scene(), make_rng(30 + i)), timestamp=ts)
+    frames = [replace(generate_sequence(tiny_scene(), 1, 0.5, make_rng(30 + i))[0], timestamp=ts)
               for i, ts in enumerate(stamps)]
     t = len(stamps) - 1
     message = (f"^frame {t} \\(timestamp {stamps[t]}\\) is not later than frame 0 "
@@ -334,7 +348,7 @@ def test_iter_sequence_rejects_a_fused_frame_not_later_than_a_stride_back(stride
 def test_run_sequence_interval_passthrough():
     cfg = tiny_scene()
     seq = generate_sequence(cfg, 2, 0.25, make_rng(16))
-    res = run_sequence(seq.frames, DqemParams(radius=10.0, iterations=1), None, make_rng(1),
+    res = run_sequence(seq, DqemParams(radius=10.0, iterations=1), None, make_rng(1),
                        **run_kwargs())
     assert res.frames[1].timestamp == pytest.approx(0.25)
 
@@ -361,8 +375,8 @@ def test_run_sequence_memory_grows_only_by_its_detections():
         seq = generate_sequence(cfg, n, 0.5, make_rng(17))
 
         def run():
-            return run_sequence(seq.frames, params, TemporalParams(), make_rng(4),
-                                grid_nx=8, grid_ny=8, bounds=30.0)
+            return run_sequence(seq, params, TemporalParams(), make_rng(4),
+                                init_pillars(8, 8, 30.0))
 
         run()  # builds the frames' cell indices outside the traced run
         res, peak, _ = traced_memory(run)
