@@ -14,7 +14,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -78,13 +78,6 @@ class BoxAttributes:
             dtype=np.float64,
         )
 
-    @classmethod
-    def from_array(cls, arr: Sequence[float]) -> "BoxAttributes":
-        a = np.asarray(arr, dtype=np.float64)
-        if a.shape != (ATTR_DIM,):
-            raise ValueError(f"expected {ATTR_DIM} attributes, got shape {a.shape}")
-        return cls(*(float(v) for v in a))
-
     def center(self) -> np.ndarray:
         return np.array([self.x, self.y], dtype=np.float64)
 
@@ -147,8 +140,6 @@ class SceneConfig:
     d: int = 16
     speed_min: float = 0.0
     speed_max: float = 0.0
-    min_separation: float = 6.0
-    margin: float = 5.0
 
     def __post_init__(self) -> None:
         if self.d < ATTR_DIM:
@@ -241,24 +232,28 @@ def decode_feature(
 
 # Center draws an object gets before the scene counts as over-packed.
 _SPACING_DRAWS = 200
+# Least distance in meters between two object centers, and the border
+# that keeps every center off the scene's edge.
+_MIN_SEPARATION = 6.0
+_MARGIN = 5.0
 
 
 def _sample_boxes(cfg: SceneConfig, rng: np.random.Generator) -> tuple[list[BoxAttributes], list[int]]:
     """Draw object boxes with a minimum pairwise spacing."""
     boxes: list[BoxAttributes] = []
-    lo = -cfg.bounds + cfg.margin
-    hi = cfg.bounds - cfg.margin
+    lo = -cfg.bounds + _MARGIN
+    hi = cfg.bounds - _MARGIN
     if lo >= hi:
         raise ValueError("bounds too small for the configured margin")
     centers: list[np.ndarray] = []
     for i in range(cfg.n_objects):
         for _attempt in range(_SPACING_DRAWS):
             c = rng.uniform(lo, hi, size=2)
-            if all(np.hypot(*(c - p)) >= cfg.min_separation for p in centers):
+            if all(np.hypot(*(c - p)) >= _MIN_SEPARATION for p in centers):
                 break
         else:
             raise ValueError(
-                f"object {i}: no center at least min_separation {cfg.min_separation} m "
+                f"object {i}: no center at least min_separation {_MIN_SEPARATION} m "
                 f"from the others in {_SPACING_DRAWS} draws; use fewer objects or "
                 f"larger bounds"
             )
@@ -368,12 +363,16 @@ def _frame_record(frame: Frame) -> dict:
     }
 
 
-def write_scenes(frames: Iterable[Frame], path: str) -> None:
-    """JSON Lines, one frame per line; stable key order keeps runs comparable."""
+def _write_records(records: Iterable[dict], path: str) -> None:
+    """JSON Lines, one record per line; stable key order keeps runs comparable."""
     with open(path, "w", encoding="utf-8") as fh:
-        for frame in frames:
-            fh.write(json.dumps(_frame_record(frame), sort_keys=True))
-            fh.write("\n")
+        for rec in records:
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+def write_scenes(frames: Iterable[Frame], path: str) -> None:
+    """One frame per line."""
+    _write_records(map(_frame_record, frames), path)
 
 
 def _packed_point(obj: dict) -> dict | array:
@@ -416,6 +415,10 @@ def _point_arrays(records: list) -> tuple[np.ndarray, np.ndarray]:
     return table[:, :2].copy(), table[:, 2:].copy()
 
 
+class _NamedFault(ValueError):
+    """A record fault whose message names its place: not a malformed record."""
+
+
 def _json_int(value, name: str) -> int:
     """A JSON integer field; a float or a bool is refused, not truncated."""
     if type(value) is not int:
@@ -431,65 +434,95 @@ def _json_number(value, name: str) -> float:
     return float(value)
 
 
-def read_scenes(path: str) -> list[Frame]:
-    """Parse a scene JSONL file into frames of one feature width, timestamps strictly rising."""
-    frames: list[Frame] = []
+def _json_array(value, name: str) -> list:
+    """A JSON array field; null, a number or an object is not read as empty."""
+    if type(value) is not list:
+        raise ValueError(f"{name} must be an array, got {value!r}")
+    return value
+
+
+def _json_numbers(value, n: int, name: str) -> list[float]:
+    """A JSON array of ``n`` finite numbers, as floats."""
+    if type(value) is not list or len(value) != n:
+        raise ValueError(f"{name} must be {n} numbers, got shape {np.array(value, object).shape}")
+    out = [_json_number(v, name) for v in value]
+    if not all(map(math.isfinite, out)):
+        raise ValueError(f"{name} is not finite")
+    return out
+
+
+def _json_box(value) -> list[float]:
+    """A box: 9 finite JSON numbers with positive w, l and h."""
+    box = _json_numbers(value, ATTR_DIM, "box")
+    if not min(box[3:6]) > 0.0:
+        raise ValueError("box size must be positive")
+    return box
+
+
+def _named(kind: str, i: int, parse: Callable, *args):
+    """``parse(*args)`` for entry ``kind i`` of a record; a bad value is that entry's fault."""
+    try:
+        return parse(*args)
+    except (ValueError, OverflowError) as exc:
+        raise _NamedFault(f"{kind} {i}: {exc}") from exc
+
+
+def _read_records(path: str, kind: str, parse: Callable, hook=None) -> list:
+    """``parse(obj, timestamp, records)`` of each non-blank line of a JSON
+    Lines file, whose timestamp must be finite and later than the last
+    record's; ``hook(line)`` picks the line's object hook.  A fault raises
+    ``path:line: …``, as a malformed ``kind`` record unless it names its place.
+    """
+    records: list = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             # json.loads skips surrounding whitespace, so the line is parsed
             # as read, without a stripped copy, and dropped once parsed.
             if line.isspace():
                 continue
-            # A JSON bool holds a "u" (true) or an "l" (false), and a scene
-            # line holds neither, so only a line with one checks its points.
-            hook = _packed_point_no_bool if "u" in line or "l" in line else _packed_point
             try:
-                rec = json.loads(line, object_hook=hook)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_no}: bad JSON ({exc})") from exc
-            del line
-            try:
-                d = _json_int(rec["d"], "d")
-                if d < ATTR_DIM:
-                    raise ValueError(f"d must be at least {ATTR_DIM}, got {d}")
-                if frames and d != frames[0].d:
-                    raise ValueError(f"d must be the first frame's {frames[0].d}, got {d}")
-                gt_rows = [np.array([_json_number(v, "box") for v in g["box"]]) for g in rec["gt"]]
-                track_ids = [_json_int(g["track_id"], "track_id") for g in rec["gt"]]
-                if rec["points"]:
-                    points = PointSet(*_point_arrays(rec["points"]))
-                else:
-                    points = PointSet.empty(d)
-                timestamp = _json_number(rec["timestamp"], "timestamp")
-                encoder_seed = _json_int(rec["encoder_seed"], "encoder_seed")
+                obj = json.loads(line, object_hook=hook and hook(line))
+                del line
+                t = _json_number(obj["timestamp"], "timestamp")
+                if not math.isfinite(t):
+                    raise _NamedFault(f"timestamp {t} is not finite")
+                if records and not t > (last := records[-1].timestamp):
+                    raise _NamedFault(
+                        f"timestamp {t} is not later than the previous frame's {last}")
+                records.append(parse(obj, t, records))
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"{path}:{line_no}: malformed frame record ({exc})") from exc
-            if not math.isfinite(timestamp):
-                raise ValueError(f"{path}:{line_no}: timestamp {timestamp} is not finite")
-            if frames and not timestamp > frames[-1].timestamp:
-                raise ValueError(
-                    f"{path}:{line_no}: timestamp {timestamp} is not later than the "
-                    f"previous frame's {frames[-1].timestamp}"
-                )
-            # Finiteness first: BoxAttributes would report a NaN size only
-            # as a non-positive one.
-            bad_gt = [i for i, row in enumerate(gt_rows) if not np.isfinite(row).all()]
-            if bad_gt:
-                raise ValueError(f"{path}:{line_no}: gt {bad_gt[0]}: box is not finite")
-            for field_name, values in (("xy", points.xy), ("feature", points.feat)):
-                bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
-                if bad.size:
-                    raise ValueError(f"{path}:{line_no}: point {bad[0]}: {field_name} is not finite")
-            try:
-                frame = Frame(
-                    timestamp=timestamp,
-                    boxes=[BoxAttributes.from_array(row) for row in gt_rows],
-                    track_ids=track_ids,
-                    points=points,
-                    encoder_seed=encoder_seed,
-                    d=d,
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: malformed frame record ({exc})") from exc
-            frames.append(frame)
-    return frames
+                reason = (f"bad JSON ({exc})" if isinstance(exc, json.JSONDecodeError)
+                          else exc if isinstance(exc, _NamedFault)
+                          else f"malformed {kind} record ({exc})")
+                raise ValueError(f"{path}:{line_no}: {reason}") from exc
+    return records
+
+
+def _frame(rec: dict, timestamp: float, frames: list[Frame]) -> Frame:
+    """One scene record as a frame, given the frames before it."""
+    d = _json_int(rec["d"], "d")
+    if d < ATTR_DIM:
+        raise ValueError(f"d must be at least {ATTR_DIM}, got {d}")
+    if frames and d != frames[0].d:
+        raise ValueError(f"d must be the first frame's {frames[0].d}, got {d}")
+    encoder_seed = _json_int(rec["encoder_seed"], "encoder_seed")
+    if not 0 <= encoder_seed < 2**64:
+        raise ValueError(f"encoder_seed must be in [0, 2**64), got {encoder_seed}")
+    gt = _json_array(rec["gt"], "gt")
+    rows = _json_array(rec["points"], "points")
+    points = PointSet(*_point_arrays(rows)) if rows else PointSet.empty(d)
+    for field_name, values in (("xy", points.xy), ("feature", points.feat)):
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+        if bad.size:
+            raise _NamedFault(f"point {bad[0]}: {field_name} is not finite")
+    boxes = [BoxAttributes(*_named("gt", i, _json_box, g["box"])) for i, g in enumerate(gt)]
+    track_ids = [_json_int(g["track_id"], "track_id") for g in gt]
+    return Frame(timestamp, boxes, track_ids, points, encoder_seed, d)
+
+
+def read_scenes(path: str) -> list[Frame]:
+    """Parse a scene JSONL file into frames of one feature width, timestamps strictly rising."""
+    # A JSON bool holds a "u" (true) or an "l" (false), and a scene line
+    # holds neither, so only a line with one checks its points for bools.
+    return _read_records(path, "frame", _frame, lambda line: (
+        _packed_point_no_bool if "u" in line or "l" in line else _packed_point))

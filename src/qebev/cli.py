@@ -19,6 +19,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .bevscene import SceneConfig, generate_sequence, read_scenes, write_scenes
+from .bevscene import _MARGIN, _MIN_SEPARATION  # echoed in the pipeline's report
 from .dqem import (
     DqemParams,
     QuerySet,
@@ -336,7 +337,8 @@ def _run_pipeline(args: argparse.Namespace) -> int:
         # Everything the run depends on, echoed into its report.
         config={
             "seed": args.seed, "frames": args.frames, "interval": args.interval,
-            "scene": asdict(cfg), "detect": asdict(params),
+            "scene": {**asdict(cfg), "margin": _MARGIN, "min_separation": _MIN_SEPARATION},
+            "detect": asdict(params),
             "temporal": args.temporal, "tp_threshold": args.tp_threshold,
         },
     )

@@ -11,19 +11,24 @@ runs them for every query of a frame is ``ltfm.evolve_queries``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .bevscene import (
-    ATTR_DIM,
     POSITION_SCALE,
     BoxAttributes,
     Frame,
     PointSet,
+    _json_array,
+    _json_box,
+    _json_int,
     _json_number,
+    _json_numbers,
+    _named,
+    _read_records,
+    _write_records,
     encoding_matrix,
 )
 from .numerics import pairwise_sq_dist, softmax, top_k_indices
@@ -805,97 +810,44 @@ def dedup_detections(dets: list[Detection], radius: float) -> list[Detection]:
 
 def write_detections(path: str, frames: list[DetectionFrame], params_echo: dict) -> None:
     """Detection JSONL: one frame per line with the run parameters echoed."""
-    iterations = int(params_echo.get("iterations", 0))
-    with open(path, "w", encoding="utf-8") as fh:
-        for frame in frames:
-            rec: dict = {
-                "timestamp": frame.timestamp,
-                "detections": [
-                    {
-                        "box": det.box.tolist(),
-                        "score": det.score,
-                        "query_id": det.query_id,
-                        **({"velocity": det.velocity.tolist()} if det.velocity is not None else {}),
-                    }
-                    for det in frame.detections
-                ],
-                "iterations": iterations,
-                "params": params_echo,
-            }
-            if frame.fused is not None:
-                rec["fused"] = frame.fused
-            fh.write(json.dumps(rec, sort_keys=True))
-            fh.write("\n")
+    echo = {"iterations": int(params_echo.get("iterations", 0)), "params": params_echo}
+    _write_records((
+        {
+            "timestamp": frame.timestamp,
+            "detections": [
+                {
+                    "box": det.box.tolist(),
+                    "score": det.score,
+                    "query_id": det.query_id,
+                    **({"velocity": det.velocity.tolist()} if det.velocity is not None else {}),
+                }
+                for det in frame.detections
+            ],
+            **echo,
+            **({"fused": frame.fused} if frame.fused is not None else {}),
+        }
+        for frame in frames
+    ), path)
+
+
+def _detection(d: dict, frame: int) -> Detection:
+    score = _json_number(d["score"], "score")
+    if not math.isfinite(score):
+        raise ValueError("score is not finite")
+    velocity = _json_numbers(d["velocity"], 2, "velocity") if "velocity" in d else None
+    query_id = _json_int(d["query_id"], "query_id")
+    return Detection(frame, _json_box(d["box"]), score, query_id, velocity)
+
+
+def _detection_frame(rec: dict, timestamp: float, frames: list[DetectionFrame]) -> DetectionFrame:
+    if type(rec.get("fused", False)) is not bool:
+        raise ValueError(f"fused must be true or false, got {rec['fused']!r}")
+    dets = _json_array(rec["detections"], "detections")
+    return DetectionFrame(timestamp, [
+        _named("detection", i, _detection, d, len(frames)) for i, d in enumerate(dets)
+    ], rec.get("fused"))
 
 
 def read_detections(path: str) -> list[DetectionFrame]:
-    """Parse a detection JSONL file; a bad record fails with ``path:line``."""
-    frames: list[DetectionFrame] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                timestamp = _json_number(rec["timestamp"], "timestamp")
-                raw = [
-                    (
-                        d,
-                        np.array(d["box"], dtype=np.float64),
-                        _json_number(d["score"], "score"),
-                        d["query_id"],
-                        np.array(d["velocity"], dtype=np.float64) if "velocity" in d else None,
-                    )
-                    for d in rec["detections"]
-                ]
-                if type(rec.get("fused", False)) is not bool:
-                    raise ValueError(f"fused must be true or false, got {rec['fused']!r}")
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"{path}:{line_no}: malformed detection record ({exc})") from exc
-            dets = []
-            for i, (d, box, score, query_id, velocity) in enumerate(raw):
-                problem = _detection_problem(d, box, score, query_id, velocity)
-                if problem:
-                    raise ValueError(f"{path}:{line_no}: detection {i}: {problem}")
-                dets.append(
-                    Detection(
-                        frame=len(frames), box=box, score=score, query_id=query_id,
-                        velocity=velocity,
-                    )
-                )
-            frames.append(
-                DetectionFrame(timestamp=timestamp, detections=dets, fused=rec.get("fused"))
-            )
-    return frames
-
-
-def _detection_problem(
-    d: dict, box: np.ndarray, score: float, query_id, velocity: np.ndarray | None
-) -> str:
-    """What is wrong with the detection record ``d``, parsed as the other
-    arguments, or "" when nothing is."""
-    if box.shape != (ATTR_DIM,):
-        return f"box must be {ATTR_DIM} numbers, got shape {box.shape}"
-    if not np.isfinite(box).all():
-        return "box is not finite"
-    if not (box[3:6] > 0.0).all():
-        return "box size must be positive"
-    if not math.isfinite(score):
-        return "score is not finite"
-    if type(query_id) is not int:  # a float or bool is refused, not truncated
-        return f"query_id must be an integer, got {query_id!r}"
-    if velocity is not None:
-        if velocity.shape != (2,):
-            return f"velocity must be 2 numbers, got shape {velocity.shape}"
-        if not np.isfinite(velocity).all():
-            return "velocity is not finite"
-    # The shapes passed, so both are flat lists; a string or bool parsed
-    # as a number above is refused here.
-    try:
-        for name in ("box", "velocity"):
-            for v in d.get(name, ()):
-                _json_number(v, name)
-    except ValueError as exc:
-        return str(exc)
-    return ""
+    """Parse a detection JSONL file, timestamps strictly rising."""
+    return _read_records(path, "detection", _detection_frame)

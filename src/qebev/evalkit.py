@@ -267,7 +267,7 @@ def evaluate_detections(
             f"{len(scene_frames)} scene frames"
         )
     for df, sf in zip(det_frames, scene_frames):
-        if abs(df.timestamp - sf.timestamp) > 1e-9:
+        if not abs(df.timestamp - sf.timestamp) <= 1e-9:
             raise ValueError(
                 f"timestamp mismatch: detections at {df.timestamp} vs scene at {sf.timestamp}"
             )

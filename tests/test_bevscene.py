@@ -192,8 +192,7 @@ def test_sequence_first_frame_does_not_depend_on_the_length():
 
 
 def test_sequence_boundary_exit_recorded():
-    cfg = SceneConfig(bounds=12.0, n_objects=3, speed_min=5.0, speed_max=5.0,
-                      min_separation=4.0, margin=2.0)
+    cfg = SceneConfig(bounds=12.0, n_objects=3, speed_min=5.0, speed_max=5.0)
     seq = generate_sequence(cfg, 8, 0.5, make_rng(21))
     # The frame each object is first absent from.
     dropped = {
@@ -321,12 +320,19 @@ def test_read_scenes_rejects_a_malformed_point(tmp_path, point):
     ("box", [1.0] * 8 + [False], "box must be a number, got False"),
     ("d", 17, "d must be the first frame's 16, got 17"),
     pytest.param("timestamp", 10**400, "int too large to convert to float", id="huge-int"),
+    ("encoder_seed", -5, "encoder_seed must be in [0, 2**64), got -5"),
+    ("encoder_seed", 2**64, "encoder_seed must be in [0, 2**64), got 18446744073709551616"),
+    ("points", None, "points must be an array, got None"),
+    ("points", 0, "points must be an array, got 0"),
+    ("gt", {}, "gt must be an array, got {}"),
 ])
 def test_read_scenes_rejects_a_malformed_frame_field(tmp_path, key, value, message):
     # A float was once truncated to an integer, a d below 9 was read, a
     # string or bool was read as a number, mixed feature widths were
-    # refused only by detect, after the whole file was read, and a huge
-    # integer timestamp ended the run as an unexpected failure.
+    # refused only by detect, after the whole file was read, a huge
+    # integer timestamp ended the run as an unexpected failure, an
+    # encoder_seed outside 64 bits named the encoding of its low 64 bits,
+    # and a null or 0 points or an object gt read as an empty list.
     path = tmp_path / "bad.jsonl"
     cfg = SceneConfig(n_objects=1, points_per_object=4, background_points=2)
     write_scenes(generate_sequence(cfg, 2, 0.5, make_rng(3)), path)
@@ -337,7 +343,29 @@ def test_read_scenes_rejects_a_malformed_frame_field(tmp_path, key, value, messa
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError) as info:
         read_scenes(path)
-    assert str(info.value) == f"{path}:2: malformed frame record ({message})"
+    fault = f"gt 0: {message}" if key == "box" else f"malformed frame record ({message})"
+    assert str(info.value) == f"{path}:2: {fault}"
+
+
+@pytest.mark.parametrize("box, message", [
+    ([1.0] * 8, "box must be 9 numbers, got shape (8,)"),
+    (5, "box must be 9 numbers, got shape ()"),
+    ([1.0] * 4 + [0.0] + [1.0] * 4, "box size must be positive"),
+    ([1.0] * 8 + [10**400], "int too large to convert to float"),
+])
+def test_read_scenes_names_the_gt_of_a_bad_box(tmp_path, box, message):
+    # These faults were reported as a malformed frame record, naming no gt.
+    path = tmp_path / "bad.jsonl"
+    cfg = SceneConfig(n_objects=2, points_per_object=4, background_points=2)
+    write_scenes(generate_sequence(cfg, 2, 0.5, make_rng(3)), path)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["gt"][1]["box"] = box
+    lines[1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_scenes(path)
+    assert str(info.value) == f"{path}:2: gt 1: {message}"
 
 
 def test_read_scenes_peak_memory_follows_the_arrays(tmp_path):
@@ -446,10 +474,9 @@ def test_over_packed_scene_raises_naming_the_object():
         ValueError, match=r"^object \d+: no center at least min_separation 6\.0 m "
     ):
         generate_sequence(SceneConfig(bounds=10.0, n_objects=60), 1, 0.5, make_rng(0))
-    with pytest.raises(ValueError, match=r"^object 1: .* min_separation 30\.0 m "):
-        generate_sequence(
-            SceneConfig(bounds=15.0, n_objects=2, min_separation=30.0), 2, 0.5, make_rng(0)
-        )
+    # Bounds 7 leave a 4 m square, whose diagonal is under 6 m.
+    with pytest.raises(ValueError, match=r"^object 1: .* min_separation 6\.0 m "):
+        generate_sequence(SceneConfig(bounds=7.0, n_objects=2), 2, 0.5, make_rng(0))
 
 
 def test_scene_config_validation():

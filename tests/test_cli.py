@@ -515,6 +515,31 @@ def test_detect_and_eval_reject_a_timestamp_going_back(tmp_path, capsys):
     assert capsys.readouterr().err == message
 
 
+@pytest.mark.parametrize("file, key, value, message", [
+    ("scenes", "points", None, "malformed frame record (points must be an array, got None)"),
+    ("scenes", "points", 0, "malformed frame record (points must be an array, got 0)"),
+    ("scenes", "gt", {}, "malformed frame record (gt must be an array, got {})"),
+    ("dets", "detections", {}, "malformed detection record (detections must be an array, got {})"),
+    ("dets", "timestamp", float("nan"), "timestamp nan is not finite"),
+])
+def test_a_list_that_is_no_array_or_a_nan_timestamp_exits_one(tmp_path, capsys, file, key,
+                                                               value, message):
+    # Each was once read as an empty list or scored, with exit 0.
+    paths = {"scenes": tmp_path / "s.jsonl", "dets": tmp_path / "d.jsonl"}
+    run(simulate_args(paths["scenes"]))
+    assert run(detect_args(paths["scenes"], paths["dets"])) == 0
+    bad = tmp_path / "bad.jsonl"
+    _corrupt_second_frame(paths[file], bad, lambda rec: rec.__setitem__(key, value))
+    paths[file] = bad
+    capsys.readouterr()
+    if file == "scenes":
+        assert run(detect_args(bad, tmp_path / "out.jsonl")) == 1
+        assert capsys.readouterr().err == f"error: {bad}:2: {message}\n"
+    assert run(["eval", "--dets", str(paths["dets"]), "--scenes", str(paths["scenes"]),
+                "--report", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == f"error: {bad}:2: {message}\n"
+
+
 # ---------------------------------------------------------------- import weight
 
 

@@ -599,6 +599,8 @@ def test_detections_io_velocity_preserved(tmp_path):
         ("box", ["1.0"] * 9, "box must be a number, got '1.0'"),
         ("box", [1.0] * 8 + [True], "box must be a number, got True"),
         ("velocity", [0.0, False], "velocity must be a number, got False"),
+        # numpy's inhomogeneous-shape error once surfaced in the message.
+        ("box", [[1.0], [1.0, 2.0]], "box must be 9 numbers, got shape (2,)"),
     ],
 )
 def test_read_detections_rejects_bad_detection(tmp_path, field, value, message):
@@ -628,11 +630,14 @@ def test_read_detections_rejects_bad_detection(tmp_path, field, value, message):
         ("fused", "maybe", "fused must be true or false, got 'maybe'"),
         ("fused", 1, "fused must be true or false, got 1"),
         pytest.param("score", 10**400, "int too large to convert to float", id="huge-int"),
+        ("detections", {}, "detections must be an array, got {}"),
+        ("detections", None, "detections must be an array, got None"),
     ],
 )
 def test_read_detections_rejects_a_malformed_record(tmp_path, field, value, message):
-    # Each was once read (a string or true as a number, any value as fused)
-    # or, for a huge integer, ended the run as an unexpected failure.
+    # Each was once read (a string or true as a number, any value as fused,
+    # an object or null as no detections) or, for a huge integer, ended the
+    # run as an unexpected failure.
     frames = [
         DetectionFrame(timestamp=0.0, detections=[], fused=False),
         DetectionFrame(timestamp=0.5, detections=[make_det(1, 2, 0.7, 3)], fused=True),
@@ -646,4 +651,39 @@ def test_read_detections_rejects_a_malformed_record(tmp_path, field, value, mess
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError) as info:
         read_detections(path)
-    assert str(info.value) == f"{path}:2: malformed detection record ({message})"
+    fault = f"detection 0: {message}" if field == "score" else (
+        f"malformed detection record ({message})")
+    assert str(info.value) == f"{path}:2: {fault}"
+
+
+@pytest.mark.parametrize("timestamp, message", [
+    (math.nan, "timestamp nan is not finite"),
+    (-math.inf, "timestamp -inf is not finite"),
+    (0.0, "timestamp 0.0 is not later than the previous frame's 0.0"),
+    (-1.0, "timestamp -1.0 is not later than the previous frame's 0.0"),
+])
+def test_read_detections_rejects_a_timestamp_not_finite_or_not_later(tmp_path, timestamp, message):
+    # A NaN timestamp was once read and scored, as was one going back.
+    frames = [DetectionFrame(0.0, [], False), DetectionFrame(0.5, [], True)]
+    path = tmp_path / "dets.jsonl"
+    write_detections(path, frames, params_echo={})
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["timestamp"] = timestamp
+    lines[1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_detections(path)
+    assert str(info.value) == f"{path}:2: {message}"
+
+
+def test_read_detections_reports_bad_json_and_skips_blank_lines(tmp_path):
+    path = tmp_path / "dets.jsonl"
+    write_detections(path, [DetectionFrame(0.0, [], False)], params_echo={})
+    (line,) = path.read_text().splitlines()
+    path.write_text(f"\n \t\n{line}\r\n\n")
+    assert [f.timestamp for f in read_detections(path)] == [0.0]
+    path.write_text(f"\n{line}\n{{not json\n")
+    with pytest.raises(ValueError) as info:
+        read_detections(path)
+    assert str(info.value).startswith(f"{path}:3: bad JSON (")

@@ -311,9 +311,10 @@ def test_evaluate_frame_count_mismatch_names_counts():
 
 def test_evaluate_timestamp_mismatch():
     det_frames, scene_frames = perfect_run()
-    bad = [DetectionFrame(9.9, det_frames[0].detections, False)] + det_frames[1:]
-    with pytest.raises(ValueError, match="timestamp"):
-        evaluate_detections(bad, scene_frames)
+    for timestamp in (9.9, math.nan):  # NaN once passed as matching any frame
+        bad = [DetectionFrame(timestamp, det_frames[0].detections, False)] + det_frames[1:]
+        with pytest.raises(ValueError, match="timestamp"):
+            evaluate_detections(bad, scene_frames)
 
 
 @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0])

@@ -56,7 +56,7 @@ def ref_decode_feature(feat, encoder_seed, tau_bg=0.0):
     channels = encoding_matrix(encoder_seed, f.shape[0]).T @ f
     if not all(LOG_SIZE_MIN <= v <= LOG_SIZE_MAX for v in channels[3:6].tolist()):
         raise ValueError("decoded box size over- or underflows (overflowing features)")
-    return BoxAttributes.from_array(ref_destandardize(channels))
+    return BoxAttributes(*ref_destandardize(channels).tolist())
 
 
 def ref_softmax(scores):
