@@ -243,8 +243,11 @@ def _sample_boxes(cfg: SceneConfig, rng: np.random.Generator) -> tuple[list[BoxA
     boxes: list[BoxAttributes] = []
     lo = -cfg.bounds + _MARGIN
     hi = cfg.bounds - _MARGIN
-    if lo >= hi:
-        raise ValueError("bounds too small for the configured margin")
+    if cfg.n_objects > 0 and not lo < hi:
+        raise ValueError(
+            f"bounds {cfg.bounds} m leave no room for object centers {_MARGIN} m "
+            f"inside the scene edge; use bounds above {_MARGIN} or no objects"
+        )
     centers: list[np.ndarray] = []
     for i in range(cfg.n_objects):
         for _attempt in range(_SPACING_DRAWS):

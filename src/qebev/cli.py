@@ -18,11 +18,10 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import bench as bench_mod
-from .bevscene import SceneConfig, generate_sequence, read_scenes, write_scenes
+from .bevscene import BoxAttributes, SceneConfig, generate_sequence, read_scenes, write_scenes
 from .bevscene import _MARGIN, _MIN_SEPARATION  # echoed in the pipeline's report
 from .dqem import (
     DqemParams,
-    QuerySet,
     dedup_detections,
     diversity_loss,
     diversity_loss_grad,
@@ -151,9 +150,11 @@ def _scene_config(args: argparse.Namespace) -> SceneConfig:
     )
 
 
-def _detect_params(args: argparse.Namespace) -> tuple[DqemParams, TemporalParams, QuerySet]:
-    """The detection settings and the query grid, every value checked
-    before a run reads, draws or writes anything."""
+def _detect_params(
+    args: argparse.Namespace,
+) -> tuple[DqemParams, TemporalParams, list[BoxAttributes]]:
+    """The detection settings and the query grid's start boxes, every
+    value checked before a run reads, draws or writes anything."""
     params = DqemParams(
         k=args.k,
         top_k=args.topk,
@@ -181,7 +182,7 @@ def _detect_over_scenes(
     args: argparse.Namespace,
     params: DqemParams,
     tparams: TemporalParams,
-    pillars: QuerySet,
+    starts: list[BoxAttributes],
     scenes_path: str,
     out_path: str,
 ) -> None:
@@ -190,7 +191,7 @@ def _detect_over_scenes(
         raise ValueError(f"{scenes_path}: no frames")
     result = run_sequence(
         frames, params, tparams if args.temporal else None,
-        make_rng(derive_seed(args.seed, "detect")), pillars,
+        make_rng(derive_seed(args.seed, "detect")), starts,
     )
     echo = asdict(params)
     echo.update(
@@ -321,14 +322,14 @@ def _run_pipeline(args: argparse.Namespace) -> int:
     report_path = os.path.join(args.out_dir, "report.json")
 
     cfg = _scene_config(args)
-    params, tparams, pillars = _detect_params(args)
+    params, tparams, starts = _detect_params(args)
     _check_tp_threshold(args)
     frames = generate_sequence(
         cfg, args.frames, args.interval, make_rng(derive_seed(args.seed, "simulate"))
     )
     os.makedirs(args.out_dir, exist_ok=True)
     write_scenes(frames, scenes_path)
-    _detect_over_scenes(args, params, tparams, pillars, scenes_path, dets_path)
+    _detect_over_scenes(args, params, tparams, starts, scenes_path, dets_path)
 
     report = evaluate_detections(
         read_detections(dets_path),

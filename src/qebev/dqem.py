@@ -35,8 +35,6 @@ from .numerics import pairwise_sq_dist, softmax, top_k_indices
 
 __all__ = [
     "DqemParams",
-    "Pillar",
-    "QuerySet",
     "ClusterSet",
     "AttentionResult",
     "EvolutionTrace",
@@ -93,33 +91,6 @@ class DqemParams:
 
 
 @dataclass
-class Pillar:
-    """One query: current box estimate plus its feature-space state.
-
-    ``feat`` is kept at unit norm once populated; ``feat_scale`` restores
-    the raw feature magnitude for decoding.  ``flag`` records degenerate
-    conditions ("" means healthy).
-    """
-
-    attrs: BoxAttributes
-    feat: np.ndarray
-    feat_scale: float = 0.0
-    flag: str = ""
-
-
-@dataclass
-class QuerySet:
-    pillars: list[Pillar]
-
-    def __post_init__(self) -> None:
-        if not self.pillars:
-            raise ValueError("a query set must hold at least one pillar")
-
-    def __len__(self) -> int:
-        return len(self.pillars)
-
-
-@dataclass
 class ClusterSet:
     """k-means output over one neighborhood's feature vectors.
 
@@ -147,17 +118,25 @@ class AttentionResult:
     selected: np.ndarray
     weights: np.ndarray
     aggregated: np.ndarray
-    degenerate: bool = False
 
 
 @dataclass
 class EvolutionTrace:
-    """Per-query evolution history.
+    """One evolved query: where it ended up and how it got there.
 
-    ``decoded`` has one entry per refinement stage, starting with the plain
-    neighborhood mean (stage 0); None marks a background-level decode.
+    ``attrs`` is the last box decoded (the start box if none was); ``feat``
+    is the unit query direction (zero for a query flagged before its first
+    decode) and ``scale`` restores the raw feature magnitude for decoding.
+    ``flag`` records degenerate conditions ("" means healthy).
+    ``attention`` has one entry per round, and ``decoded`` one per
+    refinement stage, starting with the plain neighborhood mean (stage 0);
+    None marks a background-level decode.
     """
 
+    attrs: BoxAttributes
+    feat: np.ndarray
+    scale: float = 0.0
+    flag: str = ""
     attention: list[AttentionResult] = field(default_factory=list)
     decoded: list[BoxAttributes | None] = field(default_factory=list)
 
@@ -176,22 +155,23 @@ class FitResult:
 _PILLAR_PRIOR = BoxAttributes(0.0, 0.0, 0.8, 2.0, 4.5, 1.6, 0.0, 0.0, 0.0)
 
 
-def init_pillars(grid_nx: int, grid_ny: int, bounds: float) -> QuerySet:
-    """Pillars at the centers of a regular grid over the square [-B, B]^2,
-    where ``bounds`` is the half-extent B."""
+def init_pillars(grid_nx: int, grid_ny: int, bounds: float) -> list[BoxAttributes]:
+    """Start boxes at the centers of a regular grid over the square
+    [-B, B]^2, where ``bounds`` is the half-extent B; row-major, x fastest."""
     if grid_nx < 1 or grid_ny < 1:
         raise ValueError("grid dimensions must be at least 1")
     if not bounds > 0 or not math.isfinite(bounds):
         raise ValueError(f"bounds must be positive and finite, got {bounds}")
     xmin, xmax, ymin, ymax = -float(bounds), float(bounds), -float(bounds), float(bounds)
-    pillars = []
-    for j in range(grid_ny):
-        for i in range(grid_nx):
-            cx = xmin + (i + 0.5) * (xmax - xmin) / grid_nx
-            cy = ymin + (j + 0.5) * (ymax - ymin) / grid_ny
-            attrs = replace(_PILLAR_PRIOR, x=cx, y=cy)
-            pillars.append(Pillar(attrs=attrs, feat=np.zeros(0), feat_scale=0.0))
-    return QuerySet(pillars)
+    return [
+        replace(
+            _PILLAR_PRIOR,
+            x=xmin + (i + 0.5) * (xmax - xmin) / grid_nx,
+            y=ymin + (j + 0.5) * (ymax - ymin) / grid_ny,
+        )
+        for j in range(grid_ny)
+        for i in range(grid_nx)
+    ]
 
 
 # Radii whose square is a normal float.  For them a point that passes the
@@ -478,7 +458,7 @@ def aggregate_over_centers(q: np.ndarray, centers: np.ndarray, top_k: int) -> At
     """Score arbitrary centers and blend the top-k into a refined query.
 
     The weights are a softmax over the selected scores only, so they sum to
-    1.  Zero centers leaves the query untouched, flagged.
+    1.  Zero centers leave the query untouched, with nothing selected.
     """
     qv = np.asarray(q, dtype=np.float64)
     c = np.asarray(centers, dtype=np.float64).reshape(-1, qv.shape[0])
@@ -487,7 +467,6 @@ def aggregate_over_centers(q: np.ndarray, centers: np.ndarray, top_k: int) -> At
             selected=np.zeros(0, dtype=np.int64),
             weights=np.zeros(0),
             aggregated=qv.copy(),
-            degenerate=True,
         )
     scores = attention_scores(qv, c)
     selected = top_k_indices(scores, min(top_k, c.shape[0]))
@@ -754,20 +733,16 @@ class DetectionFrame:
     fused: bool | None = None
 
 
-def extract_detections(
-    queries: QuerySet,
-    traces: list[EvolutionTrace],
-    frame_index: int = 0,
-) -> list[Detection]:
-    """Detections from evolved queries: healthy pillars become boxes.
+def extract_detections(traces: list[EvolutionTrace], frame_index: int = 0) -> list[Detection]:
+    """Detections from evolved queries: healthy queries become boxes.
 
     The confidence is the attention concentration of the final round (the
     largest selected weight); queries flagged empty, degenerate, or
     background are dropped.
     """
     out: list[Detection] = []
-    for qi, (pillar, trace) in enumerate(zip(queries.pillars, traces)):
-        if pillar.flag:
+    for qi, trace in enumerate(traces):
+        if trace.flag:
             continue
         score = 0.0
         if trace.attention:
@@ -777,7 +752,7 @@ def extract_detections(
         out.append(
             Detection(
                 frame=frame_index,
-                box=pillar.attrs.as_array(),
+                box=trace.attrs.as_array(),
                 score=score,
                 query_id=qi,
             )

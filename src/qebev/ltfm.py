@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .bevscene import Frame, decode_feature
+from .bevscene import BoxAttributes, Frame, decode_feature
 from .dqem import (
     AttentionResult,
     ClusterSet,
@@ -27,8 +27,6 @@ from .dqem import (
     DetectionFrame,
     DqemParams,
     EvolutionTrace,
-    Pillar,
-    QuerySet,
     aggregate_over_centers,
     blend_and_rescale,
     extract_detections,
@@ -114,26 +112,25 @@ def temporal_aggregate(
 
 
 def _evolve_single(
-    pillar: Pillar,
+    attrs: BoxAttributes,
     frame: Frame,
     params: DqemParams,
     qrng: np.random.Generator,
     alpha: float,
     carry: _Carry | None,
-) -> tuple[Pillar, EvolutionTrace, _Carry | None]:
-    """One query against one frame, fusing the previous frame's ``carry``.
+) -> tuple[EvolutionTrace, _Carry | None]:
+    """One query, starting at box ``attrs``, against one frame, fusing the
+    previous frame's ``carry``.
 
     With no carry this is plain single-frame evolution.  With one, the
     previous direction is blended in with weight ``1 - alpha``, and the
     first round aggregates over the pooled current and previous centers;
     later rounds are plain.  The k-means call count is the same either way.
-    Returns the pillar, its trace and its carry (None when flagged).
+    Returns the evolved query and its carry (None when flagged).
     """
-    trace = EvolutionTrace()
-    attrs = pillar.attrs
     pts = gather_neighborhood(frame, attrs.center(), params.radius)
     if len(pts) == 0:
-        return replace(pillar, flag="empty"), trace, None
+        return EvolutionTrace(attrs, np.zeros(frame.d), flag="empty"), None
 
     with np.errstate(over="ignore", invalid="ignore"):
         mean = initial_aggregate(pts.feat)
@@ -142,7 +139,7 @@ def _evolve_single(
     if not math.isfinite(norm0):
         raise ValueError(_NON_FINITE_MEAN)
     if norm0 == 0.0:
-        return replace(pillar, flag="degenerate-zero-mean"), trace, None
+        return EvolutionTrace(attrs, np.zeros(frame.d), flag="degenerate-zero-mean"), None
     q = mean / norm0
     scale = norm0
     if carry is not None:
@@ -151,7 +148,8 @@ def _evolve_single(
         if nb > 0.0:
             q = blended / nb
     dec = decode_feature(q * scale, frame.encoder_seed, params.tau_bg)
-    trace.decoded.append(dec)
+    attention: list[AttentionResult] = []
+    decoded = [dec]
     if dec is not None:
         attrs = dec
 
@@ -178,57 +176,54 @@ def _evolve_single(
         else:
             anchor = clusters
             result = aggregate_over_centers(q, anchor.centers, params.top_k)
-        trace.attention.append(result)
+        attention.append(result)
         q, scale, blend_flag = blend_and_rescale(
             q, scale, result, anchor.centers, params.beta, anchor.sizes
         )
         flag = blend_flag or flag
         dec = decode_feature(q * scale, frame.encoder_seed, params.tau_bg)
-        trace.decoded.append(dec)
+        decoded.append(dec)
         if dec is not None:
             attrs = dec
-    if not flag and trace.decoded[-1] is None:
+    if not flag and decoded[-1] is None:
         flag = "background"
-    evolved = Pillar(attrs=attrs, feat=q, feat_scale=scale, flag=flag)
-    return evolved, trace, None if flag else (q, clusters)
+    trace = EvolutionTrace(attrs, q, scale, flag, attention, decoded)
+    return trace, None if flag else (q, clusters)
 
 
 def _evolve_frame(
-    queries: QuerySet,
+    starts: list[BoxAttributes],
     frame: Frame,
     params: DqemParams,
     rng: np.random.Generator,
     alpha: float,
     carries: list[_Carry | None] | None,
-) -> tuple[QuerySet, list[EvolutionTrace], list[_Carry | None]]:
-    """Run the kernel for every query of one frame, fusing each query's
+) -> tuple[list[EvolutionTrace], list[_Carry | None]]:
+    """Run the kernel for every start box of one frame, fusing each query's
     carry from ``carries`` when it is given.
 
     Each query gets its own generator seeded from a single draw XOR the
     query index, so results do not depend on processing order.
     """
     base_seed = draw_seed(rng)
-    pillars, traces, carried = zip(*(
-        _evolve_single(pillar, frame, params, make_rng(base_seed ^ qi), alpha, carry)
-        for qi, (pillar, carry) in enumerate(
-            zip(queries.pillars, carries if carries is not None else repeat(None))
+    evolved = [
+        _evolve_single(attrs, frame, params, make_rng(base_seed ^ qi), alpha, carry)
+        for qi, (attrs, carry) in enumerate(
+            zip(starts, carries if carries is not None else repeat(None))
         )
-    ))
-    return QuerySet(list(pillars)), list(traces), list(carried)
+    ]
+    return [trace for trace, _ in evolved], [carry for _, carry in evolved]
 
 
 def evolve_queries(
-    queries: QuerySet,
+    starts: list[BoxAttributes],
     frame: Frame,
     params: DqemParams,
     rng: np.random.Generator,
-) -> tuple[QuerySet, list[EvolutionTrace]]:
-    """Refine every query against one frame, with no temporal history.
-
-    Inputs are left untouched.
-    """
-    evolved, traces, _ = _evolve_frame(queries, frame, params, rng, 0.0, None)
-    return evolved, traces
+) -> list[EvolutionTrace]:
+    """Evolve one query from each start box against one frame, with no
+    temporal history."""
+    return _evolve_frame(starts, frame, params, rng, 0.0, None)[0]
 
 
 def iter_sequence(
@@ -236,13 +231,13 @@ def iter_sequence(
     params: DqemParams,
     tparams: TemporalParams | None,
     rng: np.random.Generator,
-    pillars: QuerySet,
-) -> Iterator[tuple[DetectionFrame, QuerySet, list[EvolutionTrace]]]:
+    starts: list[BoxAttributes],
+) -> Iterator[tuple[DetectionFrame, list[EvolutionTrace]]]:
     """Detect over every frame of a sequence, fusing per the stride.
 
-    Every frame starts from the same ``pillars``, left untouched; yields
-    each frame's detections with its evolved queries and their traces.
-    A frame's ``fused`` is None when ``tparams`` is None.
+    Every frame starts one query from each box of ``starts``; yields each
+    frame's detections with its evolved queries.  A frame's ``fused`` is
+    None when ``tparams`` is None.
     Between frames only the previous frame's fusion state and the last
     ``stride`` frames' detections are kept, so memory does not grow with
     the sequence.
@@ -278,12 +273,12 @@ def iter_sequence(
                     f"{t - tparams.stride} (timestamp {back_time}), one stride back"
                 )
         frame_rng = make_rng(derive_seed(base_seed, f"frame:{t}"))
-        queries, traces, carries = _evolve_frame(
-            pillars, frame, params, frame_rng,
+        traces, carries = _evolve_frame(
+            starts, frame, params, frame_rng,
             tparams.alpha if fused else 0.0, carries if fused else None,
         )
 
-        detections = extract_detections(queries, traces, frame_index=t)
+        detections = extract_detections(traces, frame_index=t)
         if tparams is not None:
             detections = [
                 replace(det, velocity=_velocity_estimate(det, prev_dets, dt))
@@ -291,7 +286,7 @@ def iter_sequence(
             ]
             recent.append((frame.timestamp, detections))
         fused_out = fused if tparams is not None else None
-        yield DetectionFrame(frame.timestamp, detections, fused_out), queries, traces
+        yield DetectionFrame(frame.timestamp, detections, fused_out), traces
 
 
 def run_sequence(
@@ -299,11 +294,11 @@ def run_sequence(
     params: DqemParams,
     tparams: TemporalParams | None,
     rng: np.random.Generator,
-    pillars: QuerySet,
+    starts: list[BoxAttributes],
 ) -> SequenceResult:
     """Every frame's detections from :func:`iter_sequence`, without the
-    per-query state."""
-    return SequenceResult([fr for fr, _, _ in iter_sequence(frames, params, tparams, rng, pillars)])
+    evolved queries."""
+    return SequenceResult([fr for fr, _ in iter_sequence(frames, params, tparams, rng, starts)])
 
 
 # Largest accepted gap between a backward-predicted position and the

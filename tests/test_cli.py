@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import qebev
 from qebev.bevscene import read_scenes
@@ -71,6 +73,27 @@ def test_over_packed_scene_exits_one_and_writes_nothing(tmp_path, capsys):
             "use fewer objects or larger bounds\n"
         ), err
     assert not out.exists() and not run_dir.exists()
+
+
+def test_a_scene_without_objects_needs_no_margin(tmp_path, capsys):
+    # Object centers keep 5 m off the scene edge, which bounds 5 leave no
+    # room for; a background-only scene places no center.
+    out = tmp_path / "bg.jsonl"
+    assert run(["simulate", "--bounds", "5", "--objects", "0", "--frames", "2",
+                "--out", str(out)]) == 0
+    frames = read_scenes(out)
+    assert len(frames) == 2
+    for frame in frames:
+        assert frame.boxes == [] and len(frame.points) == 60
+        assert np.all(np.abs(frame.points.xy) <= 5.0)
+    one = tmp_path / "one.jsonl"
+    capsys.readouterr()
+    assert run(["simulate", "--bounds", "5", "--objects", "1", "--out", str(one)]) == 1
+    assert capsys.readouterr().err == (
+        "error: bounds 5.0 m leave no room for object centers 5.0 m inside the scene "
+        "edge; use bounds above 5.0 or no objects\n"
+    )
+    assert not one.exists()
 
 
 # ---------------------------------------------------------------- detect
@@ -687,3 +710,99 @@ def test_deleted_flags_are_unknown(tmp_path, capsys, scenes_and_dets, command, f
     cfg.write_text(f"{key} = {value or 'true'}\n")
     assert run([*argv, "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == f"error: {cfg}: unknown config keys: {key}\n"
+
+
+# ---------------------------------------------------------------- exit codes
+
+# Valid and invalid values for each option.  The valid ones are small
+# enough that a run stays quick.  The options in ALWAYS set how much work a
+# run does or where it writes, so every call gives them.
+CLI_VALUES = {
+    "seed": (["0", "-1", "18446744073709551616"], ["x"]),
+    "frames": (["1", "2"], ["0", "x"]),
+    "interval": (["0.5", "2"], ["0", "nan", "-inf"]),
+    "bounds": (["20", "12"], ["5", "0", "inf"]),
+    "objects": (["2", "0"], ["-1"]),
+    "points_per_object": (["5", "0"], ["-1"]),
+    "background_points": (["10", "0"], ["-1"]),
+    "noise_sigma": (["0.05", "0"], ["nan"]),
+    "d": (["9", "12"], ["8"]),
+    "speed_min": (["0", "1"], ["-1", "4"]),
+    "speed_max": (["3", "1"], ["inf"]),
+    "k": (["4", "1"], ["0"]),
+    "topk": (["1"], ["0", "5"]),
+    "beta": (["0.6", "0"], ["-1"]),
+    "radius": (["8", "inf"], ["0"]),
+    "iters": (["1", "2", "0"], ["-1"]),
+    "kmeans_iters": (["5", "1"], ["0"]),
+    "tau_bg": (["0", "0.5"], ["nan"]),
+    "grid_nx": (["3", "1"], ["0"]),
+    "grid_ny": (["3", "1"], ["0"]),
+    "dedup_radius": (["2", "0"], ["-1"]),
+    "alpha": (["0.4", "1"], ["2"]),
+    "stride": (["2", "1"], ["0"]),
+    "tp_threshold": (["2"], ["0", "nan"]),
+    "cases": (["1"], ["0"]),
+    "fit_steps": (["0"], ["-1"]),
+    "n_min": (["8", "1"], ["0"]),
+    "n_max": (["64", "16"], ["0"]),
+    "factor": (["2", "4"], ["1"]),
+    "repeats": (["3"], ["1"]),
+    "temporal": (["true", "false"], ["maybe"]),
+}
+ALWAYS = {"frames", "objects", "points_per_object", "background_points", "grid_nx", "grid_ny",
+          "cases", "fit_steps", "n_min", "n_max", "repeats", "out", "report", "out_dir"}
+
+
+@pytest.fixture(scope="module")
+def small_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("small")
+    scenes, dets = d / "scenes.jsonl", d / "dets.jsonl"
+    assert run([*simulate_args(scenes), "--frames", "2"]) == 0
+    assert run([*detect_args(scenes, dets), "--grid-nx", "2", "--grid-ny", "2"]) == 0
+    return scenes, dets
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_main_exits_zero_one_or_two(tmp_path, capsys, small_inputs, data):
+    # Any argv and --config file: 0 on success, else 1 or 2 with a message.
+    scenes, dets = small_inputs
+    outs = [tmp_path / "out"], [tmp_path / "no-dir" / "out", tmp_path]
+    values = {**CLI_VALUES, "scenes": ([scenes], [dets, tmp_path / "missing"]),
+              "dets": ([dets], [scenes, tmp_path]), "out": outs, "report": outs,
+              "out_dir": ([tmp_path / "run"], [scenes])}
+    _, registry = build_parser()
+    command = data.draw(st.sampled_from([*registry, "nope"]))
+    argv, config = [command], []
+    actions = [a for a in registry[command]._actions if a.dest in values] \
+        if command in registry else []
+    # A call breaks at most two options, so that every command also runs.
+    broken = data.draw(st.sets(st.sampled_from([a.dest for a in actions] or [""]), max_size=2))
+    for action in actions:
+        valid, invalid = values[action.dest]
+        choices = valid + invalid if action.dest in broken else valid
+        pick = st.sampled_from([str(v) for v in choices])
+        where = data.draw(st.sampled_from(
+            ["argv", "config", "both", *(() if action.dest in ALWAYS else ("none",))]))
+        if where in ("config", "both"):
+            config.append(f"{action.dest} = {data.draw(pick)}")
+        if where in ("argv", "both"):
+            if action.nargs == 0:  # --temporal, --no-temporal
+                argv += [action.option_strings[0]] * data.draw(st.booleans())
+            else:
+                argv.append(f"{action.option_strings[-1]}={data.draw(pick)}")
+    if data.draw(st.integers(0, 3)) == 0:
+        argv.append(data.draw(st.sampled_from(["--nope", "stray", "--help", "--config"])))
+    if config or data.draw(st.booleans()):
+        if data.draw(st.integers(0, 3)) == 0:
+            config.append(data.draw(st.sampled_from(["no equals", "unknown_key = 1", "# note"])))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(config) + "\n")
+        argv += ["--config", str(cfg)]
+    capsys.readouterr()
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), argv
+    assert code == 0 or err, argv

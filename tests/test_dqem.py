@@ -9,8 +9,6 @@ from qebev.bevscene import BoxAttributes, SceneConfig, decode_feature, generate_
 from qebev.dqem import (
     DetectionFrame,
     DqemParams,
-    Pillar,
-    QuerySet,
     aggregate_over_centers,
     attention_scores,
     blend_and_rescale,
@@ -52,27 +50,23 @@ def test_dqem_params_accepts_zero_weights_and_rounds():
 
 
 def test_init_pillars_single_cell_center():
-    qs = init_pillars(1, 1, 10.0)
-    assert len(qs.pillars) == 1
-    p = qs.pillars[0]
-    assert (p.attrs.x, p.attrs.y) == (0.0, 0.0)
-    assert p.feat_scale == 0.0 and p.flag == ""
+    [box] = init_pillars(1, 1, 10.0)
+    assert box == BoxAttributes(0.0, 0.0, 0.8, 2.0, 4.5, 1.6, 0.0, 0.0, 0.0)
 
 
 def test_init_pillars_two_by_two_centers():
-    qs = init_pillars(2, 2, 10.0)
-    got = [(p.attrs.x, p.attrs.y) for p in qs.pillars]
+    got = [(b.x, b.y) for b in init_pillars(2, 2, 10.0)]
     # row-major, x fastest
     assert got == [(-5.0, -5.0), (5.0, -5.0), (-5.0, 5.0), (5.0, 5.0)]
 
 
 def test_init_pillars_grid_in_bounds():
-    qs = init_pillars(10, 10, 50.0)
-    assert len(qs.pillars) == 100
-    for p in qs.pillars:
-        assert abs(p.attrs.x) < 50 and abs(p.attrs.y) < 50
+    boxes = init_pillars(10, 10, 50.0)
+    assert len(boxes) == 100
+    for b in boxes:
+        assert abs(b.x) < 50 and abs(b.y) < 50
     # all centers distinct
-    assert len({(p.attrs.x, p.attrs.y) for p in qs.pillars}) == 100
+    assert len({(b.x, b.y) for b in boxes}) == 100
 
 
 def test_init_pillars_validation():
@@ -318,7 +312,7 @@ def test_aggregate_all_equal_centers_returns_that_center():
     q = np.ones(d)
     r = aggregate_over_centers(q, centers, top_k=3)
     assert np.allclose(r.aggregated, centers[0], atol=1e-12)
-    assert not r.degenerate
+    assert r.selected.size == 3
 
 
 def test_aggregate_dominant_center_wins():
@@ -420,54 +414,59 @@ def test_evolve_noiseless_on_target_query():
     cfg = SceneConfig(n_objects=1, noise_sigma=0.0, background_points=0)
     fr = generate_sequence(cfg, 1, 0.5, make_rng(3))[0]
     gt = fr.boxes[0]
-    qs = QuerySet([Pillar(attrs=BoxAttributes(gt.x, gt.y, 0.8, 2.0, 4.5, 1.6, 0.0, 0.0, 0.0),
-                          feat=np.zeros(0))])
+    start = BoxAttributes(gt.x, gt.y, 0.8, 2.0, 4.5, 1.6, 0.0, 0.0, 0.0)
     params = DqemParams(k=3, top_k=2, beta=0.0, radius=8.0, iterations=1)
-    out, traces = evolve_queries(qs, fr, params, make_rng(5))
-    p = out.pillars[0]
-    assert p.flag == ""
-    dec = decode_feature(p.feat * p.feat_scale, fr.encoder_seed)
-    assert math.hypot(dec.x - gt.x, dec.y - gt.y) <= 1e-6
+    traces = evolve_queries([start], fr, params, make_rng(5))
     assert len(traces) == 1
-    assert len(traces[0].attention) == params.iterations
-    assert len(traces[0].decoded) == params.iterations + 1
+    tr = traces[0]
+    assert tr.flag == ""
+    dec = decode_feature(tr.feat * tr.scale, fr.encoder_seed)
+    assert math.hypot(dec.x - gt.x, dec.y - gt.y) <= 1e-6
+    assert tr.attrs == tr.decoded[-1] == dec
+    assert len(tr.attention) == params.iterations
+    assert len(tr.decoded) == params.iterations + 1
 
 
 def test_evolve_empty_neighborhood_flagged():
     cfg = SceneConfig(n_objects=1, background_points=0)
     fr = generate_sequence(cfg, 1, 0.5, make_rng(2))[0]
-    qs = QuerySet([Pillar(attrs=BoxAttributes(1001.0, 1001.0, 0.8, 2.0, 4.5, 1.6, 0.0, 0.0, 0.0),
-                          feat=np.zeros(0))])
+    start = BoxAttributes(1001.0, 1001.0, 0.8, 2.0, 4.5, 1.6, 0.0, 0.0, 0.0)
     params = DqemParams()
-    out, traces = evolve_queries(qs, fr, params, make_rng(1))
-    assert out.pillars[0].flag == "empty"
-    assert extract_detections(out, traces) == []
+    traces = evolve_queries([start], fr, params, make_rng(1))
+    assert traces[0].flag == "empty" and traces[0].attrs is start
+    assert extract_detections(traces) == []
+
+
+def test_evolve_an_empty_query_grid_returns_no_queries():
+    fr = generate_sequence(SceneConfig(n_objects=1), 1, 0.5, make_rng(2))[0]
+    assert evolve_queries([], fr, DqemParams(), make_rng(1)) == []
+    assert extract_detections([]) == []
 
 
 def test_evolve_deterministic():
     cfg = SceneConfig(n_objects=3)
     fr = generate_sequence(cfg, 1, 0.5, make_rng(14))[0]
-    qs = init_pillars(4, 4, 50.0)
+    starts = init_pillars(4, 4, 50.0)
     params = DqemParams(iterations=2)
-    a, _ = evolve_queries(qs, fr, params, make_rng(9))
-    b, _ = evolve_queries(qs, fr, params, make_rng(9))
-    for pa, pb in zip(a.pillars, b.pillars):
-        assert np.array_equal(pa.feat, pb.feat)
-        assert pa.feat_scale == pb.feat_scale
-        assert pa.flag == pb.flag
+    a = evolve_queries(starts, fr, params, make_rng(9))
+    b = evolve_queries(starts, fr, params, make_rng(9))
+    assert len(a) == len(b) == len(starts)
+    for ta, tb in zip(a, b):
+        assert np.array_equal(ta.feat, tb.feat)
+        assert ta.scale == tb.scale
+        assert ta.flag == tb.flag
 
 
 def test_evolve_outputs_finite_on_hard_scenes():
     # degenerate-prone setup: sparse points, many queries, tiny radius
     cfg = SceneConfig(n_objects=1, points_per_object=3, background_points=2)
     fr = generate_sequence(cfg, 1, 0.5, make_rng(44))[0]
-    qs = init_pillars(5, 5, 50.0)
+    starts = init_pillars(5, 5, 50.0)
     params = DqemParams(k=6, top_k=4, radius=6.0)
-    out, traces = evolve_queries(qs, fr, params, make_rng(4))
-    for p in out.pillars:
-        assert np.all(np.isfinite(p.feat))
-        assert np.isfinite(p.feat_scale)
+    traces = evolve_queries(starts, fr, params, make_rng(4))
     for tr in traces:
+        assert np.all(np.isfinite(tr.feat))
+        assert np.isfinite(tr.scale)
         for a in tr.attention:
             assert np.all(np.isfinite(a.weights))
 

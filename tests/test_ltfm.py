@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import qebev.dqem
 import qebev.ltfm
-from qebev.bevscene import SceneConfig, generate_sequence
+from qebev.bevscene import Frame, PointSet, SceneConfig, generate_sequence
 from qebev.dqem import (
     Detection,
     DqemParams,
@@ -79,7 +80,7 @@ def test_temporal_aggregate_pools_center_sets():
 def test_temporal_aggregate_both_empty_flagged():
     q = np.ones(4)
     r = temporal_aggregate(q, None, None, top_k=2)
-    assert r.degenerate
+    assert r.selected.size == 0 and r.weights.size == 0
     assert np.all(np.isfinite(r.aggregated))
 
 
@@ -149,7 +150,7 @@ def tiny_scene(**kw):
 
 
 def run_kwargs():
-    return dict(pillars=init_pillars(4, 4, 30.0))
+    return dict(starts=init_pillars(4, 4, 30.0))
 
 
 def test_run_sequence_single_frame_matches_no_temporal():
@@ -175,6 +176,20 @@ def decoded_bits(trace):
     return [None if d is None else d.as_array().tobytes() for d in trace.decoded]
 
 
+def assert_same_query(a, b):
+    """Two evolved queries agree in every field, bit for bit."""
+    assert same_bits(a.attrs.as_array(), b.attrs.as_array())
+    assert same_bits(a.feat, b.feat)
+    assert same_bits(a.scale, b.scale)
+    assert a.flag == b.flag
+    assert decoded_bits(a) == decoded_bits(b)
+    assert len(a.attention) == len(b.attention)
+    for ra, rb in zip(a.attention, b.attention):
+        assert same_bits(ra.selected, rb.selected)
+        assert same_bits(ra.weights, rb.weights)
+        assert same_bits(ra.aggregated, rb.aggregated)
+
+
 @pytest.mark.parametrize("iterations", [0, 1, 3])
 def test_evolve_queries_matches_run_sequence_frame_by_frame(iterations):
     # Without fusion, iter_sequence is evolve_queries on each frame with that
@@ -188,25 +203,15 @@ def test_evolve_queries_matches_run_sequence_frame_by_frame(iterations):
         res = run_sequence(seq, params, None, make_rng(s), **run_kwargs())
         frames = list(iter_sequence(seq, params, None, make_rng(s), **run_kwargs()))
         assert len(res.frames) == len(frames) == len(seq)
-        for t, (frame, done, (fr, queries, fr_traces)) in enumerate(
-            zip(seq, res.frames, frames)
-        ):
+        for t, (frame, done, (fr, fr_traces)) in enumerate(zip(seq, res.frames, frames)):
             assert [d.box.tobytes() for d in done.detections] \
                 == [d.box.tobytes() for d in fr.detections]
             frame_rng = make_rng(derive_seed(draw_seed(make_rng(s)), f"frame:{t}"))
-            out, traces = evolve_queries(init_pillars(4, 4, 30.0), frame, params, frame_rng)
-            assert len(out) == len(queries) and len(traces) == len(fr_traces)
-            for pa, ta, pb, tb in zip(out.pillars, traces, queries.pillars, fr_traces):
-                assert same_bits(pa.attrs.as_array(), pb.attrs.as_array())
-                assert same_bits(pa.feat, pb.feat)
-                assert same_bits(pa.feat_scale, pb.feat_scale)
-                assert pa.flag == pb.flag
-                assert decoded_bits(ta) == decoded_bits(tb)
-                assert len(ta.attention) == len(tb.attention)
-                for ra, rb in zip(ta.attention, tb.attention):
-                    assert same_bits(ra.selected, rb.selected)
-                    assert same_bits(ra.weights, rb.weights)
-                flags.add(pa.flag)
+            traces = evolve_queries(init_pillars(4, 4, 30.0), frame, params, frame_rng)
+            assert len(traces) == len(fr_traces) == 16
+            for ta, tb in zip(traces, fr_traces):
+                assert_same_query(ta, tb)
+                flags.add(ta.flag)
     assert {"", "empty"} <= flags
 
 
@@ -215,44 +220,43 @@ def test_evolve_queries_matches_run_sequence_frame_by_frame(iterations):
 def test_frame_results_do_not_depend_on_query_order(scene_seed, seed, data):
     # Each query evolves on its own stream, base_seed ^ qi, so running the
     # queries one by one in any order, on a frame whose neighbourhood index
-    # starts empty, gives evolve_queries' pillars and traces bit for bit.
+    # starts empty, gives evolve_queries' records bit for bit.
     params = DqemParams()
     grid = init_pillars(6, 6, 50.0)
     [frame] = generate_sequence(SceneConfig(), 1, 0.5, make_rng(scene_seed))
-    out, traces = evolve_queries(grid, frame, params, make_rng(seed))
+    traces = evolve_queries(grid, frame, params, make_rng(seed))
+    assert len(traces) == len(grid)
     [fresh] = generate_sequence(SceneConfig(), 1, 0.5, make_rng(scene_seed))
     base_seed = draw_seed(make_rng(seed))
     order = data.draw(st.permutations(range(len(grid))))
     for qi in order:
-        pillar, trace, _ = _evolve_single(
-            grid.pillars[qi], fresh, params, make_rng(base_seed ^ qi), 0.0, None
-        )
-        ref, ref_trace = out.pillars[qi], traces[qi]
-        assert same_bits(pillar.attrs.as_array(), ref.attrs.as_array())
-        assert same_bits(pillar.feat, ref.feat)
-        assert same_bits(pillar.feat_scale, ref.feat_scale)
-        assert pillar.flag == ref.flag
-        assert decoded_bits(trace) == decoded_bits(ref_trace)
-        assert len(trace.attention) == len(ref_trace.attention)
-        for ra, rb in zip(trace.attention, ref_trace.attention):
-            assert same_bits(ra.selected, rb.selected)
-            assert same_bits(ra.weights, rb.weights)
-            assert same_bits(ra.aggregated, rb.aggregated)
-            assert ra.degenerate == rb.degenerate
+        trace, carry = _evolve_single(grid[qi], fresh, params, make_rng(base_seed ^ qi), 0.0, None)
+        assert_same_query(trace, traces[qi])
+        assert (carry is None) == bool(trace.flag)
 
 
 def test_temporal_run_sequence_leaves_the_query_grid_untouched():
     # One grid starts every frame, so no frame may change it.
-    pillars = init_pillars(4, 4, 30.0)
-    before = [(p, p.attrs, p.feat.copy(), p.feat_scale, p.flag) for p in pillars.pillars]
+    starts = init_pillars(4, 4, 30.0)
+    before = list(starts)
     seq = generate_sequence(tiny_scene(speed_max=3.0), 5, 0.5, make_rng(19))
     res = run_sequence(seq, DqemParams(radius=10.0, iterations=2), TemporalParams(stride=2),
-                       make_rng(2), pillars)
+                       make_rng(2), starts)
     assert sum(bool(fr.fused) for fr in res.frames) == 2
-    assert len(pillars.pillars) == len(before)
-    for p, (pillar, attrs, feat, scale, flag) in zip(pillars.pillars, before):
-        assert p is pillar and p.attrs is attrs
-        assert same_bits(p.feat, feat) and p.feat_scale == scale and p.flag == flag
+    assert len(starts) == len(before)
+    for box, was in zip(starts, before):
+        assert box is was
+    assert starts == init_pillars(4, 4, 30.0)
+
+
+@pytest.mark.parametrize("tparams", [None, TemporalParams(stride=1)])
+def test_iter_sequence_over_an_empty_query_grid_yields_frames_without_detections(tparams):
+    seq = generate_sequence(tiny_scene(), 3, 0.5, make_rng(20))
+    out = list(iter_sequence(seq, DqemParams(radius=10.0), tparams, make_rng(2), []))
+    assert [fr.timestamp for fr, _ in out] == [frame.timestamp for frame in seq]
+    assert all(fr.detections == [] and traces == [] for fr, traces in out)
+    if tparams is not None:
+        assert [fr.fused for fr, _ in out] == [False, True, True]
 
 
 def test_run_sequence_none_tparams_matches_never_fusing_stride():
@@ -419,3 +423,87 @@ def test_run_sequence_memory_grows_only_by_its_detections():
         det_bytes.append(held)
     assert det_bytes[1] > det_bytes[0]
     assert peaks[1] - peaks[0] <= det_bytes[1] - det_bytes[0] + slack
+
+
+# ------------------------------------------------------------- degenerate frames
+
+# Every flag the kernel sets, and the messages of the checks that refuse
+# features whose arithmetic overflows.
+FLAGS = {"", "empty", "empty-regather", "degenerate-zero-mean", "degenerate-zero-blend",
+         "background"}
+OVERFLOW_MESSAGES = {
+    "neighborhood mean is not finite (non-finite or overflowing features)",
+    "k-means++ potential is not finite (non-finite or overflowing features)",
+    "decoded box size over- or underflows (overflowing features)",
+}
+NEAR = st.floats(-20.0, 20.0)
+ANY_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def degenerate_frames(draw):
+    """A frame with no points, with all its points at one place and one
+    feature, with background-level features only, or with huge but finite
+    coordinates and features."""
+    d = draw(st.sampled_from([9, 12]))
+    kind = draw(st.sampled_from(["empty", "coincident", "background", "huge"]))
+    n = 0 if kind == "empty" else draw(st.integers(1, 30))
+    if kind == "coincident":
+        xy = np.tile(draw(arrays(np.float64, 2, elements=NEAR)), (n, 1))
+        feat = np.tile(draw(arrays(np.float64, d, elements=st.floats(-3.0, 3.0))), (n, 1))
+    elif kind == "background":
+        xy = draw(arrays(np.float64, (n, 2), elements=NEAR))
+        feat = draw(arrays(np.float64, (n, d), elements=st.floats(-0.2, 0.2)))
+    else:
+        xy = draw(arrays(np.float64, (n, 2), elements=st.one_of(NEAR, ANY_FINITE)))
+        feat = draw(arrays(np.float64, (n, d), elements=st.one_of(
+            st.floats(-3.0, 3.0), ANY_FINITE, st.sampled_from([1e150, -1e154, 1e300]))))
+    return Frame(0.0, [], [], PointSet(xy, feat), draw(st.integers(0, 2**32)), d)
+
+
+def finished(run):
+    """``run()``'s result, or None when an overflow check refused the frame."""
+    try:
+        return run()
+    except ValueError as exc:
+        assert str(exc) in OVERFLOW_MESSAGES, exc
+        return None
+
+
+def assert_finite_and_flagged(traces):
+    for tr in traces:
+        assert tr.flag in FLAGS
+        assert np.isfinite(tr.attrs.as_array()).all()
+        assert np.isfinite(tr.feat).all() and math.isfinite(tr.scale)
+        for dec in tr.decoded:
+            assert dec is None or np.isfinite(dec.as_array()).all()
+        for att in tr.attention:
+            assert np.isfinite(att.weights).all() and np.isfinite(att.aggregated).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(frame=degenerate_frames(), k=st.integers(1, 4), iterations=st.integers(0, 3),
+       radius=st.sampled_from([2.0, 8.0, math.inf]), tau_bg=st.sampled_from([0.0, 0.5]),
+       fuse=st.booleans(), seed=st.integers(0, 2**32))
+def test_degenerate_frames_finish_finite_and_flagged(frame, k, iterations, radius, tau_bg,
+                                                     fuse, seed):
+    # Each run returns finite queries with known flags and finite
+    # detections, or raises one of the overflow checks' ValueErrors.
+    params = DqemParams(k=k, top_k=min(2, k), radius=radius, iterations=iterations,
+                        tau_bg=tau_bg)
+    starts = init_pillars(3, 3, 20.0)
+    traces = finished(lambda: evolve_queries(starts, frame, params, make_rng(seed)))
+    if traces is not None:
+        assert len(traces) == len(starts)
+        assert_finite_and_flagged(traces)
+    frames = [frame, replace(frame, timestamp=0.5)]
+    tparams = TemporalParams(stride=1) if fuse else None
+    out = finished(lambda: list(iter_sequence(frames, params, tparams, make_rng(seed), starts)))
+    if out is None:
+        return
+    assert len(out) == 2
+    for fr, fr_traces in out:
+        assert_finite_and_flagged(fr_traces)
+        for det in fr.detections:
+            assert np.isfinite(det.box).all() and math.isfinite(det.score)
+            assert det.velocity is None or np.isfinite(det.velocity).all()

@@ -75,7 +75,7 @@ def ref_aggregate_over_centers(q, centers, top_k):
     qv = np.asarray(q, dtype=np.float64)
     c = np.asarray(centers, dtype=np.float64).reshape(-1, qv.shape[0])
     if c.shape[0] == 0:
-        return AttentionResult(np.zeros(0, dtype=np.int64), np.zeros(0), qv.copy(), True)
+        return AttentionResult(np.zeros(0, dtype=np.int64), np.zeros(0), qv.copy())
     scores = attention_scores(qv, c)
     selected = ref_top_k_indices(scores, min(top_k, c.shape[0]))
     weights = ref_softmax(scores[selected])
@@ -191,7 +191,7 @@ def test_aggregate_over_centers_matches_the_numpy_form(case):
     assert same_bits(got.selected, want.selected)
     assert same_bits(got.weights, want.weights)
     assert same_bits(got.aggregated, want.aggregated)
-    assert got.degenerate == want.degenerate
+    assert (got.selected.size == 0) == (centers.shape[0] == 0)
 
 
 @settings(max_examples=300, deadline=None)
