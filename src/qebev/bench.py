@@ -99,16 +99,18 @@ def _t_quantile_975(df: int) -> float:
     return math.sqrt(df) * math.tan(lo)
 
 
-def _fit_slope(ns: list[int], ts: list[float]) -> tuple[float, tuple[float, float]]:
-    """OLS slope of log t on log n and its 95% confidence interval."""
+def _fit_slope(ns: list[int], ts: list[float]) -> tuple[float, tuple[float, float]] | None:
+    """OLS slope of log t on log n and its 95% confidence interval; None
+    from fewer than three sizes, which leave the interval no degree of
+    freedom."""
+    if len(ns) < 3:
+        return None
     x = np.log(ns)
     y = np.log(ts)
     x -= x.mean()
     y -= y.mean()
     sxx = float(x @ x)
     slope = float(x @ y) / sxx
-    if len(ns) <= 2:
-        return slope, (-math.inf, math.inf)
     resid = y - slope * x
     stderr = math.sqrt(float(resid @ resid) / (len(ns) - 2) / sxx)
     half = _t_quantile_975(len(ns) - 2) * stderr
@@ -120,7 +122,8 @@ def run_scaling(cfg: BenchConfig, rng: np.random.Generator) -> ScalingReport:
 
     The same seed produces the same feature sets, so medians differ only by
     machine noise.  Sizes whose median lands inside 100x the timer
-    resolution are excluded from the fit (noted in the report).
+    resolution are excluded from the fit (noted in the report).  The slope,
+    and a row's running slope, are None until three sizes are usable.
     """
     base_seed = int(rng.integers(0, 2**64, dtype=np.uint64))
     resolution = time.get_clock_info("perf_counter").resolution
@@ -156,7 +159,8 @@ def run_scaling(cfg: BenchConfig, rng: np.random.Generator) -> ScalingReport:
         else:
             fit_ns.append(n)
             fit_ts.append(median)
-            slope_running = _fit_slope(fit_ns, fit_ts)[0] if len(fit_ns) >= 2 else None
+            fit = _fit_slope(fit_ns, fit_ts)
+            slope_running = fit[0] if fit is not None else None
         rows.append(
             BenchRow(
                 n=n, k=cfg.k, iters=cfg.kmeans_iters, d=cfg.d,
@@ -164,9 +168,7 @@ def run_scaling(cfg: BenchConfig, rng: np.random.Generator) -> ScalingReport:
             )
         )
 
-    slope, ci = (None, None)
-    if len(fit_ns) >= 2:
-        slope, ci = _fit_slope(fit_ns, fit_ts)
+    slope, ci = _fit_slope(fit_ns, fit_ts) or (None, None)
     return ScalingReport(rows=rows, slope=slope, slope_ci=ci, notes=notes)
 
 

@@ -344,7 +344,11 @@ def _kmeans_pp_pass(
 
 
 def kmeans(
-    features: np.ndarray, k: int, iters: int, rng: np.random.Generator
+    features: np.ndarray,
+    k: int,
+    iters: int,
+    rng: np.random.Generator,
+    init: np.ndarray | None = None,
 ) -> ClusterSet:
     """Lloyd's algorithm over feature vectors with k-means++ seeding.
 
@@ -354,6 +358,12 @@ def kmeans(
     objective non-increasing.  When the input has fewer than k distinct
     vectors, only that many clusters come back.  One run draws its seeding
     from ``rng``; restarts are successive calls on the same generator.
+
+    Given ``init`` centers, Lloyd starts from them instead: nothing is
+    drawn from ``rng``, and ``k`` is only echoed.  Started from the centers
+    of a run on the same rows that stopped before its cap, Lloyd rebuilds
+    those centers in one update and stops, so every field but
+    ``inertia_trace`` (now one entry) equals that run's bit for bit.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -366,7 +376,13 @@ def kmeans(
     # Distances to the current centers: the seeding's for the first pass;
     # after that, the pass that scores an update also gives the next round
     # its assignment distances.
-    centers, d2 = _kmeans_pp_init(x, k, rng)
+    if init is None:
+        centers, d2 = _kmeans_pp_init(x, k, rng)
+    else:
+        centers = np.asarray(init, dtype=np.float64)
+        if centers.ndim != 2 or centers.shape[0] == 0:
+            raise ValueError("init must be a non-empty (k, d) array")
+        d2 = pairwise_sq_dist(x, centers)
     k_eff = centers.shape[0]
     flat_x = x.ravel()
     # bins[c, j]: the bin of column j of cluster c in the per-cluster sums;
@@ -509,7 +525,8 @@ def blend_and_rescale(
     q_new = u / nu
     selected = result.selected
     if selected.size:
-        norms = np.linalg.norm(centers.take(selected, axis=0), axis=1)
+        c = centers.take(selected, axis=0)
+        norms = np.sqrt(np.add.reduce(c * c, axis=1))
         w = np.asarray(sizes, dtype=np.float64).take(selected)
         tot = float(np.add.reduce(w))
         anchor = float(w @ norms / tot) if tot > 0.0 else 0.0

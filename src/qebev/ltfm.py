@@ -115,7 +115,7 @@ def _evolve_single(
     attrs: BoxAttributes,
     frame: Frame,
     params: DqemParams,
-    qrng: np.random.Generator,
+    seed: int,
     alpha: float,
     carry: _Carry | None,
 ) -> tuple[EvolutionTrace, _Carry | None]:
@@ -125,7 +125,12 @@ def _evolve_single(
     With no carry this is plain single-frame evolution.  With one, the
     previous direction is blended in with weight ``1 - alpha``, and the
     first round aggregates over the pooled current and previous centers;
-    later rounds are plain.  The k-means call count is the same either way.
+    later rounds are plain.  The k-means call count is the same either way:
+    one per round.  The query's generators come from ``seed`` and are built
+    only once it has points with a non-zero mean to cluster.  A round that
+    gathers the very rows of the round before, whose run stopped before the
+    ``kmeans_iters`` cap, restarts Lloyd from that run's centers rather than
+    seeding again; the clustering it gets is the same.
     Returns the evolved query and its carry (None when flagged).
     """
     pts = gather_neighborhood(frame, attrs.center(), params.radius)
@@ -158,16 +163,24 @@ def _evolve_single(
     # One clustering stream per query, rewound every round: successive
     # rounds then see consistent partitions and the update converges
     # instead of chasing re-randomized cluster boundaries.
-    krng = make_rng(draw_seed(qrng))
+    krng = make_rng(draw_seed(make_rng(seed)))
     kstate = krng.bit_generator.state
     for it in range(params.iterations):
+        init = None
         if it > 0:
+            rows = pts.feat.tobytes()
             pts = gather_neighborhood(frame, attrs.center(), params.radius)
             if len(pts) == 0:
                 flag = "empty-regather"
                 break
-        krng.bit_generator.state = kstate
-        clusters = kmeans(pts.feat, params.k, params.kmeans_iters, krng)
+            if (len(clusters.inertia_trace) < params.kmeans_iters
+                    and pts.feat.tobytes() == rows):
+                # The rewound stream would seed the run that converged last
+                # round again; Lloyd from its centers ends where it ended.
+                init = clusters.centers
+        if init is None:
+            krng.bit_generator.state = kstate
+        clusters = kmeans(pts.feat, params.k, params.kmeans_iters, krng, init=init)
         if carry is not None and it == 0:
             # Attention and the blend share one pooled set, so it is built
             # here and temporal_aggregate has nothing left to pool.
@@ -202,12 +215,13 @@ def _evolve_frame(
     """Run the kernel for every start box of one frame, fusing each query's
     carry from ``carries`` when it is given.
 
-    Each query gets its own generator seeded from a single draw XOR the
-    query index, so results do not depend on processing order.
+    Each query gets its own seed, a single draw XOR the query index, so
+    results do not depend on processing order; a query builds generators
+    from it only when it clusters.
     """
     base_seed = draw_seed(rng)
     evolved = [
-        _evolve_single(attrs, frame, params, make_rng(base_seed ^ qi), alpha, carry)
+        _evolve_single(attrs, frame, params, base_seed ^ qi, alpha, carry)
         for qi, (attrs, carry) in enumerate(
             zip(starts, carries if carries is not None else repeat(None))
         )
@@ -254,18 +268,18 @@ def iter_sequence(
     """
     base_seed = draw_seed(rng)
     carries: list[_Carry | None] | None = None
-    # recent[0] is the (timestamp, detections) of the frame one stride back
-    # once a stride has passed.
-    recent: deque[tuple[float, list[Detection]]] = deque(
+    # recent[0] is the timestamp and (m, 2) detection positions of the frame
+    # one stride back once a stride has passed.
+    recent: deque[tuple[float, np.ndarray]] = deque(
         maxlen=tparams.stride if tparams is not None else 1
     )
 
     for t, frame in enumerate(frames):
         fused = tparams is not None and carries is not None and t % tparams.stride == 0
-        prev_dets: list[Detection] = []
+        prev_xy = np.empty((0, 2))
         dt = 0.0
         if fused:
-            back_time, prev_dets = recent[0]
+            back_time, prev_xy = recent[0]
             dt = frame.timestamp - back_time
             if not dt > 0.0:
                 raise ValueError(
@@ -281,10 +295,11 @@ def iter_sequence(
         detections = extract_detections(traces, frame_index=t)
         if tparams is not None:
             detections = [
-                replace(det, velocity=_velocity_estimate(det, prev_dets, dt))
+                replace(det, velocity=_velocity_estimate(det, prev_xy, dt))
                 for det in detections
             ]
-            recent.append((frame.timestamp, detections))
+            xy = np.array([det.box[:2] for det in detections]).reshape(-1, 2)
+            recent.append((frame.timestamp, xy))
         fused_out = fused if tparams is not None else None
         yield DetectionFrame(frame.timestamp, detections, fused_out), traces
 
@@ -308,24 +323,24 @@ BACKTRACK_GATE = 3.0
 
 def _velocity_estimate(
     det: Detection,
-    prev_dets: list[Detection],
+    prev_xy: np.ndarray,
     dt: float,
 ) -> np.ndarray:
     """Average the decoded velocity channels with a track position delta.
 
     The detection is projected back by its channel velocity over ``dt``,
-    the seconds since the earlier detections; the nearest earlier detection
-    within the gate is taken as the same physical track.  Grid queries
+    the seconds since the earlier detections, whose positions are the rows
+    of ``prev_xy`` (m, 2); the nearest earlier detection within the gate is
+    taken as the same physical track.  Grid queries
     alone cannot serve as tracks since an object crossing cells changes
     which query sees it.  With no earlier
     detection inside the gate the decoded channels stand alone.
     """
     v_chan = det.box[7:9]
-    if not prev_dets:
+    if not len(prev_xy):
         return np.array(v_chan)
     cur = det.box[:2]
     predicted_back = cur - v_chan * dt
-    prev_xy = np.array([p.box[:2] for p in prev_dets])
     gaps = np.linalg.norm(prev_xy - predicted_back, axis=1)
     j = int(np.argmin(gaps))
     if gaps[j] > BACKTRACK_GATE:

@@ -70,10 +70,12 @@ def test_fit_slope_matches_scipy_linregress(ns, ts):
     assert hi == pytest.approx(res.slope + half, rel=0.0, abs=1e-10)
 
 
-def test_fit_slope_of_two_sizes_has_an_unbounded_interval():
-    slope, (lo, hi) = _fit_slope([1000, 2000], [1e-3, 2e-3])
+def test_fit_slope_needs_three_sizes():
+    # Two sizes leave the Student-t interval no degree of freedom.
+    assert _fit_slope([1000, 2000], [1e-3, 2e-3]) is None
+    slope, (lo, hi) = _fit_slope([1000, 2000, 4000], [1e-3, 2e-3, 4e-3])
     assert slope == pytest.approx(1.0, abs=1e-12)
-    assert (lo, hi) == (-math.inf, math.inf)
+    assert math.isfinite(lo) and math.isfinite(hi)
 
 
 def test_run_scaling_tiny_sweep():
@@ -87,6 +89,13 @@ def test_run_scaling_tiny_sweep():
         assert row.k == cfg.k and row.d == cfg.d
     assert math.isfinite(rep.slope)
     assert rep.slope_ci[0] <= rep.slope <= rep.slope_ci[1]
+
+
+def test_run_scaling_fits_no_slope_from_two_sizes():
+    rep = run_scaling(BenchConfig(n_sweep=(500, 1000), repeats=3), make_rng(2))
+    assert len(rep.rows) == 2 and not rep.notes
+    assert rep.slope is None and rep.slope_ci is None
+    assert [row.slope_running for row in rep.rows] == [None, None]
 
 
 def test_bench_csv_layout(tmp_path):

@@ -315,6 +315,17 @@ def test_bench_tiny_sweep(tmp_path, capsys):
     assert len(lines) == 4  # 500, 1000, 2000
 
 
+def test_bench_prints_no_slope_from_two_sizes(tmp_path, capsys):
+    # Two sizes leave the slope's Student-t interval no degree of freedom.
+    out = tmp_path / "bench.csv"
+    assert run(["bench", "--n-min", "1", "--n-max", "2", "--repeats", "3",
+                "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}; too few usable sizes for a slope\n"
+    rows = out.read_text().strip().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["1", "2"]
+    assert [row.split(",")[-1] for row in rows] == ["", ""]
+
+
 def test_bench_accepts_fewer_clusters_than_attention_keeps(tmp_path):
     # Attention keeps 4 clusters, clamped to the clusters k-means returns.
     out = tmp_path / "bench.csv"

@@ -99,16 +99,21 @@ def det_at(x, y, vx=0.0, vy=0.0, frame=0, qid=0):
     return Detection(frame=frame, box=box, score=0.9, query_id=qid)
 
 
+def positions(dets):
+    # The (m, 2) earlier positions iter_sequence hands _velocity_estimate.
+    return np.array([d.box[:2] for d in dets]).reshape(-1, 2)
+
+
 def test_velocity_no_history_uses_channel():
     d = det_at(5.0, 5.0, vx=2.0, vy=-1.0)
-    v = _velocity_estimate(d, [], dt=1.0)
+    v = _velocity_estimate(d, positions([]), dt=1.0)
     assert np.allclose(v, [2.0, -1.0])
 
 
 def test_velocity_gate_exceeded_uses_channel():
     d = det_at(0.0, 0.0, vx=1.0, vy=0.0)
     far = [det_at(50.0, 50.0, frame=0)]
-    v = _velocity_estimate(d, far, dt=1.0)
+    v = _velocity_estimate(d, positions(far), dt=1.0)
     assert np.allclose(v, [1.0, 0.0])
 
 
@@ -117,7 +122,7 @@ def test_velocity_association_mixes_motion_and_channel():
     dt = 1.0
     cur = det_at(3.0, 0.0, vx=2.0, vy=0.0, frame=2)
     prev = [det_at(1.2, 0.0, frame=0), det_at(-8.0, 4.0, frame=0)]
-    v = _velocity_estimate(cur, prev, dt=1.0)
+    v = _velocity_estimate(cur, positions(prev), dt=1.0)
     v_mot = (np.array([3.0, 0.0]) - np.array([1.2, 0.0])) / dt
     assert np.allclose(v, 0.5 * (v_mot + np.array([2.0, 0.0])), atol=1e-12)
 
@@ -130,7 +135,7 @@ def test_velocity_backtracks_with_channel_prediction():
     # predicted back-position is (-4, 0)
     right = det_at(-3.8, 0.0, frame=0, qid=1)
     wrong = det_at(0.5, 0.0, frame=0, qid=2)
-    v = _velocity_estimate(cur, [wrong, right], dt=1.0)
+    v = _velocity_estimate(cur, positions([wrong, right]), dt=1.0)
     v_mot = (np.array([0.0, 0.0]) - np.array([-3.8, 0.0])) / dt
     assert np.allclose(v, 0.5 * (v_mot + np.array([4.0, 0.0])), atol=1e-12)
 
@@ -218,7 +223,7 @@ def test_evolve_queries_matches_run_sequence_frame_by_frame(iterations):
 @settings(max_examples=8, deadline=None)
 @given(scene_seed=st.integers(0, 2**32), seed=st.integers(0, 2**32), data=st.data())
 def test_frame_results_do_not_depend_on_query_order(scene_seed, seed, data):
-    # Each query evolves on its own stream, base_seed ^ qi, so running the
+    # Each query evolves from its own seed, base_seed ^ qi, so running the
     # queries one by one in any order, on a frame whose neighbourhood index
     # starts empty, gives evolve_queries' records bit for bit.
     params = DqemParams()
@@ -230,7 +235,7 @@ def test_frame_results_do_not_depend_on_query_order(scene_seed, seed, data):
     base_seed = draw_seed(make_rng(seed))
     order = data.draw(st.permutations(range(len(grid))))
     for qi in order:
-        trace, carry = _evolve_single(grid[qi], fresh, params, make_rng(base_seed ^ qi), 0.0, None)
+        trace, carry = _evolve_single(grid[qi], fresh, params, base_seed ^ qi, 0.0, None)
         assert_same_query(trace, traces[qi])
         assert (carry is None) == bool(trace.flag)
 
@@ -360,7 +365,7 @@ def test_fused_velocities_use_the_timestamp_gap():
         assert res.frames[t].fused
         dt = frames[t].timestamp - frames[t - 2].timestamp
         for det in res.frames[t].detections:
-            want = _velocity_estimate(det, res.frames[t - 2].detections, dt)
+            want = _velocity_estimate(det, positions(res.frames[t - 2].detections), dt)
             assert same_bits(det.velocity, want)
             hits += not np.array_equal(want, det.box[7:9])
     assert hits > 0
