@@ -462,11 +462,16 @@ def _json_box(value) -> list[float]:
     return box
 
 
-def _named(kind: str, i: int, parse: Callable, *args):
-    """``parse(*args)`` for entry ``kind i`` of a record; a bad value is that entry's fault."""
+def _named(kind: str, i: int, parse: Callable, entry, *args):
+    """``parse(entry, *args)`` for entry ``kind i`` of a record, a JSON
+    object; a fault in it, a missing key included, is that entry's."""
     try:
-        return parse(*args)
-    except (ValueError, OverflowError) as exc:
+        if type(entry) is not dict:
+            raise ValueError(f"must be an object, got {entry!r}")
+        return parse(entry, *args)
+    except KeyError as exc:
+        raise _NamedFault(f"{kind} {i}: missing {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
         raise _NamedFault(f"{kind} {i}: {exc}") from exc
 
 
@@ -501,6 +506,10 @@ def _read_records(path: str, kind: str, parse: Callable, hook=None) -> list:
     return records
 
 
+def _gt_entry(g: dict) -> tuple[BoxAttributes, int]:
+    return BoxAttributes(*_json_box(g["box"])), _json_int(g["track_id"], "track_id")
+
+
 def _frame(rec: dict, timestamp: float, frames: list[Frame]) -> Frame:
     """One scene record as a frame, given the frames before it."""
     d = _json_int(rec["d"], "d")
@@ -518,9 +527,9 @@ def _frame(rec: dict, timestamp: float, frames: list[Frame]) -> Frame:
         bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
         if bad.size:
             raise _NamedFault(f"point {bad[0]}: {field_name} is not finite")
-    boxes = [BoxAttributes(*_named("gt", i, _json_box, g["box"])) for i, g in enumerate(gt)]
-    track_ids = [_json_int(g["track_id"], "track_id") for g in gt]
-    return Frame(timestamp, boxes, track_ids, points, encoder_seed, d)
+    entries = [_named("gt", i, _gt_entry, g) for i, g in enumerate(gt)]
+    return Frame(timestamp, [box for box, _ in entries], [tid for _, tid in entries],
+                 points, encoder_seed, d)
 
 
 def read_scenes(path: str) -> list[Frame]:

@@ -20,7 +20,6 @@ from .bevscene import (
     POSITION_SCALE,
     BoxAttributes,
     Frame,
-    PointSet,
     _json_array,
     _json_box,
     _json_int,
@@ -49,7 +48,6 @@ __all__ = [
     "blend_and_rescale",
     "diversity_loss",
     "diversity_loss_grad",
-    "initial_aggregate",
     "fit_projections",
     "extract_detections",
     "dedup_detections",
@@ -96,15 +94,14 @@ class ClusterSet:
 
     Only non-empty clusters are kept: ``centers`` is (k_eff, d) and every
     ``assignments`` entry indexes into it.  ``inertia_trace`` holds the
-    objective value after every Lloyd update for monotonicity checks.
+    objective value after every Lloyd update; its last entry is the final
+    inertia.
     """
 
     assignments: np.ndarray
     centers: np.ndarray
     sizes: np.ndarray
-    inertia: float
     inertia_trace: tuple[float, ...]
-    requested_k: int
 
     @property
     def k_eff(self) -> int:
@@ -128,16 +125,17 @@ class EvolutionTrace:
     is the unit query direction (zero for a query flagged before its first
     decode) and ``scale`` restores the raw feature magnitude for decoding.
     ``flag`` records degenerate conditions ("" means healthy).
-    ``attention`` has one entry per round, and ``decoded`` one per
-    refinement stage, starting with the plain neighborhood mean (stage 0);
-    None marks a background-level decode.
+    ``score`` is the largest attention weight of the final round (0.0 when
+    no round ran), and ``decoded`` has one entry per refinement stage,
+    starting with the plain neighborhood mean (stage 0); None marks a
+    background-level decode.
     """
 
     attrs: BoxAttributes
     feat: np.ndarray
     scale: float = 0.0
     flag: str = ""
-    attention: list[AttentionResult] = field(default_factory=list)
+    score: float = 0.0
     decoded: list[BoxAttributes | None] = field(default_factory=list)
 
 
@@ -257,27 +255,27 @@ class _CellIndex:
         return cand
 
 
-def gather_neighborhood(frame: Frame, center_xy: np.ndarray, radius: float) -> PointSet:
-    """All frame points within ``radius`` of a BEV position (inclusive).
+def gather_neighborhood(frame: Frame, center_xy: np.ndarray, radius: float) -> np.ndarray:
+    """Ascending indices of the frame points within ``radius`` of a BEV
+    position (inclusive).
 
     Only the points in the cells around the center are tested, through the
     frame's cell index for this radius (built on first use); the test and the
-    point order are those of a scan over every point.
+    order are those of a scan over every point.
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     c = np.asarray(center_xy, dtype=np.float64).reshape(2)
     points = frame.points
     if len(points) == 0:
-        return PointSet.empty(frame.d)
+        return np.zeros(0, dtype=np.int32)
     index = frame.cell_index.get(radius)
     if index is None or index.xy is not points.xy:
         index = frame.cell_index[radius] = _CellIndex(points.xy, radius)
     cand = index.candidates(*c.tolist())
     # take() gathers rows several times faster than fancy indexing.
     delta = points.xy.take(cand, axis=0) - c
-    sel = cand[np.einsum("nd,nd->n", delta, delta) <= radius * radius]
-    return PointSet(points.xy.take(sel, axis=0), points.feat.take(sel, axis=0))
+    return cand[np.einsum("nd,nd->n", delta, delta) <= radius * radius]
 
 
 def _kmeans_pp_draws(k: int, n: int) -> int:
@@ -427,9 +425,7 @@ def kmeans(
         assignments=assign,
         centers=centers,
         sizes=counts,
-        inertia=trace[-1],
         inertia_trace=tuple(trace),
-        requested_k=k,
     )
 
 
@@ -491,16 +487,6 @@ def aggregate_over_centers(q: np.ndarray, centers: np.ndarray, top_k: int) -> At
     return AttentionResult(selected=selected, weights=weights, aggregated=aggregated)
 
 
-def initial_aggregate(feats: np.ndarray) -> np.ndarray:
-    """Plain mean of the neighborhood features; zero vector when empty."""
-    f = np.asarray(feats, dtype=np.float64)
-    if f.ndim != 2:
-        raise ValueError("initial_aggregate expects an (n, d) array")
-    if f.shape[0] == 0:
-        return np.zeros(f.shape[1])
-    return f.mean(axis=0)
-
-
 def blend_and_rescale(
     q: np.ndarray,
     scale: float,
@@ -514,12 +500,15 @@ def blend_and_rescale(
     The unit direction carries the query forward; the decode magnitude is
     re-anchored to the selected cluster centers' norms, weighted by cluster
     population ``sizes``.  Center norms track the raw feature scale, unlike
-    the softmax-diluted blend norm.
+    the softmax-diluted blend norm.  A blend whose norm overflows is refused.
     """
     qp = result.aggregated
-    u = qp + beta * q
-    # Vector 2-norms computed as np.linalg.norm computes them.
-    nu = math.sqrt(u.dot(u))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = qp + beta * q
+        # Vector 2-norms computed as np.linalg.norm computes them.
+        nu = math.sqrt(u.dot(u))
+    if not math.isfinite(nu):
+        raise ValueError("blend norm is not finite (overflowing features or beta)")
     if nu == 0.0:
         return q, scale, "degenerate-zero-blend"
     q_new = u / nu
@@ -570,14 +559,15 @@ def _build_snapshots(
         e_t = encoding_matrix(frame.encoder_seed, frame.d).T
         for box in frame.boxes:
             offset = rng.uniform(-2.0, 2.0, size=2)
-            pts = gather_neighborhood(frame, box.center() + offset, params.radius)
-            if len(pts) == 0:
+            sel = gather_neighborhood(frame, box.center() + offset, params.radius)
+            if len(sel) == 0:
                 continue
-            mean = initial_aggregate(pts.feat)
+            feat = frame.points.feat.take(sel, axis=0)
+            mean = feat.mean(axis=0)
             n0 = float(np.linalg.norm(mean))
             if n0 == 0.0:
                 continue
-            clusters = kmeans(pts.feat, params.k, params.kmeans_iters, rng)
+            clusters = kmeans(feat, params.k, params.kmeans_iters, rng)
             if clusters.k_eff != params.k:
                 # Uniform cluster count keeps the objective vectorizable.
                 continue
@@ -753,28 +743,15 @@ class DetectionFrame:
 def extract_detections(traces: list[EvolutionTrace], frame_index: int = 0) -> list[Detection]:
     """Detections from evolved queries: healthy queries become boxes.
 
-    The confidence is the attention concentration of the final round (the
-    largest selected weight); queries flagged empty, degenerate, or
-    background are dropped.
+    The confidence is the query's ``score``, the attention concentration of
+    its final round; queries flagged empty, degenerate, or background are
+    dropped.
     """
-    out: list[Detection] = []
-    for qi, trace in enumerate(traces):
-        if trace.flag:
-            continue
-        score = 0.0
-        if trace.attention:
-            final = trace.attention[-1]
-            if final.weights.size:
-                score = float(final.weights.max())
-        out.append(
-            Detection(
-                frame=frame_index,
-                box=trace.attrs.as_array(),
-                score=score,
-                query_id=qi,
-            )
-        )
-    return out
+    return [
+        Detection(frame=frame_index, box=trace.attrs.as_array(), score=trace.score, query_id=qi)
+        for qi, trace in enumerate(traces)
+        if not trace.flag
+    ]
 
 
 def dedup_detections(dets: list[Detection], radius: float) -> list[Detection]:

@@ -31,7 +31,6 @@ from .dqem import (
     blend_and_rescale,
     extract_detections,
     gather_neighborhood,
-    initial_aggregate,
     kmeans,
 )
 from .numerics import derive_seed, draw_seed, make_rng
@@ -128,17 +127,18 @@ def _evolve_single(
     later rounds are plain.  The k-means call count is the same either way:
     one per round.  The query's generators come from ``seed`` and are built
     only once it has points with a non-zero mean to cluster.  A round that
-    gathers the very rows of the round before, whose run stopped before the
-    ``kmeans_iters`` cap, restarts Lloyd from that run's centers rather than
-    seeding again; the clustering it gets is the same.
+    gathers the very points of the round before, whose run stopped before
+    the ``kmeans_iters`` cap, restarts Lloyd from that run's centers rather
+    than seeding again; the clustering it gets is the same.
     Returns the evolved query and its carry (None when flagged).
     """
-    pts = gather_neighborhood(frame, attrs.center(), params.radius)
-    if len(pts) == 0:
+    sel = gather_neighborhood(frame, attrs.center(), params.radius)
+    if len(sel) == 0:
         return EvolutionTrace(attrs, np.zeros(frame.d), flag="empty"), None
 
+    feat = frame.points.feat.take(sel, axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = initial_aggregate(pts.feat)
+        mean = feat.mean(axis=0)
         # Vector 2-norms here and below are computed as np.linalg.norm does.
         norm0 = math.sqrt(mean.dot(mean))
     if not math.isfinite(norm0):
@@ -153,12 +153,12 @@ def _evolve_single(
         if nb > 0.0:
             q = blended / nb
     dec = decode_feature(q * scale, frame.encoder_seed, params.tau_bg)
-    attention: list[AttentionResult] = []
     decoded = [dec]
     if dec is not None:
         attrs = dec
 
     clusters: ClusterSet | None = None
+    result: AttentionResult | None = None
     flag = ""
     # One clustering stream per query, rewound every round: successive
     # rounds then see consistent partitions and the update converges
@@ -168,19 +168,20 @@ def _evolve_single(
     for it in range(params.iterations):
         init = None
         if it > 0:
-            rows = pts.feat.tobytes()
-            pts = gather_neighborhood(frame, attrs.center(), params.radius)
-            if len(pts) == 0:
+            prev_sel = sel
+            sel = gather_neighborhood(frame, attrs.center(), params.radius)
+            if len(sel) == 0:
                 flag = "empty-regather"
                 break
-            if (len(clusters.inertia_trace) < params.kmeans_iters
-                    and pts.feat.tobytes() == rows):
+            if not np.array_equal(sel, prev_sel):
+                feat = frame.points.feat.take(sel, axis=0)
+            elif len(clusters.inertia_trace) < params.kmeans_iters:
                 # The rewound stream would seed the run that converged last
                 # round again; Lloyd from its centers ends where it ended.
                 init = clusters.centers
         if init is None:
             krng.bit_generator.state = kstate
-        clusters = kmeans(pts.feat, params.k, params.kmeans_iters, krng, init=init)
+        clusters = kmeans(feat, params.k, params.kmeans_iters, krng, init=init)
         if carry is not None and it == 0:
             # Attention and the blend share one pooled set, so it is built
             # here and temporal_aggregate has nothing left to pool.
@@ -189,7 +190,6 @@ def _evolve_single(
         else:
             anchor = clusters
             result = aggregate_over_centers(q, anchor.centers, params.top_k)
-        attention.append(result)
         q, scale, blend_flag = blend_and_rescale(
             q, scale, result, anchor.centers, params.beta, anchor.sizes
         )
@@ -200,7 +200,9 @@ def _evolve_single(
             attrs = dec
     if not flag and decoded[-1] is None:
         flag = "background"
-    trace = EvolutionTrace(attrs, q, scale, flag, attention, decoded)
+    # The final round's attention concentration: the detection confidence.
+    score = float(result.weights.max()) if result is not None else 0.0
+    trace = EvolutionTrace(attrs, q, scale, flag, score, decoded)
     return trace, None if flag else (q, clusters)
 
 

@@ -87,7 +87,7 @@ def kmeans(
     best: ClusterSet | None = None
     for _ in range(n_init):
         run = _kmeans_once(x, k, k_eff, iters, rng)
-        if best is None or run.inertia < best.inertia:
+        if best is None or run.inertia_trace[-1] < best.inertia_trace[-1]:
             best = run
     return best
 
@@ -136,7 +136,5 @@ def _kmeans_once(
         assignments=assign,
         centers=centers,
         sizes=sizes,
-        inertia=trace[-1],
         inertia_trace=tuple(trace),
-        requested_k=k,
     )

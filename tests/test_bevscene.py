@@ -325,6 +325,7 @@ def test_read_scenes_rejects_a_malformed_point(tmp_path, point):
     ("points", None, "points must be an array, got None"),
     ("points", 0, "points must be an array, got 0"),
     ("gt", {}, "gt must be an array, got {}"),
+    ("track_id", "x", "track_id must be an integer, got 'x'"),
 ])
 def test_read_scenes_rejects_a_malformed_frame_field(tmp_path, key, value, message):
     # A float was once truncated to an integer, a d below 9 was read, a
@@ -332,7 +333,8 @@ def test_read_scenes_rejects_a_malformed_frame_field(tmp_path, key, value, messa
     # refused only by detect, after the whole file was read, a huge
     # integer timestamp ended the run as an unexpected failure, an
     # encoder_seed outside 64 bits named the encoding of its low 64 bits,
-    # and a null or 0 points or an object gt read as an empty list.
+    # and a null or 0 points or an object gt read as an empty list.  A bad
+    # track_id once named no gt.
     path = tmp_path / "bad.jsonl"
     cfg = SceneConfig(n_objects=1, points_per_object=4, background_points=2)
     write_scenes(generate_sequence(cfg, 2, 0.5, make_rng(3)), path)
@@ -343,7 +345,8 @@ def test_read_scenes_rejects_a_malformed_frame_field(tmp_path, key, value, messa
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError) as info:
         read_scenes(path)
-    fault = f"gt 0: {message}" if key == "box" else f"malformed frame record ({message})"
+    fault = (f"gt 0: {message}" if key in ("track_id", "box")
+             else f"malformed frame record ({message})")
     assert str(info.value) == f"{path}:2: {fault}"
 
 

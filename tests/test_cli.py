@@ -474,9 +474,15 @@ def test_detect_overflowing_features_exits_one(tmp_path, capsys):
     # Finite features scaled up, refused without a numpy warning, with
     # fusion off and on.  At 1e200 the neighborhood mean overflows its norm
     # before any decode.  At 1e3 a decoded log-size channel overflows exp(),
-    # and at 1e4 another also underflows it to 0.
+    # and at 1e4 another also underflows it to 0.  Unscaled features blended
+    # with --beta 1e200 overflow the blend norm.
     scenes, bad = tmp_path / "s.jsonl", tmp_path / "bad.jsonl"
     run(simulate_args(scenes))
+    for extra in (("--beta", "1e200"), ("--beta", "1e200", "--temporal", "--stride", "1")):
+        capsys.readouterr()
+        assert run(detect_args(scenes, tmp_path / "d.jsonl", extra)) == 1
+        assert capsys.readouterr().err == (
+            "error: blend norm is not finite (overflowing features or beta)\n")
     for factor, message in (
         (1e200, "neighborhood mean is not finite (non-finite or overflowing features)"),
         (1e3, "decoded box size over- or underflows (overflowing features)"),
@@ -555,10 +561,19 @@ def test_detect_and_eval_reject_a_timestamp_going_back(tmp_path, capsys):
     ("scenes", "gt", {}, "malformed frame record (gt must be an array, got {})"),
     ("dets", "detections", {}, "malformed detection record (detections must be an array, got {})"),
     ("dets", "timestamp", float("nan"), "timestamp nan is not finite"),
+    ("scenes", "gt", [{"box": [1.0] * 9, "track_id": "x"}],
+     "gt 0: track_id must be an integer, got 'x'"),
+    ("scenes", "gt", [{"box": [1.0] * 9}], "gt 0: missing 'track_id'"),
+    ("scenes", "gt", [{"track_id": 7}], "gt 0: missing 'box'"),
+    ("scenes", "gt", [[1.0] * 9], f"gt 0: must be an object, got {[1.0] * 9}"),
+    ("dets", "detections", [{"box": [1.0] * 9, "query_id": 0}], "detection 0: missing 'score'"),
+    ("dets", "detections", [0.5], "detection 0: must be an object, got 0.5"),
 ])
 def test_a_list_that_is_no_array_or_a_nan_timestamp_exits_one(tmp_path, capsys, file, key,
                                                                value, message):
-    # Each was once read as an empty list or scored, with exit 0.
+    # Each of the first five was once read as an empty list or scored, with
+    # exit 0.  A gt or detection entry with a missing key, a bad track_id or
+    # no object was once reported as a malformed record naming no entry.
     paths = {"scenes": tmp_path / "s.jsonl", "dets": tmp_path / "d.jsonl"}
     run(simulate_args(paths["scenes"]))
     assert run(detect_args(paths["scenes"], paths["dets"])) == 0

@@ -35,11 +35,10 @@ def pairwise_dedup(dets, radius):
     return kept
 
 
-def indexed_frame(xy):
-    """A frame whose first feature channel is each point's index."""
+def frame_at(xy):
+    """A frame of points at ``xy``, all with the same features."""
     xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
-    feat = np.column_stack([np.arange(len(xy), dtype=np.float64), np.ones(len(xy))])
-    return Frame(timestamp=0.0, boxes=[], track_ids=[], points=PointSet(xy, feat),
+    return Frame(timestamp=0.0, boxes=[], track_ids=[], points=PointSet(xy, np.ones((len(xy), 2))),
                  encoder_seed=0, d=2)
 
 
@@ -86,17 +85,16 @@ def gather_cases(draw):
 @given(gather_cases())
 def test_indexed_gather_matches_scan_in_point_order(case):
     xy, radius, centers = case
-    frame = indexed_frame(xy)
+    frame = frame_at(xy)
     for center in centers:
         with np.errstate(all="ignore"):  # inf - inf and overflowing squares
             want = scan_gather_indices(frame.points.xy, center, radius)
             got = gather_neighborhood(frame, np.array(center), radius)
-        assert got.feat[:, 0].tolist() == want.tolist()
-        assert np.array_equal(got.xy, frame.points.xy[want], equal_nan=True)
+        assert got.tolist() == want.tolist()
 
 
 def test_gather_builds_one_index_per_radius_and_follows_new_points():
-    frame = indexed_frame(make_rng_points(100))
+    frame = frame_at(make_rng_points(100))
     for center in make_rng_points(20):
         gather_neighborhood(frame, center, 8.0)
         gather_neighborhood(frame, center, 3.0)
@@ -104,10 +102,10 @@ def test_gather_builds_one_index_per_radius_and_follows_new_points():
     index = frame.cell_index[8.0]
     gather_neighborhood(frame, np.zeros(2), 8.0)
     assert frame.cell_index[8.0] is index
-    frame.points = indexed_frame(make_rng_points(50) + 100.0).points
+    frame.points = frame_at(make_rng_points(50) + 100.0).points
     got = gather_neighborhood(frame, np.array([100.0, 100.0]), 8.0)
     assert frame.cell_index[8.0] is not index
-    assert got.feat[:, 0].tolist() == scan_gather_indices(
+    assert got.tolist() == scan_gather_indices(
         frame.points.xy, [100.0, 100.0], 8.0).tolist()
 
 

@@ -3,7 +3,7 @@
 A run started (``init=``) from the centers of a run on the same rows that
 stopped before its cap must return that run's clustering bit for bit,
 after one Lloyd update and without drawing from its generator.
-``ltfm._evolve_single`` relies on it when a round regathers the rows of the
+``ltfm._evolve_single`` relies on it when a round regathers the points of the
 round before; a run that hit the cap is seeded again instead.
 """
 
@@ -33,7 +33,7 @@ def assert_restart_reproduces(cs, x, k, iters, restart_seed):
     assert warm.centers.tobytes() == cs.centers.tobytes()
     assert warm.sizes.dtype == cs.sizes.dtype
     assert warm.sizes.tobytes() == cs.sizes.tobytes()
-    assert warm.inertia_trace == (cs.inertia,)
+    assert warm.inertia_trace == cs.inertia_trace[-1:]
     assert rng.bit_generator.state == state
 
 
@@ -95,7 +95,7 @@ def recording_kmeans(monkeypatch):
 
 
 def test_a_run_that_hit_its_cap_is_seeded_again(monkeypatch):
-    # Every round gathers all 40 points, so round 1 sees round 0's rows; but
+    # Every round gathers all 40 points, so round 1 sees round 0's points; but
     # round 0's run stopped at the cap, and a start from its centers would
     # continue its Lloyd updates.  The kernel rewinds and seeds again, as
     # it does for any new rows, and gets round 0's clustering back.
@@ -106,7 +106,7 @@ def test_a_run_that_hit_its_cap_is_seeded_again(monkeypatch):
     start = BoxAttributes(0.0, 0.0, 0.8, 2.0, 4.5, 1.6, 0.0, 0.0, 0.0)
     calls = recording_kmeans(monkeypatch)
     trace, _ = _evolve_single(start, frame, params, 3, 0.0, None)
-    assert len(trace.attention) == 2
+    assert len(trace.decoded) == 1 + 2  # the start decode, then two rounds
     (init0, first), (init1, second) = calls
     assert init0 is None and init1 is None
     assert len(first.inertia_trace) == params.kmeans_iters
@@ -119,7 +119,7 @@ def test_a_run_that_hit_its_cap_is_seeded_again(monkeypatch):
 
 
 def test_the_restart_fires_on_the_default_pipeline(tmp_path, monkeypatch, capsys):
-    # pipeline --seed 42: 397 of its 1,458 runs regather the rows of a
+    # pipeline --seed 42: 397 of its 1,458 runs regather the points of a
     # converged run, with the ROADMAP's query outcomes.
     calls = recording_kmeans(monkeypatch)
     outcomes = Counter()

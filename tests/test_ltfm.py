@@ -188,11 +188,7 @@ def assert_same_query(a, b):
     assert same_bits(a.scale, b.scale)
     assert a.flag == b.flag
     assert decoded_bits(a) == decoded_bits(b)
-    assert len(a.attention) == len(b.attention)
-    for ra, rb in zip(a.attention, b.attention):
-        assert same_bits(ra.selected, rb.selected)
-        assert same_bits(ra.weights, rb.weights)
-        assert same_bits(ra.aggregated, rb.aggregated)
+    assert same_bits(a.score, b.score)
 
 
 @pytest.mark.parametrize("iterations", [0, 1, 3])
@@ -482,8 +478,7 @@ def assert_finite_and_flagged(traces):
         assert np.isfinite(tr.feat).all() and math.isfinite(tr.scale)
         for dec in tr.decoded:
             assert dec is None or np.isfinite(dec.as_array()).all()
-        for att in tr.attention:
-            assert np.isfinite(att.weights).all() and np.isfinite(att.aggregated).all()
+        assert 0.0 <= tr.score <= 1.0
 
 
 @settings(max_examples=200, deadline=None)
