@@ -7,9 +7,22 @@ lightweight temporal pass blends queries across frames.  Ships with a
 synthetic scene generator, detection metrics, and a scaling bench.
 """
 
-from .bevscene import read_scenes
-from .dqem import init_pillars, read_detections
-from .ltfm import evolve_queries
+import os
+
+# OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it, and by
+# default starts a worker thread per core.  Every BLAS product here is a few
+# rows by 16 columns, far below its threading threshold, so the pool only
+# costs start-up time.  Load numpy single-threaded unless the caller chose a
+# value, then drop the variable so child processes inherit the caller's
+# environment.  A process that loaded numpy first keeps its pool.
+if "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    import numpy  # noqa: F401
+    del os.environ["OPENBLAS_NUM_THREADS"]
+
+from .bevscene import read_scenes  # noqa: E402
+from .dqem import init_pillars, read_detections  # noqa: E402
+from .ltfm import evolve_queries  # noqa: E402
 
 __version__ = "0.1.0"
 

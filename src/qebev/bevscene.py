@@ -479,7 +479,9 @@ def _read_records(path: str, kind: str, parse: Callable, hook=None) -> list:
     """``parse(obj, timestamp, records)`` of each non-blank line of a JSON
     Lines file, whose timestamp must be finite and later than the last
     record's; ``hook(line)`` picks the line's object hook.  A fault raises
-    ``path:line: …``, as a malformed ``kind`` record unless it names its place.
+    ``path:line: …``: a line that is no JSON object and a missing top-level
+    key are named as such, and any other fault is a malformed ``kind``
+    record unless it names its place.
     """
     records: list = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -491,6 +493,8 @@ def _read_records(path: str, kind: str, parse: Callable, hook=None) -> list:
             try:
                 obj = json.loads(line, object_hook=hook and hook(line))
                 del line
+                if type(obj) is not dict:
+                    raise _NamedFault(f"record must be a JSON object, got {type(obj).__name__}")
                 t = _json_number(obj["timestamp"], "timestamp")
                 if not math.isfinite(t):
                     raise _NamedFault(f"timestamp {t} is not finite")
@@ -500,6 +504,7 @@ def _read_records(path: str, kind: str, parse: Callable, hook=None) -> list:
                 records.append(parse(obj, t, records))
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 reason = (f"bad JSON ({exc})" if isinstance(exc, json.JSONDecodeError)
+                          else f"missing {exc}" if isinstance(exc, KeyError)
                           else exc if isinstance(exc, _NamedFault)
                           else f"malformed {kind} record ({exc})")
                 raise ValueError(f"{path}:{line_no}: {reason}") from exc

@@ -574,11 +574,20 @@ def test_a_list_that_is_no_array_or_a_nan_timestamp_exits_one(tmp_path, capsys, 
     # Each of the first five was once read as an empty list or scored, with
     # exit 0.  A gt or detection entry with a missing key, a bad track_id or
     # no object was once reported as a malformed record naming no entry.
+    _second_record_exits_one(tmp_path, capsys, file, lambda rec: {**rec, key: value}, message)
+
+
+def _second_record_exits_one(tmp_path, capsys, file, replace, message):
+    """Replace the second record of a scene file or its detections with
+    ``replace(record)``: detect (scenes only) and eval exit 1 with
+    ``path:2: message``."""
     paths = {"scenes": tmp_path / "s.jsonl", "dets": tmp_path / "d.jsonl"}
     run(simulate_args(paths["scenes"]))
     assert run(detect_args(paths["scenes"], paths["dets"])) == 0
     bad = tmp_path / "bad.jsonl"
-    _corrupt_second_frame(paths[file], bad, lambda rec: rec.__setitem__(key, value))
+    lines = paths[file].read_text().splitlines()
+    lines[1] = json.dumps(replace(json.loads(lines[1])))
+    bad.write_text("\n".join(lines) + "\n")
     paths[file] = bad
     capsys.readouterr()
     if file == "scenes":
@@ -587,6 +596,28 @@ def test_a_list_that_is_no_array_or_a_nan_timestamp_exits_one(tmp_path, capsys, 
     assert run(["eval", "--dets", str(paths["dets"]), "--scenes", str(paths["scenes"]),
                 "--report", str(tmp_path / "r.json")]) == 1
     assert capsys.readouterr().err == f"error: {bad}:2: {message}\n"
+
+
+def _without(key):
+    return lambda rec: {k: v for k, v in rec.items() if k != key}
+
+
+@pytest.mark.parametrize("file, replace, message", [
+    ("scenes", lambda rec: [1, 2], "record must be a JSON object, got list"),
+    ("scenes", lambda rec: "frame", "record must be a JSON object, got str"),
+    ("dets", lambda rec: 3, "record must be a JSON object, got int"),
+    ("dets", lambda rec: None, "record must be a JSON object, got NoneType"),
+    ("scenes", _without("d"), "missing 'd'"),
+    ("scenes", _without("timestamp"), "missing 'timestamp'"),
+    ("dets", _without("timestamp"), "missing 'timestamp'"),
+    ("dets", _without("detections"), "missing 'detections'"),
+])
+def test_a_line_that_is_no_object_or_lacks_a_key_exits_one(tmp_path, capsys, file, replace,
+                                                           message):
+    # Both were once reported with a Python internal as the reason, such as
+    # "malformed frame record (list indices must be integers or slices, not
+    # str)" or "malformed frame record ('d')".
+    _second_record_exits_one(tmp_path, capsys, file, replace, message)
 
 
 # ---------------------------------------------------------------- import weight
@@ -621,6 +652,32 @@ def test_import_simulate_and_detect_load_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "[[], [], [], [], [], []]"
+
+
+def _fresh_import_qebev(openblas_num_threads):
+    """(OS threads, OPENBLAS_NUM_THREADS) right after ``import qebev`` in a
+    fresh interpreter started with that variable set, or unset for None."""
+    code = (
+        "import os, qebev\n"
+        "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qebev.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src
+    if openblas_num_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_num_threads
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    threads, value = out.stdout.split()
+    return int(threads), value
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_import_starts_no_blas_worker_and_leaves_the_environment_as_found():
+    # OpenBLAS would start a worker per core for products of a few rows by
+    # 16 columns; qebev loads it single-threaded unless the caller chose.
+    assert _fresh_import_qebev(None) == (1, "None")
+    assert _fresh_import_qebev("2")[1] == "2"
 
 
 # ---------------------------------------------------------------- NaN knobs

@@ -10,10 +10,14 @@ fails its test.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
+import qebev
 import qebev.cli as cli
 import qebev.ltfm
 
@@ -45,6 +49,26 @@ def test_pipeline_seed_42_matches_baseline(tmp_path, monkeypatch, capsys):
     }
     assert got == BASELINE_SHA256
     assert outcomes == {"healthy": 438, "empty": 228, "empty-regather": 134}
+
+
+def test_pipeline_seed_42_as_a_child_process_matches_baseline(tmp_path):
+    """The pins in this file run under whatever BLAS thread pool the test
+    process loaded; only a fresh ``python -m qebev`` runs the shipped
+    start-up path, which loads numpy's OpenBLAS single-threaded."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qebev.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "qebev", "pipeline", "--seed", "42",
+         "--out-dir", str(tmp_path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in BASELINE_SHA256
+    }
+    assert got == BASELINE_SHA256
 
 
 LARGE_SCENE_SHA256 = "e5ece011cb7493207554a4b677a1417d7aa972aa34fa7f0e2aeb22edde0e255d"
