@@ -12,7 +12,7 @@ import json
 import math
 import sys
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable
 
@@ -22,7 +22,6 @@ from .numerics import draw_seed, make_rng
 
 __all__ = [
     "ATTR_DIM",
-    "BoxAttributes",
     "PointSet",
     "Frame",
     "SceneConfig",
@@ -44,42 +43,15 @@ ATTR_DIM = 9
 POSITION_SCALE = 50.0
 HEIGHT_SCALE = 10.0
 VELOCITY_SCALE = 50.0
+# Box rows are (x, y, z, w, l, h, theta, vx, vy); standardize() divides
+# each channel by its scale, but takes the log of the sizes.
+_SCALES = np.array([POSITION_SCALE, POSITION_SCALE, HEIGHT_SCALE, 1.0, 1.0, 1.0,
+                    math.pi, VELOCITY_SCALE, VELOCITY_SCALE])
 
 
 def wrap_angle(theta: float) -> float:
     """Wrap an angle into [-pi, pi)."""
     return float((theta + math.pi) % (2.0 * math.pi) - math.pi)
-
-
-@dataclass(frozen=True)
-class BoxAttributes:
-    """One upright BEV box: center, size, yaw, and planar velocity."""
-
-    x: float
-    y: float
-    z: float
-    w: float
-    l: float
-    h: float
-    theta: float
-    vx: float
-    vy: float
-
-    def __post_init__(self) -> None:
-        for name in ("w", "l", "h"):
-            # Written so that NaN fails too; +inf passes.
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"box dimension {name} must be positive")
-        object.__setattr__(self, "theta", wrap_angle(self.theta))
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.x, self.y, self.z, self.w, self.l, self.h, self.theta, self.vx, self.vy],
-            dtype=np.float64,
-        )
-
-    def center(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=np.float64)
 
 
 @dataclass
@@ -105,10 +77,11 @@ class PointSet:
 
 @dataclass
 class Frame:
-    """One time slice: ground-truth boxes plus the scattered feature points."""
+    """One time slice: (m, 9) ground-truth box rows, kept read-only, plus
+    the scattered feature points."""
 
     timestamp: float
-    boxes: list[BoxAttributes]
+    boxes: np.ndarray
     track_ids: list[int]
     points: PointSet
     encoder_seed: int
@@ -118,6 +91,14 @@ class Frame:
     cell_index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # A copy, so that a caller's array is never made read-only.
+        self.boxes = np.array(self.boxes, dtype=np.float64)
+        self.boxes.flags.writeable = False
+        if self.boxes.ndim != 2 or self.boxes.shape[1] != ATTR_DIM:
+            raise ValueError(f"boxes must be an (m, 9) array, got shape {self.boxes.shape}")
+        # Written so that NaN fails too; +inf passes.
+        if not (self.boxes[:, 3:6] > 0.0).all():
+            raise ValueError("box dimensions w, l and h must be positive")
         if len(self.boxes) != len(self.track_ids):
             raise ValueError("one track id per ground-truth box")
         if self.points.feat.shape[1] != self.d:
@@ -162,14 +143,8 @@ class SceneConfig:
 def standardize(attrs: np.ndarray) -> np.ndarray:
     """Map raw box attributes onto comparably scaled encoding channels."""
     a = np.asarray(attrs, dtype=np.float64)
-    out = np.empty_like(a)
-    out[..., 0] = a[..., 0] / POSITION_SCALE
-    out[..., 1] = a[..., 1] / POSITION_SCALE
-    out[..., 2] = a[..., 2] / HEIGHT_SCALE
+    out = a / _SCALES
     out[..., 3:6] = np.log(a[..., 3:6])
-    out[..., 6] = a[..., 6] / math.pi
-    out[..., 7] = a[..., 7] / VELOCITY_SCALE
-    out[..., 8] = a[..., 8] / VELOCITY_SCALE
     return out
 
 
@@ -191,10 +166,10 @@ def encoding_matrix(encoder_seed: int, d: int) -> np.ndarray:
     return e
 
 
-def encode_attributes(box: BoxAttributes, encoder_seed: int, d: int) -> np.ndarray:
-    """Noise-free feature vector for a box."""
+def encode_attributes(box: np.ndarray, encoder_seed: int, d: int) -> np.ndarray:
+    """Noise-free feature vector for a (9,) box row."""
     e = encoding_matrix(encoder_seed, d)
-    return e @ standardize(box.as_array())
+    return e @ standardize(box)
 
 
 # Log-size channels whose exp() is a normal positive float; beyond them a
@@ -206,8 +181,9 @@ _SIZE_OVERFLOW = "decoded box size over- or underflows (overflowing features)"
 
 def decode_feature(
     feat: np.ndarray, encoder_seed: int, tau_bg: float = 0.0
-) -> BoxAttributes | None:
-    """Invert the encoding; returns None for background-level features."""
+) -> np.ndarray | None:
+    """Invert the encoding into a (9,) box row; returns None for
+    background-level features."""
     f = np.asarray(feat, dtype=np.float64)
     if f.ndim != 1:
         raise ValueError("decode_feature expects a single feature vector")
@@ -216,18 +192,14 @@ def decode_feature(
         return None
     e = encoding_matrix(encoder_seed, f.shape[0])
     channels = e.T @ f
-    x, y, z, log_w, log_l, log_h, yaw, vx, vy = channels.tolist()
-    if not all(_LOG_SIZE_MIN <= v <= _LOG_SIZE_MAX for v in (log_w, log_l, log_h)):
+    if not all(_LOG_SIZE_MIN <= v <= _LOG_SIZE_MAX for v in channels[3:6].tolist()):
         raise ValueError(_SIZE_OVERFLOW)
-    # Undo standardize() channel by channel.  The sizes take numpy's exp,
-    # which rounds some values differently from math.exp.  The yaw is
-    # wrapped here and again by BoxAttributes: a single wrap rounds some
-    # angles differently.
-    w, l, h = np.exp(channels[3:6]).tolist()
-    return BoxAttributes(
-        x * POSITION_SCALE, y * POSITION_SCALE, z * HEIGHT_SCALE, w, l, h,
-        wrap_angle(yaw * math.pi), vx * VELOCITY_SCALE, vy * VELOCITY_SCALE,
-    )
+    # Undo standardize().  The sizes take numpy's exp, which rounds some
+    # values differently from math.exp.
+    box = channels * _SCALES
+    box[3:6] = np.exp(channels[3:6])
+    box[6] = wrap_angle(float(box[6]))
+    return box
 
 
 # Center draws an object gets before the scene counts as over-packed.
@@ -238,9 +210,9 @@ _MIN_SEPARATION = 6.0
 _MARGIN = 5.0
 
 
-def _sample_boxes(cfg: SceneConfig, rng: np.random.Generator) -> tuple[list[BoxAttributes], list[int]]:
-    """Draw object boxes with a minimum pairwise spacing."""
-    boxes: list[BoxAttributes] = []
+def _sample_boxes(cfg: SceneConfig, rng: np.random.Generator) -> np.ndarray:
+    """Draw (n_objects, 9) object boxes with a minimum pairwise spacing."""
+    boxes: list[list[float]] = []
     lo = -cfg.bounds + _MARGIN
     hi = cfg.bounds - _MARGIN
     if cfg.n_objects > 0 and not lo < hi:
@@ -248,11 +220,10 @@ def _sample_boxes(cfg: SceneConfig, rng: np.random.Generator) -> tuple[list[BoxA
             f"bounds {cfg.bounds} m leave no room for object centers {_MARGIN} m "
             f"inside the scene edge; use bounds above {_MARGIN} or no objects"
         )
-    centers: list[np.ndarray] = []
     for i in range(cfg.n_objects):
         for _attempt in range(_SPACING_DRAWS):
             c = rng.uniform(lo, hi, size=2)
-            if all(np.hypot(*(c - p)) >= _MIN_SEPARATION for p in centers):
+            if all(np.hypot(*(c - box[:2])) >= _MIN_SEPARATION for box in boxes):
                 break
         else:
             raise ValueError(
@@ -260,31 +231,20 @@ def _sample_boxes(cfg: SceneConfig, rng: np.random.Generator) -> tuple[list[BoxA
                 f"from the others in {_SPACING_DRAWS} draws; use fewer objects or "
                 f"larger bounds"
             )
-        centers.append(c)
         w = float(rng.uniform(1.6, 2.2))
         l = float(rng.uniform(3.5, 5.0))
         h = float(rng.uniform(1.4, 1.9))
         heading = float(rng.uniform(-math.pi, math.pi))
         speed = float(rng.uniform(cfg.speed_min, cfg.speed_max))
-        boxes.append(
-            BoxAttributes(
-                x=float(c[0]),
-                y=float(c[1]),
-                z=h / 2.0,
-                w=w,
-                l=l,
-                h=h,
-                theta=heading,
-                vx=speed * math.cos(heading),
-                vy=speed * math.sin(heading),
-            )
-        )
-    return boxes, list(range(len(boxes)))
+        x, y = c.tolist()
+        boxes.append([x, y, h / 2.0, w, l, h, wrap_angle(heading),
+                      speed * math.cos(heading), speed * math.sin(heading)])
+    return np.array(boxes).reshape(-1, ATTR_DIM)
 
 
 def _render_frame(
     cfg: SceneConfig,
-    boxes: list[BoxAttributes],
+    boxes: np.ndarray,
     track_ids: list[int],
     timestamp: float,
     encoder_seed: int,
@@ -293,25 +253,29 @@ def _render_frame(
     """Scatter noisy feature points for the given boxes plus background."""
     xy_parts: list[np.ndarray] = []
     feat_parts: list[np.ndarray] = []
-    for box in boxes:
-        clean = encode_attributes(box, encoder_seed, cfg.d)
-        # Points fall uniformly inside the rotated footprint.
-        local = rng.uniform(-0.5, 0.5, size=(cfg.points_per_object, 2))
-        local *= np.array([box.l, box.w])
-        cos_t, sin_t = math.cos(box.theta), math.sin(box.theta)
-        rot = np.array([[cos_t, -sin_t], [sin_t, cos_t]])
-        xy = local @ rot.T + box.center()
-        eps = rng.standard_normal((cfg.points_per_object, cfg.d)) * cfg.noise_sigma
-        xy_parts.append(xy)
-        feat_parts.append(clean + eps)
-    bg_xy = rng.uniform(-cfg.bounds, cfg.bounds, size=(cfg.background_points, 2))
-    bg_feat = rng.standard_normal((cfg.background_points, cfg.d)) * cfg.noise_sigma
+    # A noise level that overflows the features is refused below, warning-free.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for box in boxes:
+            clean = encode_attributes(box, encoder_seed, cfg.d)
+            # Points fall uniformly inside the rotated footprint.
+            local = rng.uniform(-0.5, 0.5, size=(cfg.points_per_object, 2))
+            local *= box[[4, 3]]
+            cos_t, sin_t = math.cos(box[6]), math.sin(box[6])
+            rot = np.array([[cos_t, -sin_t], [sin_t, cos_t]])
+            xy = local @ rot.T + box[:2]
+            eps = rng.standard_normal((cfg.points_per_object, cfg.d)) * cfg.noise_sigma
+            xy_parts.append(xy)
+            feat_parts.append(clean + eps)
+        bg_xy = rng.uniform(-cfg.bounds, cfg.bounds, size=(cfg.background_points, 2))
+        bg_feat = rng.standard_normal((cfg.background_points, cfg.d)) * cfg.noise_sigma
     xy_parts.append(bg_xy)
     feat_parts.append(bg_feat)
     points = PointSet(np.concatenate(xy_parts), np.concatenate(feat_parts))
+    if not np.isfinite(points.feat).all():
+        raise ValueError(f"noise_sigma {cfg.noise_sigma} overflows the point features")
     return Frame(
         timestamp=timestamp,
-        boxes=list(boxes),
+        boxes=boxes,
         track_ids=list(track_ids),
         points=points,
         encoder_seed=encoder_seed,
@@ -334,18 +298,17 @@ def generate_sequence(
     if not interval > 0.0 or not math.isfinite(interval):
         raise ValueError(f"frame interval must be positive and finite, got {interval}")
     encoder_seed = draw_seed(rng)
-    boxes, track_ids = _sample_boxes(cfg, rng)
+    boxes = _sample_boxes(cfg, rng)
+    track_ids = list(range(len(boxes)))
     out: list[Frame] = []
     for t in range(frames):
         if t > 0:
-            moved: list[BoxAttributes] = []
-            kept_ids: list[int] = []
-            for box, tid in zip(boxes, track_ids):
-                nb = replace(box, x=box.x + box.vx * interval, y=box.y + box.vy * interval)
-                if abs(nb.x) <= cfg.bounds and abs(nb.y) <= cfg.bounds:
-                    moved.append(nb)
-                    kept_ids.append(tid)
-            boxes, track_ids = moved, kept_ids
+            boxes = boxes.copy()
+            with np.errstate(over="ignore"):  # an overflowing move leaves the scene
+                boxes[:, :2] += boxes[:, 7:9] * interval
+            kept = (np.abs(boxes[:, :2]) <= cfg.bounds).all(axis=1)
+            boxes = boxes[kept]
+            track_ids = [tid for tid, k in zip(track_ids, kept.tolist()) if k]
         out.append(_render_frame(cfg, boxes, track_ids, t * interval, encoder_seed, rng))
     return out
 
@@ -354,8 +317,8 @@ def _frame_record(frame: Frame) -> dict:
     return {
         "timestamp": frame.timestamp,
         "gt": [
-            {"box": box.as_array().tolist(), "track_id": tid}
-            for box, tid in zip(frame.boxes, frame.track_ids)
+            {"box": box, "track_id": tid}
+            for box, tid in zip(frame.boxes.tolist(), frame.track_ids)
         ],
         "points": [
             {"xy": xy, "f": f}
@@ -370,7 +333,7 @@ def _write_records(records: Iterable[dict], path: str) -> None:
     """JSON Lines, one record per line; stable key order keeps runs comparable."""
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.write(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n")
 
 
 def write_scenes(frames: Iterable[Frame], path: str) -> None:
@@ -475,6 +438,17 @@ def _named(kind: str, i: int, parse: Callable, entry, *args):
         raise _NamedFault(f"{kind} {i}: {exc}") from exc
 
 
+def _check_utf8(line: str) -> None:
+    """Refuse a line read with ``errors="surrogateescape"`` whose bytes were
+    not UTF-8, naming the first bad byte."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        byte = ord(line[exc.start]) - 0xDC00
+        raise _NamedFault(
+            f"byte 0x{byte:02x} at character {exc.start + 1} is not UTF-8") from None
+
+
 def _read_records(path: str, kind: str, parse: Callable, hook=None) -> list:
     """``parse(obj, timestamp, records)`` of each non-blank line of a JSON
     Lines file, whose timestamp must be finite and later than the last
@@ -484,13 +458,17 @@ def _read_records(path: str, kind: str, parse: Callable, hook=None) -> list:
     record unless it names its place.
     """
     records: list = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # Bytes that are not UTF-8 come through as lone surrogates, so that the
+    # line holding them is named below rather than by the decoder.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             # json.loads skips surrounding whitespace, so the line is parsed
             # as read, without a stripped copy, and dropped once parsed.
             if line.isspace():
                 continue
             try:
+                if not line.isascii():
+                    _check_utf8(line)
                 obj = json.loads(line, object_hook=hook and hook(line))
                 del line
                 if type(obj) is not dict:
@@ -511,8 +489,10 @@ def _read_records(path: str, kind: str, parse: Callable, hook=None) -> list:
     return records
 
 
-def _gt_entry(g: dict) -> tuple[BoxAttributes, int]:
-    return BoxAttributes(*_json_box(g["box"])), _json_int(g["track_id"], "track_id")
+def _gt_entry(g: dict) -> tuple[list[float], int]:
+    box = _json_box(g["box"])
+    box[6] = wrap_angle(box[6])
+    return box, _json_int(g["track_id"], "track_id")
 
 
 def _frame(rec: dict, timestamp: float, frames: list[Frame]) -> Frame:
@@ -533,8 +513,8 @@ def _frame(rec: dict, timestamp: float, frames: list[Frame]) -> Frame:
         if bad.size:
             raise _NamedFault(f"point {bad[0]}: {field_name} is not finite")
     entries = [_named("gt", i, _gt_entry, g) for i, g in enumerate(gt)]
-    return Frame(timestamp, [box for box, _ in entries], [tid for _, tid in entries],
-                 points, encoder_seed, d)
+    boxes = np.array([box for box, _ in entries]).reshape(-1, ATTR_DIM)
+    return Frame(timestamp, boxes, [tid for _, tid in entries], points, encoder_seed, d)
 
 
 def read_scenes(path: str) -> list[Frame]:

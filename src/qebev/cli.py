@@ -18,7 +18,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import bench as bench_mod
-from .bevscene import BoxAttributes, SceneConfig, generate_sequence, read_scenes, write_scenes
+from .bevscene import SceneConfig, generate_sequence, read_scenes, write_scenes
 from .bevscene import _MARGIN, _MIN_SEPARATION  # echoed in the pipeline's report
 from .dqem import (
     DqemParams,
@@ -152,7 +152,7 @@ def _scene_config(args: argparse.Namespace) -> SceneConfig:
 
 def _detect_params(
     args: argparse.Namespace,
-) -> tuple[DqemParams, TemporalParams, list[BoxAttributes]]:
+) -> tuple[DqemParams, TemporalParams, np.ndarray]:
     """The detection settings and the query grid's start boxes, every
     value checked before a run reads, draws or writes anything."""
     params = DqemParams(
@@ -178,11 +178,18 @@ def _check_tp_threshold(args: argparse.Namespace) -> None:
         raise ValueError(f"tp_threshold must be positive and finite, got {args.tp_threshold}")
 
 
+def _json_settings(settings: dict) -> dict:
+    """``settings`` with each infinite value, which JSON cannot hold, as its
+    string ("inf"): an infinite --radius or --dedup-radius is valid."""
+    return {k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in settings.items()}
+
+
 def _detect_over_scenes(
     args: argparse.Namespace,
     params: DqemParams,
     tparams: TemporalParams,
-    starts: list[BoxAttributes],
+    starts: np.ndarray,
     scenes_path: str,
     out_path: str,
 ) -> None:
@@ -210,7 +217,7 @@ def _detect_over_scenes(
         replace(fr, detections=dedup_detections(fr.detections, args.dedup_radius))
         for fr in result.frames
     ]
-    write_detections(out_path, det_frames, echo)
+    write_detections(out_path, det_frames, _json_settings(echo))
 
 
 def _run_simulate(args: argparse.Namespace) -> int:
@@ -339,7 +346,7 @@ def _run_pipeline(args: argparse.Namespace) -> int:
         config={
             "seed": args.seed, "frames": args.frames, "interval": args.interval,
             "scene": {**asdict(cfg), "margin": _MARGIN, "min_separation": _MIN_SEPARATION},
-            "detect": asdict(params),
+            "detect": _json_settings(asdict(params)),
             "temporal": args.temporal, "tp_threshold": args.tp_threshold,
         },
     )

@@ -12,13 +12,12 @@ runs them for every query of a frame is ``ltfm.evolve_queries``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bevscene import (
     POSITION_SCALE,
-    BoxAttributes,
     Frame,
     _json_array,
     _json_box,
@@ -121,9 +120,10 @@ class AttentionResult:
 class EvolutionTrace:
     """One evolved query: where it ended up and how it got there.
 
-    ``attrs`` is the last box decoded (the start box if none was); ``feat``
-    is the unit query direction (zero for a query flagged before its first
-    decode) and ``scale`` restores the raw feature magnitude for decoding.
+    ``attrs`` is the last (9,) box row decoded (the start row if none was);
+    ``feat`` is the unit query direction (zero for a query flagged before
+    its first decode) and ``scale`` restores the raw feature magnitude for
+    decoding.
     ``flag`` records degenerate conditions ("" means healthy).
     ``score`` is the largest attention weight of the final round (0.0 when
     no round ran), and ``decoded`` has one entry per refinement stage,
@@ -131,12 +131,12 @@ class EvolutionTrace:
     background-level decode.
     """
 
-    attrs: BoxAttributes
+    attrs: np.ndarray
     feat: np.ndarray
     scale: float = 0.0
     flag: str = ""
     score: float = 0.0
-    decoded: list[BoxAttributes | None] = field(default_factory=list)
+    decoded: list[np.ndarray | None] = field(default_factory=list)
 
 
 @dataclass
@@ -150,26 +150,23 @@ class FitResult:
 
 
 # Typical passenger-car prior for every pillar; refined by the first decode.
-_PILLAR_PRIOR = BoxAttributes(0.0, 0.0, 0.8, 2.0, 4.5, 1.6, 0.0, 0.0, 0.0)
+_PILLAR_PRIOR = (0.0, 0.0, 0.8, 2.0, 4.5, 1.6, 0.0, 0.0, 0.0)
 
 
-def init_pillars(grid_nx: int, grid_ny: int, bounds: float) -> list[BoxAttributes]:
-    """Start boxes at the centers of a regular grid over the square
-    [-B, B]^2, where ``bounds`` is the half-extent B; row-major, x fastest."""
+def init_pillars(grid_nx: int, grid_ny: int, bounds: float) -> np.ndarray:
+    """Read-only (grid_nx * grid_ny, 9) start boxes at the centers of a
+    regular grid over the square [-B, B]^2, where ``bounds`` is the
+    half-extent B; row-major, x fastest."""
     if grid_nx < 1 or grid_ny < 1:
         raise ValueError("grid dimensions must be at least 1")
     if not bounds > 0 or not math.isfinite(bounds):
         raise ValueError(f"bounds must be positive and finite, got {bounds}")
-    xmin, xmax, ymin, ymax = -float(bounds), float(bounds), -float(bounds), float(bounds)
-    return [
-        replace(
-            _PILLAR_PRIOR,
-            x=xmin + (i + 0.5) * (xmax - xmin) / grid_nx,
-            y=ymin + (j + 0.5) * (ymax - ymin) / grid_ny,
-        )
-        for j in range(grid_ny)
-        for i in range(grid_nx)
-    ]
+    lo, hi = -float(bounds), float(bounds)
+    grid = np.tile(_PILLAR_PRIOR, (grid_ny * grid_nx, 1))
+    grid[:, 0] = np.tile(lo + (np.arange(grid_nx) + 0.5) * (hi - lo) / grid_nx, grid_ny)
+    grid[:, 1] = np.repeat(lo + (np.arange(grid_ny) + 0.5) * (hi - lo) / grid_ny, grid_nx)
+    grid.flags.writeable = False
+    return grid
 
 
 # Radii whose square is a normal float.  For them a point that passes the
@@ -559,7 +556,7 @@ def _build_snapshots(
         e_t = encoding_matrix(frame.encoder_seed, frame.d).T
         for box in frame.boxes:
             offset = rng.uniform(-2.0, 2.0, size=2)
-            sel = gather_neighborhood(frame, box.center() + offset, params.radius)
+            sel = gather_neighborhood(frame, box[:2] + offset, params.radius)
             if len(sel) == 0:
                 continue
             feat = frame.points.feat.take(sel, axis=0)
@@ -575,7 +572,7 @@ def _build_snapshots(
             cen_l.append(clusters.centers)
             size_l.append(clusters.sizes)
             dec_l.append(e_t)
-            gt_l.append(box.center())
+            gt_l.append(box[:2])
     if not q0_l:
         raise ValueError("calibration suite produced no usable neighborhoods")
     return _Snapshots(
@@ -748,7 +745,7 @@ def extract_detections(traces: list[EvolutionTrace], frame_index: int = 0) -> li
     dropped.
     """
     return [
-        Detection(frame=frame_index, box=trace.attrs.as_array(), score=trace.score, query_id=qi)
+        Detection(frame=frame_index, box=trace.attrs, score=trace.score, query_id=qi)
         for qi, trace in enumerate(traces)
         if not trace.flag
     ]

@@ -272,9 +272,7 @@ def evaluate_detections(
                 f"timestamp mismatch: detections at {df.timestamp} vs scene at {sf.timestamp}"
             )
 
-    gt_frames = [
-        np.array([b.as_array() for b in sf.boxes]).reshape(-1, 9) for sf in scene_frames
-    ]
+    gt_frames = [sf.boxes for sf in scene_frames]
     all_dets = [d for df in det_frames for d in df.detections]
 
     per_threshold: dict[float, float | None] = {}

@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .bevscene import BoxAttributes, Frame, decode_feature
+from .bevscene import Frame, decode_feature
 from .dqem import (
     AttentionResult,
     ClusterSet,
@@ -111,15 +111,15 @@ def temporal_aggregate(
 
 
 def _evolve_single(
-    attrs: BoxAttributes,
+    attrs: np.ndarray,
     frame: Frame,
     params: DqemParams,
     seed: int,
     alpha: float,
     carry: _Carry | None,
 ) -> tuple[EvolutionTrace, _Carry | None]:
-    """One query, starting at box ``attrs``, against one frame, fusing the
-    previous frame's ``carry``.
+    """One query, starting at the (9,) box row ``attrs``, against one frame,
+    fusing the previous frame's ``carry``.
 
     With no carry this is plain single-frame evolution.  With one, the
     previous direction is blended in with weight ``1 - alpha``, and the
@@ -132,7 +132,7 @@ def _evolve_single(
     than seeding again; the clustering it gets is the same.
     Returns the evolved query and its carry (None when flagged).
     """
-    sel = gather_neighborhood(frame, attrs.center(), params.radius)
+    sel = gather_neighborhood(frame, attrs[:2], params.radius)
     if len(sel) == 0:
         return EvolutionTrace(attrs, np.zeros(frame.d), flag="empty"), None
 
@@ -169,7 +169,7 @@ def _evolve_single(
         init = None
         if it > 0:
             prev_sel = sel
-            sel = gather_neighborhood(frame, attrs.center(), params.radius)
+            sel = gather_neighborhood(frame, attrs[:2], params.radius)
             if len(sel) == 0:
                 flag = "empty-regather"
                 break
@@ -207,15 +207,15 @@ def _evolve_single(
 
 
 def _evolve_frame(
-    starts: list[BoxAttributes],
+    starts: np.ndarray,
     frame: Frame,
     params: DqemParams,
     rng: np.random.Generator,
     alpha: float,
     carries: list[_Carry | None] | None,
 ) -> tuple[list[EvolutionTrace], list[_Carry | None]]:
-    """Run the kernel for every start box of one frame, fusing each query's
-    carry from ``carries`` when it is given.
+    """Run the kernel for every (9,) start row of one frame, fusing each
+    query's carry from ``carries`` when it is given.
 
     Each query gets its own seed, a single draw XOR the query index, so
     results do not depend on processing order; a query builds generators
@@ -232,7 +232,7 @@ def _evolve_frame(
 
 
 def evolve_queries(
-    starts: list[BoxAttributes],
+    starts: np.ndarray,
     frame: Frame,
     params: DqemParams,
     rng: np.random.Generator,
@@ -247,11 +247,11 @@ def iter_sequence(
     params: DqemParams,
     tparams: TemporalParams | None,
     rng: np.random.Generator,
-    starts: list[BoxAttributes],
+    starts: np.ndarray,
 ) -> Iterator[tuple[DetectionFrame, list[EvolutionTrace]]]:
     """Detect over every frame of a sequence, fusing per the stride.
 
-    Every frame starts one query from each box of ``starts``; yields each
+    Every frame starts one query from each (9,) row of ``starts``; yields each
     frame's detections with its evolved queries.  A frame's ``fused`` is
     None when ``tparams`` is None.
     Between frames only the previous frame's fusion state and the last
@@ -311,7 +311,7 @@ def run_sequence(
     params: DqemParams,
     tparams: TemporalParams | None,
     rng: np.random.Generator,
-    starts: list[BoxAttributes],
+    starts: np.ndarray,
 ) -> SequenceResult:
     """Every frame's detections from :func:`iter_sequence`, without the
     evolved queries."""

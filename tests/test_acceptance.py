@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from qebev.bench import BenchConfig, run_scaling
-from qebev.bevscene import BoxAttributes, SceneConfig, generate_sequence
+from qebev.bevscene import SceneConfig, generate_sequence
 from qebev.cli import main as cli_main
 from qebev.dqem import (
     DqemParams,
@@ -141,12 +141,12 @@ def test_criterion_5_evolution_reduces_error():
         starts, gts = [], []
         for box in fr.boxes:
             off = rng.uniform(-2.0, 2.0, size=2)
-            starts.append(BoxAttributes(box.x + off[0], box.y + off[1],
-                                        0.8, 2.0, 4.5, 1.6, 0.0, 0.0, 0.0))
-            gts.append(box.center())
-        traces = evolve_queries(starts, fr, params, make_rng(derive_seed(seed, "crit5-evolve")))
+            starts.append([box[0] + off[0], box[1] + off[1], 0.8, 2.0, 4.5, 1.6, 0.0, 0.0, 0.0])
+            gts.append(box[:2])
+        traces = evolve_queries(np.array(starts), fr, params,
+                                make_rng(derive_seed(seed, "crit5-evolve")))
         per_obj = np.array([
-            [float(np.hypot(d.x - gt[0], d.y - gt[1])) for d in tr.decoded]
+            [float(np.hypot(d[0] - gt[0], d[1] - gt[1])) for d in tr.decoded]
             for tr, gt in zip(traces, gts)
         ])
         mean_curve = per_obj.mean(axis=0)
@@ -169,11 +169,10 @@ def crit6_velocity_error(result, seq, frames_eval):
     errs = []
     for t in frames_eval:
         dets = result.frames[t].detections
-        gts = seq[t].boxes
-        if not dets or not gts:
+        gb = seq[t].boxes
+        if not dets or not len(gb):
             continue
         pb = np.array([d.box for d in dets])
-        gb = np.array([b.as_array() for b in gts])
         for pi, gi in match_detections(pb, gb, 2.0):
             d = dets[pi]
             v = np.asarray(d.velocity) if d.velocity is not None else pb[pi, 7:9]
@@ -275,7 +274,7 @@ def test_criterion_10_degenerate_robustness():
     # empty neighborhood: query far outside the populated area
     cfg = SceneConfig(n_objects=1, background_points=0)
     fr = generate_sequence(cfg, 1, 0.5, make_rng(1))[0]
-    start = BoxAttributes(200.0, 200.0, 1.0, 1.0, 2.0, 1.0, 0.0, 0.0, 0.0)
+    start = np.array([200.0, 200.0, 1.0, 1.0, 2.0, 1.0, 0.0, 0.0, 0.0])
     [tr] = evolve_queries([start], fr, DqemParams(), make_rng(2))
     finite_empty = bool(np.all(np.isfinite(tr.feat)) and np.isfinite(tr.scale))
     notes.append(f"empty neighborhood flag '{tr.flag}'")

@@ -7,7 +7,8 @@ import pytest
 
 from qebev.bevscene import (
     ATTR_DIM,
-    BoxAttributes,
+    Frame,
+    PointSet,
     SceneConfig,
     decode_feature,
     encode_attributes,
@@ -18,35 +19,66 @@ from qebev.bevscene import (
     wrap_angle,
     write_scenes,
 )
+from qebev.dqem import Detection, DetectionFrame, write_detections
 from qebev.numerics import make_rng
 
 
 def random_box(rng):
-    return BoxAttributes(
-        x=float(rng.uniform(-45, 45)),
-        y=float(rng.uniform(-45, 45)),
-        z=float(rng.uniform(0.2, 3.0)),
-        w=float(rng.uniform(0.5, 3.0)),
-        l=float(rng.uniform(1.0, 8.0)),
-        h=float(rng.uniform(0.5, 3.0)),
-        theta=float(rng.uniform(-math.pi, math.pi - 1e-9)),
-        vx=float(rng.uniform(-10, 10)),
-        vy=float(rng.uniform(-10, 10)),
-    )
+    """One (9,) box row: x, y, z, w, l, h, theta, vx, vy."""
+    return np.array([
+        rng.uniform(-45, 45), rng.uniform(-45, 45), rng.uniform(0.2, 3.0),
+        rng.uniform(0.5, 3.0), rng.uniform(1.0, 8.0), rng.uniform(0.5, 3.0),
+        rng.uniform(-math.pi, math.pi - 1e-9), rng.uniform(-10, 10), rng.uniform(-10, 10),
+    ])
 
 
-def test_box_attributes_validation():
-    with pytest.raises(ValueError):
-        BoxAttributes(0, 0, 0, w=-1.0, l=2.0, h=1.0, theta=0, vx=0, vy=0)
-    with pytest.raises(ValueError):
-        BoxAttributes(0, 0, 0, w=1.0, l=0.0, h=1.0, theta=0, vx=0, vy=0)
+def frame_of(boxes):
+    """A point-free frame holding ``boxes``, one track id per row."""
+    return Frame(0.0, boxes, list(range(len(boxes))), PointSet.empty(16), 0, 16)
+
+
+def test_box_attributes_validation(tmp_path):
+    # A frame's boxes are (m, 9) rows with positive w, l and h.
+    for dims in ((-1.0, 2.0, 1.0), (1.0, 0.0, 1.0)):
+        with pytest.raises(ValueError, match="must be positive"):
+            frame_of([[0, 0, 0, *dims, 0, 0, 0]])
     for dims in ((math.nan, 2.0, 1.0), (1.0, math.nan, 1.0), (1.0, 2.0, math.nan)):
         with pytest.raises(ValueError, match="must be positive"):
-            BoxAttributes(0, 0, 0, *dims, theta=0, vx=0, vy=0)
+            frame_of([[0, 0, 0, *dims, 0, 0, 0]])
+    for shape in ((9,), (2, 8), (1, 10), (0,), (1, 9, 1)):
+        with pytest.raises(ValueError, match=r"boxes must be an \(m, 9\) array"):
+            frame_of(np.ones(shape))
+    assert frame_of(np.zeros((0, 9))).boxes.shape == (0, 9)
     # Decoding can overflow a dimension to +inf through exp; that is kept.
-    assert BoxAttributes(0, 0, 0, math.inf, 2.0, 1.0, theta=0, vx=0, vy=0).w == math.inf
-    b = BoxAttributes(1, 2, 3, 1, 2, 1, theta=3 * math.pi, vx=0, vy=0)
-    assert -math.pi <= b.theta < math.pi
+    assert frame_of([[0, 0, 0, math.inf, 2.0, 1.0, 0, 0, 0]]).boxes[0, 3] == math.inf
+    # A gt yaw outside [-pi, pi) is wrapped where the scene file is read.
+    path = tmp_path / "yaw.jsonl"
+    write_scenes([frame_of([[1, 2, 3, 1, 2, 1, 3 * math.pi, 0, 0]])], path)
+    [back] = read_scenes(path)
+    assert back.boxes[0, 6] == wrap_angle(3 * math.pi) and -math.pi <= back.boxes[0, 6] < math.pi
+
+
+def test_frame_boxes_are_a_read_only_copy():
+    mine = np.array([[1.0, 2.0, 0.8, 2.0, 4.5, 1.6, 0.5, 1.0, -1.0]])
+    frame = frame_of(mine)
+    assert mine.flags.writeable and not np.shares_memory(mine, frame.boxes)
+    with pytest.raises(ValueError, match="read-only"):
+        frame.boxes[0, 0] = 5.0
+    mine[0, 0] = 7.0
+    assert frame.boxes[0, 0] == 1.0
+    for fr in generate_sequence(SceneConfig(speed_max=3.0), 3, 0.5, make_rng(8)):
+        with pytest.raises(ValueError, match="read-only"):
+            fr.boxes[:, :2] += 1.0
+
+
+def test_generating_a_frame_does_not_move_the_rows_before_it():
+    cfg = SceneConfig(speed_min=2.0, speed_max=3.0)
+    longer = generate_sequence(cfg, 6, 0.5, make_rng(19))
+    for t in range(1, 6):
+        shorter = generate_sequence(cfg, t, 0.5, make_rng(19))
+        assert [f.boxes.tobytes() for f in shorter] == [f.boxes.tobytes() for f in longer[:t]]
+    assert not np.array_equal(longer[0].boxes[:, :2], longer[1].boxes[:, :2])
+
 
 
 def test_wrap_angle_range_and_identity():
@@ -61,8 +93,8 @@ def test_standardize_round_trip():
     e = encoding_matrix(5, ATTR_DIM)
     rng = make_rng(17)
     for _ in range(1000):
-        a = random_box(rng).as_array()
-        back = decode_feature(e @ standardize(a), encoder_seed=5).as_array()
+        a = random_box(rng)
+        back = decode_feature(e @ standardize(a), encoder_seed=5)
         assert np.allclose(back, a, atol=1e-10)
 
 
@@ -87,14 +119,15 @@ def test_encode_decode_round_trip_noiseless():
         box = random_box(rng)
         f = encode_attributes(box, encoder_seed=12345, d=16)
         dec = decode_feature(f, encoder_seed=12345)
-        assert np.allclose(dec.as_array(), box.as_array(), atol=1e-10)
+        assert dec.dtype == np.float64 and dec.shape == (9,)
+        assert np.allclose(dec, box, atol=1e-10)
 
 
 def test_decode_feature_background_gate():
     tau = 3 * 0.05 * math.sqrt(16)  # three noise sigmas of a 16-d feature
     assert decode_feature(np.zeros(16), encoder_seed=1, tau_bg=tau) is None
     # a barely-above-threshold feature decodes to something
-    f = encode_attributes(BoxAttributes(0, 0, 1, 1, 2, 1, 0, 0, 0), 1, 16)
+    f = encode_attributes(np.array([0.0, 0, 1, 1, 2, 1, 0, 0, 0]), 1, 16)
     f = f / np.linalg.norm(f) * (tau * 1.01)
     assert decode_feature(f, encoder_seed=1, tau_bg=tau) is not None
 
@@ -104,8 +137,8 @@ def test_generate_frame_counts_and_bounds():
     fr = generate_sequence(cfg, 1, 0.5, make_rng(4))[0]
     assert len(fr.boxes) == cfg.n_objects
     assert len(fr.points) == cfg.n_objects * cfg.points_per_object + cfg.background_points
-    for b in fr.boxes:
-        assert abs(b.x) <= cfg.bounds and abs(b.y) <= cfg.bounds
+    assert fr.boxes.dtype == np.float64 and fr.boxes.shape == (cfg.n_objects, 9)
+    assert (np.abs(fr.boxes[:, :2]) <= cfg.bounds).all()
     assert len(fr.track_ids) == len(fr.boxes)
     assert len(set(fr.track_ids)) == len(fr.track_ids)
 
@@ -113,16 +146,16 @@ def test_generate_frame_counts_and_bounds():
 def test_generate_frame_noiseless_points_decode_exactly():
     cfg = SceneConfig(n_objects=1, noise_sigma=0.0, background_points=0)
     fr = generate_sequence(cfg, 1, 0.5, make_rng(6))[0]
-    gt = fr.boxes[0].as_array()
+    gt = fr.boxes[0]
     for f in fr.points.feat:
         dec = decode_feature(f, fr.encoder_seed)
-        assert np.allclose(dec.as_array(), gt, atol=1e-9)
+        assert np.allclose(dec, gt, atol=1e-9)
 
 
 def test_generate_frame_zero_objects():
     cfg = SceneConfig(n_objects=0, background_points=25)
     fr = generate_sequence(cfg, 1, 0.5, make_rng(9))[0]
-    assert len(fr.boxes) == 0
+    assert fr.boxes.shape == (0, 9)
     assert len(fr.points) == 25
 
 
@@ -133,9 +166,7 @@ def test_generate_frame_deterministic():
     assert a.encoder_seed == b.encoder_seed
     assert np.array_equal(a.points.xy, b.points.xy)
     assert np.array_equal(a.points.feat, b.points.feat)
-    assert all(
-        np.array_equal(x.as_array(), y.as_array()) for x, y in zip(a.boxes, b.boxes)
-    )
+    assert a.boxes.tobytes() == b.boxes.tobytes()
 
 
 def test_decode_error_grows_with_sigma():
@@ -152,7 +183,7 @@ def test_decode_error_grows_with_sigma():
                 dec = decode_feature(fr.points.feat[i], fr.encoder_seed)
                 # nearest gt box is the generator one; use min distance
                 d = min(
-                    float(np.hypot(dec.x - b.x, dec.y - b.y)) for b in fr.boxes
+                    float(np.hypot(dec[0] - b[0], dec[1] - b[1])) for b in fr.boxes
                 )
                 total += d
                 count += 1
@@ -173,10 +204,11 @@ def test_sequence_kinematics_and_identity():
         for tid in set(cur.track_ids) & set(nxt.track_ids):
             bc = cur.boxes[cur.track_ids.index(tid)]
             bn = nxt.boxes[nxt.track_ids.index(tid)]
-            assert bn.x - bc.x == pytest.approx(bc.vx * 0.5, abs=1e-9)
-            assert bn.y - bc.y == pytest.approx(bc.vy * 0.5, abs=1e-9)
+            x, y, vx, vy = bc[[0, 1, 7, 8]]
+            assert bn[0] - x == pytest.approx(vx * 0.5, abs=1e-9)
+            assert bn[1] - y == pytest.approx(vy * 0.5, abs=1e-9)
             # speed magnitude as configured
-            assert math.hypot(bc.vx, bc.vy) == pytest.approx(2.0)
+            assert math.hypot(vx, vy) == pytest.approx(2.0)
 
 
 def test_sequence_first_frame_does_not_depend_on_the_length():
@@ -187,8 +219,7 @@ def test_sequence_first_frame_does_not_depend_on_the_length():
     assert one.encoder_seed == first.encoder_seed and one.timestamp == first.timestamp == 0.0
     assert np.array_equal(one.points.xy, first.points.xy)
     assert np.array_equal(one.points.feat, first.points.feat)
-    assert [b.as_array().tobytes() for b in one.boxes] \
-        == [b.as_array().tobytes() for b in first.boxes]
+    assert one.boxes.tobytes() == first.boxes.tobytes()
 
 
 def test_sequence_boundary_exit_recorded():
@@ -208,8 +239,7 @@ def test_sequence_boundary_exit_recorded():
     last = len(seq[-1].boxes)
     assert last == first - len(dropped)
     for fr in seq:
-        for b in fr.boxes:
-            assert abs(b.x) <= cfg.bounds and abs(b.y) <= cfg.bounds
+        assert (np.abs(fr.boxes[:, :2]) <= cfg.bounds).all()
 
 
 def test_scene_io_round_trip(tmp_path):
@@ -226,8 +256,7 @@ def test_scene_io_round_trip(tmp_path):
         assert a.track_ids == b.track_ids
         assert np.array_equal(a.points.xy, b.points.xy)
         assert np.array_equal(a.points.feat, b.points.feat)
-        for ba, bb in zip(a.boxes, b.boxes):
-            assert np.array_equal(ba.as_array(), bb.as_array())
+        assert a.boxes.tobytes() == b.boxes.tobytes()
 
 
 def test_scene_io_deterministic_bytes(tmp_path):
@@ -463,10 +492,36 @@ def test_read_scenes_skips_blank_lines_and_counts_them(tmp_path):
         assert np.array_equal(a.points.feat, b.points.feat)
 
 
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+def test_read_scenes_reads_utf8_lines_under_every_line_end(tmp_path, end):
+    cfg = SceneConfig(n_objects=2, points_per_object=4, background_points=2)
+    seq = generate_sequence(cfg, 3, 0.5, make_rng(3))
+    path = tmp_path / "s.jsonl"
+    write_scenes(seq, path)
+    lines = path.read_bytes().splitlines()
+    lines[1] = '{"note": "\u00e9\u6f22", '.encode() + lines[1][1:]  # ignored, valid UTF-8
+    path.write_bytes(end.join(lines) + end)
+    back = read_scenes(path)
+    assert [f.timestamp for f in back] == [f.timestamp for f in seq]
+    for a, b in zip(seq, back):
+        assert a.boxes.tobytes() == b.boxes.tobytes()
+        assert a.points.feat.tobytes() == b.points.feat.tobytes()
+
+
+def test_writers_emit_no_non_json_token(tmp_path):
+    frame = frame_of(np.zeros((0, 9)))
+    frame.points = PointSet([[0.0, 0.0]], [[math.inf] + [0.0] * 15])
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_scenes([frame], tmp_path / "s.jsonl")
+    dets = [DetectionFrame(0.0, [Detection(0, [1.0] * 9, math.nan, 0)])]
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_detections(tmp_path / "d.jsonl", dets, {})
+
+
 def test_sampled_centers_keep_min_separation():
     for seed in range(20):
         [frame] = generate_sequence(SceneConfig(bounds=30.0, n_objects=8), 1, 0.5, make_rng(seed))
-        xy = np.array([box.center() for box in frame.boxes])
+        xy = frame.boxes[:, :2]
         gaps = np.linalg.norm(xy[:, None] - xy[None], axis=2)
         assert gaps[np.triu_indices(len(xy), 1)].min() >= 6.0
 

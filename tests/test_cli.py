@@ -75,6 +75,23 @@ def test_over_packed_scene_exits_one_and_writes_nothing(tmp_path, capsys):
     assert not out.exists() and not run_dir.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_noise_sigma_exits_one_and_writes_nothing(tmp_path, capsys):
+    # simulate once exited 0 with two numpy overflow warnings and wrote
+    # Infinity tokens that detect then refused; pipeline wrote that
+    # scenes.jsonl before it failed.
+    out, run_dir = tmp_path / "inf.jsonl", tmp_path / "run"
+    for argv in (
+        ["simulate", "--noise-sigma", "1e308", "--out", str(out)],
+        ["pipeline", "--noise-sigma", "1e308", "--out-dir", str(run_dir)],
+    ):
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: noise_sigma 1e+308 overflows the point features\n")
+    assert not out.exists() and not run_dir.exists()
+
+
 def test_a_scene_without_objects_needs_no_margin(tmp_path, capsys):
     # Object centers keep 5 m off the scene edge, which bounds 5 leave no
     # room for; a background-only scene places no center.
@@ -84,7 +101,7 @@ def test_a_scene_without_objects_needs_no_margin(tmp_path, capsys):
     frames = read_scenes(out)
     assert len(frames) == 2
     for frame in frames:
-        assert frame.boxes == [] and len(frame.points) == 60
+        assert frame.boxes.shape == (0, 9) and len(frame.points) == 60
         assert np.all(np.abs(frame.points.xy) <= 5.0)
     one = tmp_path / "one.jsonl"
     capsys.readouterr()
@@ -208,6 +225,23 @@ def test_pipeline_echoes_run_config(tmp_path):
     assert cfg["frames"] == 4
     assert cfg["temporal"] is True
     assert "out_dir" not in cfg  # paths must not leak into the report
+
+
+def test_pipeline_echoes_an_infinite_radius_as_a_string(tmp_path, capsys):
+    # JSON has no infinity: the echo once wrote Infinity, a token strict
+    # JSON readers refuse.
+    d = tmp_path / "run"
+    assert run(pipeline_args(d, extra=("--radius=inf", "--dedup-radius=inf"))) == 0
+
+    def refuse(token):
+        raise AssertionError(f"non-JSON token {token}")
+
+    report = json.loads((d / "report.json").read_text(), parse_constant=refuse)
+    assert report["config"]["detect"]["radius"] == "inf"
+    for line in (d / "detections.jsonl").read_text().splitlines():
+        params = json.loads(line, parse_constant=refuse)["params"]
+        assert params["radius"] == params["dedup_radius"] == "inf"
+    json.loads(capsys.readouterr().out, parse_constant=refuse)
 
 
 def test_pipeline_no_temporal_flag(tmp_path):
@@ -618,6 +652,29 @@ def test_a_line_that_is_no_object_or_lacks_a_key_exits_one(tmp_path, capsys, fil
     # "malformed frame record (list indices must be integers or slices, not
     # str)" or "malformed frame record ('d')".
     _second_record_exits_one(tmp_path, capsys, file, replace, message)
+
+
+@pytest.mark.parametrize("file", ["scenes", "dets"])
+def test_a_byte_that_is_not_utf8_exits_one_with_its_line(tmp_path, capsys, file):
+    # The decoder once raised from the line iterator, outside the record
+    # loop: "'utf-8' codec can't decode byte 0xff in position 1252", naming
+    # no file or line.  The e-acute before it is valid UTF-8.
+    paths = {"scenes": tmp_path / "s.jsonl", "dets": tmp_path / "d.jsonl"}
+    run(simulate_args(paths["scenes"]))
+    assert run(detect_args(paths["scenes"], paths["dets"])) == 0
+    bad = tmp_path / "bad.jsonl"
+    lines = paths[file].read_bytes().split(b"\n")
+    lines[1] = b'{"note": "\xc3\xa9\xff", ' + lines[1][1:]
+    bad.write_bytes(b"\n".join(lines))
+    paths[file] = bad
+    message = f"error: {bad}:2: byte 0xff at character 12 is not UTF-8\n"
+    capsys.readouterr()
+    if file == "scenes":
+        assert run(detect_args(bad, tmp_path / "out.jsonl")) == 1
+        assert capsys.readouterr().err == message
+    assert run(["eval", "--dets", str(paths["dets"]), "--scenes", str(paths["scenes"]),
+                "--report", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == message
 
 
 # ---------------------------------------------------------------- import weight

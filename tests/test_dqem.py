@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qebev.bevscene import BoxAttributes, SceneConfig, decode_feature, generate_sequence
+from qebev.bevscene import SceneConfig, decode_feature, generate_sequence
 from qebev.dqem import (
     DetectionFrame,
     DqemParams,
@@ -48,13 +48,25 @@ def test_dqem_params_accepts_zero_weights_and_rounds():
 # ---------------------------------------------------------------- pillars
 
 
+PRIOR = [0.0, 0.0, 0.8, 2.0, 4.5, 1.6, 0.0, 0.0, 0.0]
+
+
 def test_init_pillars_single_cell_center():
     [box] = init_pillars(1, 1, 10.0)
-    assert box == BoxAttributes(0.0, 0.0, 0.8, 2.0, 4.5, 1.6, 0.0, 0.0, 0.0)
+    assert box.dtype == np.float64 and box.tobytes() == np.array(PRIOR).tobytes()
+
+
+def test_init_pillars_is_read_only():
+    grid = init_pillars(3, 2, 10.0)
+    assert grid.shape == (6, 9) and not grid.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        grid[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        grid[4][:2] += 1.0
 
 
 def test_init_pillars_two_by_two_centers():
-    got = [(b.x, b.y) for b in init_pillars(2, 2, 10.0)]
+    got = [tuple(b[:2].tolist()) for b in init_pillars(2, 2, 10.0)]
     # row-major, x fastest
     assert got == [(-5.0, -5.0), (5.0, -5.0), (-5.0, 5.0), (5.0, 5.0)]
 
@@ -62,10 +74,10 @@ def test_init_pillars_two_by_two_centers():
 def test_init_pillars_grid_in_bounds():
     boxes = init_pillars(10, 10, 50.0)
     assert len(boxes) == 100
-    for b in boxes:
-        assert abs(b.x) < 50 and abs(b.y) < 50
+    assert (np.abs(boxes[:, :2]) < 50).all()
+    assert (boxes[:, 2:] == PRIOR[2:]).all()
     # all centers distinct
-    assert len({(b.x, b.y) for b in boxes}) == 100
+    assert len({tuple(b[:2].tolist()) for b in boxes}) == 100
 
 
 def test_init_pillars_validation():
@@ -403,15 +415,15 @@ def test_evolve_noiseless_on_target_query():
     cfg = SceneConfig(n_objects=1, noise_sigma=0.0, background_points=0)
     fr = generate_sequence(cfg, 1, 0.5, make_rng(3))[0]
     gt = fr.boxes[0]
-    start = BoxAttributes(gt.x, gt.y, 0.8, 2.0, 4.5, 1.6, 0.0, 0.0, 0.0)
+    start = np.array([gt[0], gt[1], *PRIOR[2:]])
     params = DqemParams(k=3, top_k=2, beta=0.0, radius=8.0, iterations=1)
     traces = evolve_queries([start], fr, params, make_rng(5))
     assert len(traces) == 1
     tr = traces[0]
     assert tr.flag == ""
     dec = decode_feature(tr.feat * tr.scale, fr.encoder_seed)
-    assert math.hypot(dec.x - gt.x, dec.y - gt.y) <= 1e-6
-    assert tr.attrs == tr.decoded[-1] == dec
+    assert math.hypot(dec[0] - gt[0], dec[1] - gt[1]) <= 1e-6
+    assert tr.attrs is tr.decoded[-1] and tr.attrs.tobytes() == dec.tobytes()
     assert 0.0 < tr.score <= 1.0
     assert len(tr.decoded) == params.iterations + 1
 
@@ -419,7 +431,7 @@ def test_evolve_noiseless_on_target_query():
 def test_evolve_empty_neighborhood_flagged():
     cfg = SceneConfig(n_objects=1, background_points=0)
     fr = generate_sequence(cfg, 1, 0.5, make_rng(2))[0]
-    start = BoxAttributes(1001.0, 1001.0, 0.8, 2.0, 4.5, 1.6, 0.0, 0.0, 0.0)
+    start = np.array([1001.0, 1001.0, *PRIOR[2:]])
     params = DqemParams()
     traces = evolve_queries([start], fr, params, make_rng(1))
     assert traces[0].flag == "empty" and traces[0].attrs is start

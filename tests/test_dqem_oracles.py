@@ -38,7 +38,7 @@ def pairwise_dedup(dets, radius):
 def frame_at(xy):
     """A frame of points at ``xy``, all with the same features."""
     xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
-    return Frame(timestamp=0.0, boxes=[], track_ids=[], points=PointSet(xy, np.ones((len(xy), 2))),
+    return Frame(timestamp=0.0, boxes=np.zeros((0, 9)), track_ids=[], points=PointSet(xy, np.ones((len(xy), 2))),
                  encoder_seed=0, d=2)
 
 

@@ -285,7 +285,7 @@ def perfect_run(seed=1, frames=2):
     det_frames = []
     for t, fr in enumerate(seq):
         dets = [
-            Detection(frame=t, box=b.as_array().copy(), score=0.9, query_id=i)
+            Detection(frame=t, box=b.copy(), score=0.9, query_id=i)
             for i, b in enumerate(fr.boxes)
         ]
         det_frames.append(

@@ -20,7 +20,6 @@ from hypothesis.extra.numpy import arrays
 
 from qebev.bevscene import (
     ATTR_DIM,
-    BoxAttributes,
     Frame,
     PointSet,
     SceneConfig,
@@ -63,7 +62,7 @@ def scene_frames(draw):
         rows = draw(st.lists(boxes(), max_size=3))
         frames.append(Frame(
             timestamp=timestamp,
-            boxes=[BoxAttributes(*r.tolist()) for r in rows],
+            boxes=np.array(rows).reshape(-1, ATTR_DIM),
             track_ids=draw(st.lists(st.integers(-2**63, 2**63), min_size=len(rows),
                                     max_size=len(rows))),
             points=PointSet(draw(arrays(np.float64, (n, 2), elements=finite)),
@@ -87,12 +86,10 @@ def test_scene_file_round_trips_bit_for_bit(frames):
         assert (a.encoder_seed, a.d, a.track_ids) == (b.encoder_seed, b.d, b.track_ids)
         assert same_bits(a.points.xy, b.points.xy)
         assert same_bits(a.points.feat, b.points.feat)
-        assert len(a.boxes) == len(b.boxes)
-        for ba, bb in zip(a.boxes, b.boxes):
-            wa, wb = ba.as_array(), bb.as_array()
-            # Reading builds each box again, which wraps the written yaw once more.
-            assert same_bits(np.delete(wa, 6), np.delete(wb, 6))
-            assert same_bits(wrap_angle(wa[6]), wb[6])
+        assert a.boxes.shape == b.boxes.shape == (len(a.track_ids), ATTR_DIM)
+        # Reading wraps the written yaw; every other channel reads as written.
+        assert same_bits(np.delete(a.boxes, 6, axis=1), np.delete(b.boxes, 6, axis=1))
+        assert same_bits([wrap_angle(v) for v in a.boxes[:, 6].tolist()], b.boxes[:, 6])
 
 
 @st.composite
@@ -147,8 +144,7 @@ def seeded_lines():
     frames = generate_sequence(cfg, 3, 0.5, make_rng(11))
     dets = [
         DetectionFrame(frame.timestamp, [
-            Detection(t, box.as_array(), 0.5 + 0.1 * i, i,
-                      box.as_array()[7:9] if t % 2 else None)
+            Detection(t, box, 0.5 + 0.1 * i, i, box[7:9] if t % 2 else None)
             for i, box in enumerate(frame.boxes)
         ], bool(t % 2) if t else None)
         for t, frame in enumerate(frames)
@@ -192,7 +188,7 @@ def check_scene(frame, rec):
     assert type(rec["gt"]) is list and len(frame.boxes) == len(rec["gt"])
     for box, tid, g in zip(frame.boxes, frame.track_ids, rec["gt"]):
         assert type(g["track_id"]) is int and tid == g["track_id"]
-        values, read = g["box"], box.as_array().tolist()
+        values, read = g["box"], box.tolist()
         assert len(values) == 9 and type(values[6]) in (int, float)
         assert all(map(is_number, values[:6] + values[7:], read[:6] + read[7:]))
         assert wrap_angle(values[6]) == read[6]  # reading wraps the yaw
@@ -251,7 +247,8 @@ def test_an_edited_line_is_refused_with_its_place_or_read_as_written(case):
     if kind == "scenes":
         for f in frames:
             assert np.isfinite(f.points.xy).all() and np.isfinite(f.points.feat).all()
-            assert all(np.isfinite(b.as_array()).all() and min(b.w, b.l, b.h) > 0 for b in f.boxes)
+            assert f.boxes.shape[1:] == (ATTR_DIM,) and np.isfinite(f.boxes).all()
+            assert (f.boxes[:, 3:6] > 0).all()
         check_scene(frames[1], lines[1])
     else:
         for f in frames:

@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 import qebev.cli as cli
 import qebev.ltfm
-from qebev.bevscene import BoxAttributes, Frame, PointSet
+from qebev.bevscene import Frame, PointSet
 from qebev.dqem import DqemParams, kmeans
 from qebev.ltfm import _evolve_single
 from qebev.numerics import derive_seed, make_rng
@@ -100,10 +100,10 @@ def test_a_run_that_hit_its_cap_is_seeded_again(monkeypatch):
     # continue its Lloyd updates.  The kernel rewinds and seeds again, as
     # it does for any new rows, and gets round 0's clustering back.
     r = make_rng(6)
-    frame = Frame(0.0, [], [], PointSet(r.uniform(-3.0, 3.0, size=(40, 2)),
+    frame = Frame(0.0, np.zeros((0, 9)), [], PointSet(r.uniform(-3.0, 3.0, size=(40, 2)),
                                         r.normal(size=(40, 9))), 11, 9)
     params = DqemParams(radius=50.0, iterations=2, kmeans_iters=2)
-    start = BoxAttributes(0.0, 0.0, 0.8, 2.0, 4.5, 1.6, 0.0, 0.0, 0.0)
+    start = np.array([0.0, 0.0, 0.8, 2.0, 4.5, 1.6, 0.0, 0.0, 0.0])
     calls = recording_kmeans(monkeypatch)
     trace, _ = _evolve_single(start, frame, params, 3, 0.0, None)
     assert len(trace.decoded) == 1 + 2  # the start decode, then two rounds
