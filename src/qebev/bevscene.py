@@ -22,7 +22,6 @@ from .numerics import draw_seed, make_rng
 
 __all__ = [
     "ATTR_DIM",
-    "PointSet",
     "Frame",
     "SceneConfig",
     "encoding_matrix",
@@ -55,43 +54,23 @@ def wrap_angle(theta: float) -> float:
 
 
 @dataclass
-class PointSet:
-    """Struct-of-arrays point container: xy is (n, 2), feat is (n, d)."""
-
-    xy: np.ndarray
-    feat: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.xy = np.asarray(self.xy, dtype=np.float64).reshape(-1, 2)
-        self.feat = np.asarray(self.feat, dtype=np.float64)
-        if self.feat.ndim != 2 or self.feat.shape[0] != self.xy.shape[0]:
-            raise ValueError("xy and feat row counts must agree")
-
-    def __len__(self) -> int:
-        return self.xy.shape[0]
-
-    @classmethod
-    def empty(cls, d: int) -> "PointSet":
-        return cls(np.zeros((0, 2)), np.zeros((0, d)))
-
-
-@dataclass
 class Frame:
-    """One time slice: (m, 9) ground-truth box rows, kept read-only, plus
-    the scattered feature points."""
+    """One time slice: (m, 9) ground-truth box rows and the scattered
+    points, positions ``xy`` (n, 2) and features ``feat`` (n, d).
+    ``boxes`` and ``xy`` are kept as read-only copies."""
 
     timestamp: float
     boxes: np.ndarray
     track_ids: list[int]
-    points: PointSet
+    xy: np.ndarray
+    feat: np.ndarray
     encoder_seed: int
-    d: int
-    # Per-radius cell indices over ``points.xy``, built by the first
-    # neighbourhood gather at that radius and reused by the later ones.
+    # Per-radius cell indices over ``xy``, built by the first neighbourhood
+    # gather at that radius and reused by the later ones.
     cell_index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # A copy, so that a caller's array is never made read-only.
+        # Copies, so that a caller's array is never made read-only.
         self.boxes = np.array(self.boxes, dtype=np.float64)
         self.boxes.flags.writeable = False
         if self.boxes.ndim != 2 or self.boxes.shape[1] != ATTR_DIM:
@@ -101,8 +80,25 @@ class Frame:
             raise ValueError("box dimensions w, l and h must be positive")
         if len(self.boxes) != len(self.track_ids):
             raise ValueError("one track id per ground-truth box")
-        if self.points.feat.shape[1] != self.d:
-            raise ValueError("feature width disagrees with d")
+        self.xy = np.array(self.xy, dtype=np.float64).reshape(-1, 2)
+        self.xy.flags.writeable = False
+        self.feat = np.asarray(self.feat, dtype=np.float64)
+        if self.feat.ndim != 2 or self.feat.shape[0] != self.xy.shape[0]:
+            raise ValueError("xy and feat row counts must agree")
+
+    @property
+    def d(self) -> int:
+        """The feature width."""
+        return self.feat.shape[1]
+
+
+def _check_bounds(bounds: float) -> None:
+    """The rule for a scene's half-extent, which the query grid shares:
+    positive and finite, with a finite span ``2 * bounds``."""
+    if not bounds > 0.0 or not math.isfinite(bounds):
+        raise ValueError(f"bounds must be positive and finite, got {bounds}")
+    if not math.isfinite(2.0 * bounds):
+        raise ValueError(f"bounds {bounds} overflows the scene span 2 * bounds")
 
 
 @dataclass
@@ -125,8 +121,7 @@ class SceneConfig:
     def __post_init__(self) -> None:
         if self.d < ATTR_DIM:
             raise ValueError(f"d must be at least {ATTR_DIM} to keep the encoding invertible")
-        if not self.bounds > 0.0 or not math.isfinite(self.bounds):
-            raise ValueError(f"bounds must be positive and finite, got {self.bounds}")
+        _check_bounds(self.bounds)
         if self.n_objects < 0 or self.points_per_object < 0 or self.background_points < 0:
             raise ValueError("counts must be non-negative")
         if not self.noise_sigma >= 0.0 or not math.isfinite(self.noise_sigma):
@@ -270,16 +265,16 @@ def _render_frame(
         bg_feat = rng.standard_normal((cfg.background_points, cfg.d)) * cfg.noise_sigma
     xy_parts.append(bg_xy)
     feat_parts.append(bg_feat)
-    points = PointSet(np.concatenate(xy_parts), np.concatenate(feat_parts))
-    if not np.isfinite(points.feat).all():
+    feat = np.concatenate(feat_parts)
+    if not np.isfinite(feat).all():
         raise ValueError(f"noise_sigma {cfg.noise_sigma} overflows the point features")
     return Frame(
         timestamp=timestamp,
         boxes=boxes,
         track_ids=list(track_ids),
-        points=points,
+        xy=np.concatenate(xy_parts),
+        feat=feat,
         encoder_seed=encoder_seed,
-        d=cfg.d,
     )
 
 
@@ -322,7 +317,7 @@ def _frame_record(frame: Frame) -> dict:
         ],
         "points": [
             {"xy": xy, "f": f}
-            for xy, f in zip(frame.points.xy.tolist(), frame.points.feat.tolist())
+            for xy, f in zip(frame.xy.tolist(), frame.feat.tolist())
         ],
         "encoder_seed": frame.encoder_seed,
         "d": frame.d,
@@ -368,7 +363,8 @@ def _packed_point_no_bool(obj: dict) -> dict | array:
 
 
 def _point_arrays(records: list) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, 2) positions and (n, d) features of a line's packed points."""
+    """The (n, 2) positions, a view that :class:`Frame` copies, and the
+    (n, d) features of a line's packed points."""
     try:
         packed = b"".join(records)  # buffers only: any unpacked record fails
     except TypeError:
@@ -378,7 +374,7 @@ def _point_arrays(records: list) -> tuple[np.ndarray, np.ndarray]:
     if any(len(row) != width for row in records):
         raise ValueError("points differ in feature width")
     table = np.frombuffer(packed).reshape(len(records), width)
-    return table[:, :2].copy(), table[:, 2:].copy()
+    return table[:, :2], table[:, 2:].copy()
 
 
 class _NamedFault(ValueError):
@@ -507,14 +503,16 @@ def _frame(rec: dict, timestamp: float, frames: list[Frame]) -> Frame:
         raise ValueError(f"encoder_seed must be in [0, 2**64), got {encoder_seed}")
     gt = _json_array(rec["gt"], "gt")
     rows = _json_array(rec["points"], "points")
-    points = PointSet(*_point_arrays(rows)) if rows else PointSet.empty(d)
-    for field_name, values in (("xy", points.xy), ("feature", points.feat)):
+    xy, feat = _point_arrays(rows) if rows else (np.zeros((0, 2)), np.zeros((0, d)))
+    for field_name, values in (("xy", xy), ("feature", feat)):
         bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
         if bad.size:
             raise _NamedFault(f"point {bad[0]}: {field_name} is not finite")
     entries = [_named("gt", i, _gt_entry, g) for i, g in enumerate(gt)]
     boxes = np.array([box for box, _ in entries]).reshape(-1, ATTR_DIM)
-    return Frame(timestamp, boxes, [tid for _, tid in entries], points, encoder_seed, d)
+    if feat.shape[1] != d:
+        raise ValueError("feature width disagrees with d")
+    return Frame(timestamp, boxes, [tid for _, tid in entries], xy, feat, encoder_seed)
 
 
 def read_scenes(path: str) -> list[Frame]:

@@ -20,6 +20,7 @@ import numpy as np
 from . import bench as bench_mod
 from .bevscene import SceneConfig, generate_sequence, read_scenes, write_scenes
 from .bevscene import _MARGIN, _MIN_SEPARATION  # echoed in the pipeline's report
+from .bevscene import _check_utf8
 from .dqem import (
     DqemParams,
     dedup_detections,
@@ -49,11 +50,18 @@ class _Parser(argparse.ArgumentParser):
 def _load_config_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
     try:
-        fh = open(path, "r", encoding="utf-8")
+        # Bytes that are not UTF-8 come through as lone surrogates, so that
+        # the line holding them is named below rather than by the decoder.
+        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
     with fh:
         for line_no, raw in enumerate(fh, start=1):
+            if not raw.isascii():
+                try:
+                    _check_utf8(raw)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{line_no}: {exc}") from None
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -225,7 +233,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
     rng = make_rng(derive_seed(args.seed, "simulate"))
     frames = generate_sequence(cfg, args.frames, args.interval, rng)
     write_scenes(frames, args.out)
-    n_pts = sum(len(f.points) for f in frames)
+    n_pts = sum(len(f.xy) for f in frames)
     print(f"wrote {len(frames)} frames ({n_pts} points) to {args.out}")
     return 0
 

@@ -19,6 +19,7 @@ import numpy as np
 from .bevscene import (
     POSITION_SCALE,
     Frame,
+    _check_bounds,
     _json_array,
     _json_box,
     _json_int,
@@ -159,12 +160,15 @@ def init_pillars(grid_nx: int, grid_ny: int, bounds: float) -> np.ndarray:
     half-extent B; row-major, x fastest."""
     if grid_nx < 1 or grid_ny < 1:
         raise ValueError("grid dimensions must be at least 1")
-    if not bounds > 0 or not math.isfinite(bounds):
-        raise ValueError(f"bounds must be positive and finite, got {bounds}")
-    lo, hi = -float(bounds), float(bounds)
+    _check_bounds(bounds)
+    # Placed over [-m, m], for bounds = m * 2**e, and scaled by 2**e: over
+    # [-bounds, bounds], (i + 0.5) * 2 * bounds overflows near the float
+    # maximum, and the power-of-two scale leaves a normal result's bits.
+    m, e = math.frexp(bounds)
+    xs, ys = (np.ldexp(-m + (np.arange(n) + 0.5) * (2.0 * m) / n, e) for n in (grid_nx, grid_ny))
     grid = np.tile(_PILLAR_PRIOR, (grid_ny * grid_nx, 1))
-    grid[:, 0] = np.tile(lo + (np.arange(grid_nx) + 0.5) * (hi - lo) / grid_nx, grid_ny)
-    grid[:, 1] = np.repeat(lo + (np.arange(grid_ny) + 0.5) * (hi - lo) / grid_ny, grid_nx)
+    grid[:, 0] = np.tile(xs, grid_ny)
+    grid[:, 1] = np.repeat(ys, grid_nx)
     grid.flags.writeable = False
     return grid
 
@@ -263,15 +267,15 @@ def gather_neighborhood(frame: Frame, center_xy: np.ndarray, radius: float) -> n
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     c = np.asarray(center_xy, dtype=np.float64).reshape(2)
-    points = frame.points
-    if len(points) == 0:
+    xy = frame.xy
+    if len(xy) == 0:
         return np.zeros(0, dtype=np.int32)
     index = frame.cell_index.get(radius)
-    if index is None or index.xy is not points.xy:
-        index = frame.cell_index[radius] = _CellIndex(points.xy, radius)
+    if index is None or index.xy is not xy:
+        index = frame.cell_index[radius] = _CellIndex(xy, radius)
     cand = index.candidates(*c.tolist())
     # take() gathers rows several times faster than fancy indexing.
-    delta = points.xy.take(cand, axis=0) - c
+    delta = xy.take(cand, axis=0) - c
     return cand[np.einsum("nd,nd->n", delta, delta) <= radius * radius]
 
 
@@ -559,7 +563,7 @@ def _build_snapshots(
             sel = gather_neighborhood(frame, box[:2] + offset, params.radius)
             if len(sel) == 0:
                 continue
-            feat = frame.points.feat.take(sel, axis=0)
+            feat = frame.feat.take(sel, axis=0)
             mean = feat.mean(axis=0)
             n0 = float(np.linalg.norm(mean))
             if n0 == 0.0:

@@ -136,7 +136,7 @@ def _evolve_single(
     if len(sel) == 0:
         return EvolutionTrace(attrs, np.zeros(frame.d), flag="empty"), None
 
-    feat = frame.points.feat.take(sel, axis=0)
+    feat = frame.feat.take(sel, axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = feat.mean(axis=0)
         # Vector 2-norms here and below are computed as np.linalg.norm does.
@@ -174,7 +174,7 @@ def _evolve_single(
                 flag = "empty-regather"
                 break
             if not np.array_equal(sel, prev_sel):
-                feat = frame.points.feat.take(sel, axis=0)
+                feat = frame.feat.take(sel, axis=0)
             elif len(clusters.inertia_trace) < params.kmeans_iters:
                 # The rewound stream would seed the run that converged last
                 # round again; Lloyd from its centers ends where it ended.
@@ -336,16 +336,17 @@ def _velocity_estimate(
     taken as the same physical track.  Grid queries
     alone cannot serve as tracks since an object crossing cells changes
     which query sees it.  With no earlier
-    detection inside the gate the decoded channels stand alone.
+    detection inside the gate, or a ``dt`` so long or so short that the
+    projection or the average overflows, the decoded channels stand alone.
     """
     v_chan = det.box[7:9]
     if not len(prev_xy):
         return np.array(v_chan)
     cur = det.box[:2]
-    predicted_back = cur - v_chan * dt
-    gaps = np.linalg.norm(prev_xy - predicted_back, axis=1)
-    j = int(np.argmin(gaps))
-    if gaps[j] > BACKTRACK_GATE:
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = np.linalg.norm(prev_xy - (cur - v_chan * dt), axis=1)
+        j = int(np.argmin(gaps))
+        fused = 0.5 * ((cur - prev_xy[j]) / dt + v_chan)
+    if not (gaps[j] <= BACKTRACK_GATE and np.isfinite(fused).all()):
         return np.array(v_chan)
-    v_mot = (cur - prev_xy[j]) / dt
-    return 0.5 * (v_mot + v_chan)
+    return fused

@@ -8,7 +8,6 @@ import pytest
 from qebev.bevscene import (
     ATTR_DIM,
     Frame,
-    PointSet,
     SceneConfig,
     decode_feature,
     encode_attributes,
@@ -34,7 +33,7 @@ def random_box(rng):
 
 def frame_of(boxes):
     """A point-free frame holding ``boxes``, one track id per row."""
-    return Frame(0.0, boxes, list(range(len(boxes))), PointSet.empty(16), 0, 16)
+    return Frame(0.0, boxes, list(range(len(boxes))), np.zeros((0, 2)), np.zeros((0, 16)), 0)
 
 
 def test_box_attributes_validation(tmp_path):
@@ -136,7 +135,7 @@ def test_generate_frame_counts_and_bounds():
     cfg = SceneConfig()
     fr = generate_sequence(cfg, 1, 0.5, make_rng(4))[0]
     assert len(fr.boxes) == cfg.n_objects
-    assert len(fr.points) == cfg.n_objects * cfg.points_per_object + cfg.background_points
+    assert len(fr.xy) == cfg.n_objects * cfg.points_per_object + cfg.background_points
     assert fr.boxes.dtype == np.float64 and fr.boxes.shape == (cfg.n_objects, 9)
     assert (np.abs(fr.boxes[:, :2]) <= cfg.bounds).all()
     assert len(fr.track_ids) == len(fr.boxes)
@@ -147,7 +146,7 @@ def test_generate_frame_noiseless_points_decode_exactly():
     cfg = SceneConfig(n_objects=1, noise_sigma=0.0, background_points=0)
     fr = generate_sequence(cfg, 1, 0.5, make_rng(6))[0]
     gt = fr.boxes[0]
-    for f in fr.points.feat:
+    for f in fr.feat:
         dec = decode_feature(f, fr.encoder_seed)
         assert np.allclose(dec, gt, atol=1e-9)
 
@@ -156,7 +155,7 @@ def test_generate_frame_zero_objects():
     cfg = SceneConfig(n_objects=0, background_points=25)
     fr = generate_sequence(cfg, 1, 0.5, make_rng(9))[0]
     assert fr.boxes.shape == (0, 9)
-    assert len(fr.points) == 25
+    assert len(fr.xy) == 25
 
 
 def test_generate_frame_deterministic():
@@ -164,8 +163,8 @@ def test_generate_frame_deterministic():
     a = generate_sequence(cfg, 1, 0.5, make_rng(31))[0]
     b = generate_sequence(cfg, 1, 0.5, make_rng(31))[0]
     assert a.encoder_seed == b.encoder_seed
-    assert np.array_equal(a.points.xy, b.points.xy)
-    assert np.array_equal(a.points.feat, b.points.feat)
+    assert np.array_equal(a.xy, b.xy)
+    assert np.array_equal(a.feat, b.feat)
     assert a.boxes.tobytes() == b.boxes.tobytes()
 
 
@@ -179,8 +178,8 @@ def test_decode_error_grows_with_sigma():
         total, count = 0.0, 0
         for seed in range(10):
             fr = generate_sequence(cfg, 1, 0.5, make_rng(1000 + seed))[0]
-            for i in range(len(fr.points)):
-                dec = decode_feature(fr.points.feat[i], fr.encoder_seed)
+            for i in range(len(fr.xy)):
+                dec = decode_feature(fr.feat[i], fr.encoder_seed)
                 # nearest gt box is the generator one; use min distance
                 d = min(
                     float(np.hypot(dec[0] - b[0], dec[1] - b[1])) for b in fr.boxes
@@ -217,8 +216,8 @@ def test_sequence_first_frame_does_not_depend_on_the_length():
     [one] = generate_sequence(cfg, 1, 0.5, make_rng(77))
     first = generate_sequence(cfg, 4, 0.5, make_rng(77))[0]
     assert one.encoder_seed == first.encoder_seed and one.timestamp == first.timestamp == 0.0
-    assert np.array_equal(one.points.xy, first.points.xy)
-    assert np.array_equal(one.points.feat, first.points.feat)
+    assert np.array_equal(one.xy, first.xy)
+    assert np.array_equal(one.feat, first.feat)
     assert one.boxes.tobytes() == first.boxes.tobytes()
 
 
@@ -254,8 +253,8 @@ def test_scene_io_round_trip(tmp_path):
         assert a.encoder_seed == b.encoder_seed
         assert a.d == b.d
         assert a.track_ids == b.track_ids
-        assert np.array_equal(a.points.xy, b.points.xy)
-        assert np.array_equal(a.points.feat, b.points.feat)
+        assert np.array_equal(a.xy, b.xy)
+        assert np.array_equal(a.feat, b.feat)
         assert a.boxes.tobytes() == b.boxes.tobytes()
 
 
@@ -418,7 +417,7 @@ def test_read_scenes_peak_memory_follows_the_arrays(tmp_path):
     finally:
         if not was_tracing:
             tracemalloc.stop()
-    assert len(frame.points) == 6000
+    assert len(frame.xy) == 6000
     assert peak < 6.5 * 2**20
 
 
@@ -459,12 +458,30 @@ def test_read_scenes_rejects_a_non_finite_timestamp(tmp_path, line, timestamp):
     ("bounds", math.nan, "bounds must be positive and finite, got nan"),
     ("bounds", math.inf, "bounds must be positive and finite, got inf"),
     ("bounds", 0.0, "bounds must be positive and finite, got 0.0"),
+    ("bounds", 1e308, r"^bounds 1e\+308 overflows the scene span 2 \* bounds$"),
     ("noise_sigma", math.nan, "noise_sigma must be non-negative and finite, got nan"),
     ("noise_sigma", math.inf, "noise_sigma must be non-negative and finite, got inf"),
 ])
 def test_scene_config_rejects_bad_bounds_and_noise(field_name, value, message):
     with pytest.raises(ValueError, match=message):
         SceneConfig(**{field_name: value})
+
+
+def test_read_scenes_rejects_a_d_that_disagrees_with_the_feature_width(tmp_path):
+    # The file's d comes from outside the program, so the reader checks it
+    # against the points it holds.
+    path = tmp_path / "wide.jsonl"
+    cfg = SceneConfig(n_objects=1, points_per_object=4, background_points=2)
+    write_scenes(generate_sequence(cfg, 2, 0.5, make_rng(3)), path)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[0])
+    assert rec["d"] == 16 and {len(p["f"]) for p in rec["points"]} == {16}
+    rec["d"] = 17
+    lines[0] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_scenes(path)
+    assert str(info.value) == f"{path}:1: malformed frame record (feature width disagrees with d)"
 
 
 @pytest.mark.parametrize("interval", [math.nan, math.inf, 0.0, -0.5])
@@ -489,7 +506,7 @@ def test_read_scenes_skips_blank_lines_and_counts_them(tmp_path):
     back = read_scenes(path)
     assert [f.timestamp for f in back] == [0.0, 0.5]
     for a, b in zip(seq, back):
-        assert np.array_equal(a.points.feat, b.points.feat)
+        assert np.array_equal(a.feat, b.feat)
 
 
 @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
@@ -505,12 +522,11 @@ def test_read_scenes_reads_utf8_lines_under_every_line_end(tmp_path, end):
     assert [f.timestamp for f in back] == [f.timestamp for f in seq]
     for a, b in zip(seq, back):
         assert a.boxes.tobytes() == b.boxes.tobytes()
-        assert a.points.feat.tobytes() == b.points.feat.tobytes()
+        assert a.feat.tobytes() == b.feat.tobytes()
 
 
 def test_writers_emit_no_non_json_token(tmp_path):
-    frame = frame_of(np.zeros((0, 9)))
-    frame.points = PointSet([[0.0, 0.0]], [[math.inf] + [0.0] * 15])
+    frame = Frame(0.0, np.zeros((0, 9)), [], [[0.0, 0.0]], [[math.inf] + [0.0] * 15], 0)
     with pytest.raises(ValueError, match="not JSON compliant"):
         write_scenes([frame], tmp_path / "s.jsonl")
     dets = [DetectionFrame(0.0, [Detection(0, [1.0] * 9, math.nan, 0)])]

@@ -92,6 +92,26 @@ def test_an_overflowing_noise_sigma_exits_one_and_writes_nothing(tmp_path, capsy
     assert not out.exists() and not run_dir.exists()
 
 
+def test_bounds_whose_span_overflows_exit_one_and_write_nothing(tmp_path, capsys):
+    # simulate and pipeline once ended as "runtime failure: OverflowError",
+    # exit 2; detect exited 0 with every pillar center at inf and no
+    # detection in any frame.
+    scenes, out, run_dir = tmp_path / "s.jsonl", tmp_path / "out.jsonl", tmp_path / "run"
+    assert run(simulate_args(scenes)) == 0
+    for argv in (
+        ["simulate", "--bounds", "1e308", "--out", str(out)],
+        ["pipeline", "--bounds", "1e308", "--out-dir", str(run_dir)],
+        detect_args(scenes, out, extra=("--bounds", "1e308")),
+    ):
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: bounds 1e+308 overflows the scene span 2 * bounds\n")
+    assert not out.exists() and not run_dir.exists()
+    assert run(["simulate", "--bounds", "1e154", "--frames", "1", "--out", str(out)]) == 0
+    assert run(detect_args(scenes, out, extra=("--bounds", "1e154"))) == 0
+
+
 def test_a_scene_without_objects_needs_no_margin(tmp_path, capsys):
     # Object centers keep 5 m off the scene edge, which bounds 5 leave no
     # room for; a background-only scene places no center.
@@ -101,8 +121,8 @@ def test_a_scene_without_objects_needs_no_margin(tmp_path, capsys):
     frames = read_scenes(out)
     assert len(frames) == 2
     for frame in frames:
-        assert frame.boxes.shape == (0, 9) and len(frame.points) == 60
-        assert np.all(np.abs(frame.points.xy) <= 5.0)
+        assert frame.boxes.shape == (0, 9) and len(frame.xy) == 60
+        assert np.all(np.abs(frame.xy) <= 5.0)
     one = tmp_path / "one.jsonl"
     capsys.readouterr()
     assert run(["simulate", "--bounds", "5", "--objects", "1", "--out", str(one)]) == 1
@@ -404,6 +424,17 @@ def test_config_file_malformed_line_exits_one(tmp_path):
     cfg.write_text("frames 2\n")
     assert run(["simulate", "--config", str(cfg), "--seed", "5",
                 "--out", str(tmp_path / "s.jsonl")]) == 1
+
+
+def test_config_file_byte_that_is_not_utf8_exits_one_with_its_line(tmp_path, capsys):
+    # The whole file was once decoded as strict UTF-8: "'utf-8' codec can't
+    # decode byte 0xff in position 19", naming neither the file nor the line.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"frames = 2\n# \xc3\xa9 \xff\n")
+    out = tmp_path / "s.jsonl"
+    assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:2: byte 0xff at character 5 is not UTF-8\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- exit codes
@@ -890,6 +921,8 @@ CLI_VALUES = {
     "repeats": (["3"], ["1"]),
     "temporal": (["true", "false"], ["maybe"]),
 }
+# Extremes every float option also draws when it is broken.
+EXTREME_FLOATS = ["1e308", "-1e308", "5e-324", "-0.0", "inf", "nan"]
 ALWAYS = {"frames", "objects", "points_per_object", "background_points", "grid_nx", "grid_ny",
           "cases", "fit_steps", "n_min", "n_max", "repeats", "out", "report", "out_dir"}
 
@@ -907,7 +940,8 @@ def small_inputs(tmp_path_factory):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_main_exits_zero_one_or_two(tmp_path, capsys, small_inputs, data):
-    # Any argv and --config file: 0 on success, else 1 or 2 with a message.
+    # Any argv and --config file: 0 on success, else an exit code with a
+    # message, and never a runtime failure (the unexpected exit 2).
     scenes, dets = small_inputs
     outs = [tmp_path / "out"], [tmp_path / "no-dir" / "out", tmp_path]
     values = {**CLI_VALUES, "scenes": ([scenes], [dets, tmp_path / "missing"]),
@@ -922,6 +956,8 @@ def test_main_exits_zero_one_or_two(tmp_path, capsys, small_inputs, data):
     broken = data.draw(st.sets(st.sampled_from([a.dest for a in actions] or [""]), max_size=2))
     for action in actions:
         valid, invalid = values[action.dest]
+        if action.type is float:
+            invalid = [*invalid, *EXTREME_FLOATS]
         choices = valid + invalid if action.dest in broken else valid
         pick = st.sampled_from([str(v) for v in choices])
         where = data.draw(st.sampled_from(
@@ -946,3 +982,4 @@ def test_main_exits_zero_one_or_two(tmp_path, capsys, small_inputs, data):
     err = capsys.readouterr().err
     assert code in (0, 1, 2), argv
     assert code == 0 or err, argv
+    assert "runtime failure:" not in err, (argv, config, err)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -91,6 +92,28 @@ def test_init_pillars_rejects_a_bad_half_extent(value):
         init_pillars(3, 3, value)
 
 
+def test_init_pillars_rejects_a_half_extent_whose_span_overflows():
+    # The scene's rule: every pillar center was once inf.
+    with pytest.raises(ValueError, match=r"^bounds 1e\+308 overflows the scene span 2 \* bounds$"):
+        init_pillars(3, 3, 1e308)
+
+
+@pytest.mark.parametrize("bounds", [50.0, 30.0, 12.0, 7.3, 0.1, 1e-200, 1e154])
+def test_init_pillars_centers_are_the_direct_formula(bounds):
+    for n in range(1, 25):
+        want = -bounds + (np.arange(n) + 0.5) * (2.0 * bounds) / n
+        assert init_pillars(n, 2, bounds)[:n, 0].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bounds", [5e307, sys.float_info.max / 2.0])
+def test_init_pillars_near_the_float_maximum_stay_finite(bounds):
+    # (i + 0.5) * 2 * bounds once overflowed: the far centers were inf, with
+    # a numpy overflow warning.
+    xs = init_pillars(10, 10, bounds)[:10, 0]
+    assert np.isfinite(xs).all() and (np.diff(xs) > 0.0).all()
+    assert -bounds < xs[0] and xs[-1] < bounds
+
+
 # ---------------------------------------------------------------- gather
 
 
@@ -102,7 +125,7 @@ def test_gather_matches_brute_force():
         center = rng.uniform(-50, 50, size=2)
         radius = float(rng.uniform(2, 15))
         got = gather_neighborhood(fr, center, radius)
-        dist = np.linalg.norm(fr.points.xy - center, axis=1)
+        dist = np.linalg.norm(fr.xy - center, axis=1)
         want = np.flatnonzero(dist <= radius)
         assert got.tolist() == want.tolist()
 
@@ -110,7 +133,7 @@ def test_gather_matches_brute_force():
 def test_gather_boundary_inclusive():
     cfg = SceneConfig(n_objects=1, background_points=0, noise_sigma=0.0)
     fr = generate_sequence(cfg, 1, 0.5, make_rng(2))[0]
-    pt = fr.points.xy[0]
+    pt = fr.xy[0]
     center = pt + np.array([3.0, 0.0])
     got = gather_neighborhood(fr, center, 3.0)
     assert 0 in got.tolist()

@@ -8,10 +8,11 @@ suppression that checks one kept detection at a time.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qebev.bevscene import Frame, PointSet
+from qebev.bevscene import Frame
 from qebev.dqem import Detection, dedup_detections, gather_neighborhood
 
 
@@ -38,8 +39,8 @@ def pairwise_dedup(dets, radius):
 def frame_at(xy):
     """A frame of points at ``xy``, all with the same features."""
     xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
-    return Frame(timestamp=0.0, boxes=np.zeros((0, 9)), track_ids=[], points=PointSet(xy, np.ones((len(xy), 2))),
-                 encoder_seed=0, d=2)
+    return Frame(timestamp=0.0, boxes=np.zeros((0, 9)), track_ids=[], xy=xy,
+                 feat=np.ones((len(xy), 2)), encoder_seed=0)
 
 
 def make_rng_points(n, seed=5):
@@ -88,7 +89,7 @@ def test_indexed_gather_matches_scan_in_point_order(case):
     frame = frame_at(xy)
     for center in centers:
         with np.errstate(all="ignore"):  # inf - inf and overflowing squares
-            want = scan_gather_indices(frame.points.xy, center, radius)
+            want = scan_gather_indices(frame.xy, center, radius)
             got = gather_neighborhood(frame, np.array(center), radius)
         assert got.tolist() == want.tolist()
 
@@ -102,11 +103,26 @@ def test_gather_builds_one_index_per_radius_and_follows_new_points():
     index = frame.cell_index[8.0]
     gather_neighborhood(frame, np.zeros(2), 8.0)
     assert frame.cell_index[8.0] is index
-    frame.points = frame_at(make_rng_points(50) + 100.0).points
+    moved = frame_at(make_rng_points(50) + 100.0)
+    frame.xy, frame.feat = moved.xy, moved.feat
     got = gather_neighborhood(frame, np.array([100.0, 100.0]), 8.0)
     assert frame.cell_index[8.0] is not index
     assert got.tolist() == scan_gather_indices(
-        frame.points.xy, [100.0, 100.0], 8.0).tolist()
+        frame.xy, [100.0, 100.0], 8.0).tolist()
+
+
+def test_frame_xy_is_a_read_only_copy_so_no_write_leaves_the_index_stale():
+    # The cell index is keyed by the identity of xy, so an in-place write
+    # once left it stale: after xy[1] = (1, 1) the gather still returned
+    # [0] while a scan over every point returned [0, 1].
+    mine = np.array([[0.0, 0.0], [100.0, 100.0]])
+    frame = frame_at(mine)
+    assert mine.flags.writeable and not np.shares_memory(mine, frame.xy)
+    assert gather_neighborhood(frame, np.zeros(2), 8.0).tolist() == [0]
+    with pytest.raises(ValueError, match="read-only"):
+        frame.xy[1] = [1.0, 1.0]
+    mine[1] = [1.0, 1.0]
+    assert gather_neighborhood(frame, np.zeros(2), 8.0).tolist() == [0]
 
 
 @st.composite

@@ -21,7 +21,6 @@ from hypothesis.extra.numpy import arrays
 from qebev.bevscene import (
     ATTR_DIM,
     Frame,
-    PointSet,
     SceneConfig,
     generate_sequence,
     read_scenes,
@@ -65,10 +64,9 @@ def scene_frames(draw):
             boxes=np.array(rows).reshape(-1, ATTR_DIM),
             track_ids=draw(st.lists(st.integers(-2**63, 2**63), min_size=len(rows),
                                     max_size=len(rows))),
-            points=PointSet(draw(arrays(np.float64, (n, 2), elements=finite)),
-                            draw(arrays(np.float64, (n, d), elements=finite))),
+            xy=draw(arrays(np.float64, (n, 2), elements=finite)),
+            feat=draw(arrays(np.float64, (n, d), elements=finite)),
             encoder_seed=draw(st.integers(0, 2**64 - 1)),
-            d=d,
         ))
     return frames
 
@@ -84,8 +82,8 @@ def test_scene_file_round_trips_bit_for_bit(frames):
     for a, b in zip(frames, back):
         assert same_bits(a.timestamp, b.timestamp)
         assert (a.encoder_seed, a.d, a.track_ids) == (b.encoder_seed, b.d, b.track_ids)
-        assert same_bits(a.points.xy, b.points.xy)
-        assert same_bits(a.points.feat, b.points.feat)
+        assert same_bits(a.xy, b.xy)
+        assert same_bits(a.feat, b.feat)
         assert a.boxes.shape == b.boxes.shape == (len(a.track_ids), ATTR_DIM)
         # Reading wraps the written yaw; every other channel reads as written.
         assert same_bits(np.delete(a.boxes, 6, axis=1), np.delete(b.boxes, 6, axis=1))
@@ -192,8 +190,8 @@ def check_scene(frame, rec):
         assert len(values) == 9 and type(values[6]) in (int, float)
         assert all(map(is_number, values[:6] + values[7:], read[:6] + read[7:]))
         assert wrap_angle(values[6]) == read[6]  # reading wraps the yaw
-    assert type(rec["points"]) is list and len(frame.points) == len(rec["points"])
-    for p, xy, f in zip(rec["points"], frame.points.xy.tolist(), frame.points.feat.tolist()):
+    assert type(rec["points"]) is list and len(frame.xy) == len(rec["points"])
+    for p, xy, f in zip(rec["points"], frame.xy.tolist(), frame.feat.tolist()):
         assert len(p["xy"]) == 2 and len(p["f"]) == len(f) == rec["d"]
         assert all(map(is_number, p["xy"] + p["f"], xy + f))
 
@@ -246,7 +244,7 @@ def test_an_edited_line_is_refused_with_its_place_or_read_as_written(case):
     assert is_number(lines[1]["timestamp"], frames[1].timestamp)
     if kind == "scenes":
         for f in frames:
-            assert np.isfinite(f.points.xy).all() and np.isfinite(f.points.feat).all()
+            assert np.isfinite(f.xy).all() and np.isfinite(f.feat).all()
             assert f.boxes.shape[1:] == (ATTR_DIM,) and np.isfinite(f.boxes).all()
             assert (f.boxes[:, 3:6] > 0).all()
         check_scene(frames[1], lines[1])

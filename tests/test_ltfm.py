@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 import qebev.dqem
 import qebev.ltfm
-from qebev.bevscene import Frame, PointSet, SceneConfig, generate_sequence
+from qebev.bevscene import Frame, SceneConfig, generate_sequence
 from qebev.dqem import (
     Detection,
     DqemParams,
@@ -138,6 +138,15 @@ def test_velocity_backtracks_with_channel_prediction():
     v = _velocity_estimate(cur, positions([wrong, right]), dt=1.0)
     v_mot = (np.array([0.0, 0.0]) - np.array([-3.8, 0.0])) / dt
     assert np.allclose(v, 0.5 * (v_mot + np.array([4.0, 0.0])), atol=1e-12)
+
+
+@pytest.mark.parametrize("dt", [5e-324, 1e154, 1e300])
+def test_velocity_over_a_gap_that_overflows_uses_channel(dt):
+    # A frame interval of 5e-324 or 1e154 once ended a pipeline run as a
+    # numpy overflow warning, from the track delta or the back projection.
+    cur = det_at(0.001, 0.0, vx=3.0, vy=0.0, frame=2)
+    v = _velocity_estimate(cur, positions([det_at(0.0, 0.0, frame=0)]), dt=dt)
+    assert v.tolist() == [3.0, 0.0]
 
 
 def test_velocity_gate_default():
@@ -461,7 +470,7 @@ def degenerate_frames(draw):
         xy = draw(arrays(np.float64, (n, 2), elements=st.one_of(NEAR, ANY_FINITE)))
         feat = draw(arrays(np.float64, (n, d), elements=st.one_of(
             st.floats(-3.0, 3.0), ANY_FINITE, st.sampled_from([1e150, -1e154, 1e300]))))
-    return Frame(0.0, np.zeros((0, 9)), [], PointSet(xy, feat), draw(st.integers(0, 2**32)), d)
+    return Frame(0.0, np.zeros((0, 9)), [], xy, feat, draw(st.integers(0, 2**32)))
 
 
 def finished(run):
