@@ -31,7 +31,7 @@ from .dqem import (
     read_detections,
     write_detections,
 )
-from .evalkit import evaluate_detections, write_report
+from .evalkit import TP_THRESHOLD, evaluate_detections, write_report
 from .ltfm import TemporalParams, run_sequence
 from .numerics import derive_seed, make_rng
 
@@ -259,7 +259,7 @@ def _run_eval(args: argparse.Namespace) -> int:
         },
     )
     write_report(report, args.report)
-    print(json.dumps(report.as_dict(), sort_keys=True))
+    print(json.dumps(report.as_dict(), sort_keys=True, allow_nan=False))
     return 0
 
 
@@ -359,7 +359,7 @@ def _run_pipeline(args: argparse.Namespace) -> int:
         },
     )
     write_report(report, report_path)
-    print(json.dumps(report.as_dict(), sort_keys=True))
+    print(json.dumps(report.as_dict(), sort_keys=True, allow_nan=False))
     return 0
 
 
@@ -389,7 +389,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--dets", required=True, help="detection JSONL")
     p.add_argument("--scenes", required=True, help="scene JSONL")
     p.add_argument("--report", required=True, help="output report JSON path")
-    p.add_argument("--tp-threshold", type=float, default=2.0)
+    p.add_argument("--tp-threshold", type=float, default=TP_THRESHOLD)
     p.set_defaults(func=_run_eval)
     registry["eval"] = p
 
@@ -418,7 +418,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     _add_scene_args(p)
     _add_detect_args(p)
     p.add_argument("--out-dir", default="qebev-run", help="directory for the artifacts")
-    p.add_argument("--tp-threshold", type=float, default=2.0)
+    p.add_argument("--tp-threshold", type=float, default=TP_THRESHOLD)
     p.add_argument("--no-temporal", dest="temporal", action="store_false",
                    help="run every frame independently")
     p.set_defaults(func=_run_pipeline, temporal=True)

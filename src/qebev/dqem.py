@@ -49,7 +49,6 @@ __all__ = [
     "diversity_loss",
     "diversity_loss_grad",
     "fit_projections",
-    "extract_detections",
     "dedup_detections",
     "write_detections",
     "read_detections",
@@ -739,20 +738,6 @@ class DetectionFrame:
     timestamp: float
     detections: list[Detection]
     fused: bool | None = None
-
-
-def extract_detections(traces: list[EvolutionTrace], frame_index: int = 0) -> list[Detection]:
-    """Detections from evolved queries: healthy queries become boxes.
-
-    The confidence is the query's ``score``, the attention concentration of
-    its final round; queries flagged empty, degenerate, or background are
-    dropped.
-    """
-    return [
-        Detection(frame=frame_index, box=trace.attrs, score=trace.score, query_id=qi)
-        for qi, trace in enumerate(traces)
-        if not trace.flag
-    ]
 
 
 def dedup_detections(dets: list[Detection], radius: float) -> list[Detection]:

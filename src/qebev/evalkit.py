@@ -129,15 +129,24 @@ def match_detections(
     """Optimal one-to-one matching on BEV center distance: (p, 2) pred/gt
     index pairs.
 
-    Pairs farther apart than ``threshold`` are discarded after assignment.
+    Pairs farther apart than ``threshold`` are discarded after assignment,
+    and so is every pair whose distance overflows: it matches at no
+    threshold.
     """
     if not threshold > 0.0:
         raise ValueError("threshold must be positive")
     p = np.asarray(pred_boxes, dtype=np.float64).reshape(-1, 9)
     g = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 9)
-    diff = p[:, None, :2] - g[None, :, :2]
-    dist = np.sqrt(np.einsum("pgd,pgd->pg", diff, diff))
-    pairs = hungarian_assign(dist)
+    with np.errstate(over="ignore"):
+        diff = p[:, None, :2] - g[None, :, :2]
+        dist = np.sqrt(np.einsum("pgd,pgd->pg", diff, diff))
+    cost = dist
+    finite = np.isfinite(dist)
+    if not finite.all():
+        # A cost above every finite one summed: the assignment takes a
+        # non-finite pair only where no finite one is left.
+        cost = np.where(finite, dist, dist[finite].sum() + 1.0)
+    pairs = hungarian_assign(cost)
     keep = dist[pairs[:, 0], pairs[:, 1]] <= threshold
     return pairs[keep]
 
@@ -172,7 +181,10 @@ def tp_errors(
     aoe = float(dtheta.mean())
 
     vel = np.asarray(pred_velocity, dtype=np.float64).reshape(-1, 2)[pi]
-    ave = float(np.linalg.norm(vel - gm[:, 7:9], axis=1).mean())
+    # A velocity far from the truth (a fused one near 1e200 m/s) has an
+    # error that overflows: infinite, which NDS caps at 1.
+    with np.errstate(over="ignore"):
+        ave = float(np.linalg.norm(vel - gm[:, 7:9], axis=1).mean())
 
     return dict(zip(TP_KEYS, (ate, ase, aoe, ave, 0.0)))
 
@@ -185,8 +197,9 @@ def average_precision(
     """AP at one center-distance threshold, 101-point interpolated.
 
     Detections across all frames are ranked by score and matched greedily
-    to the nearest free ground truth of their own frame.  Returns None when
-    there is no ground truth at all.
+    to the nearest free ground truth of their own frame; a detection whose
+    distances overflow matches none and counts as a false positive.
+    Returns None when there is no ground truth at all.
     """
     n_gt = sum(g.shape[0] for g in gt_frames)
     if n_gt == 0:
@@ -203,7 +216,8 @@ def average_precision(
         free = np.flatnonzero(~taken[det.frame])
         matched = False
         if free.size:
-            dists = np.linalg.norm(g[free, :2] - det.box[:2], axis=1)
+            with np.errstate(over="ignore"):
+                dists = np.linalg.norm(g[free, :2] - det.box[:2], axis=1)
             best = int(np.argmin(dists))
             if dists[best] <= threshold:
                 taken[det.frame][free[best]] = True
@@ -239,8 +253,10 @@ class EvalReport:
     config: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
+        """The report as JSON values: an infinite TP error, which JSON
+        cannot hold, as its string ("inf")."""
         rec: dict = {"mAP": self.map_}
-        rec.update(self.tp)
+        rec.update({k: v if math.isfinite(v) else str(v) for k, v in self.tp.items()})
         rec["NDS"] = self.nds_
         rec["per_threshold_AP"] = {f"{t:g}": ap for t, ap in self.per_threshold_ap.items()}
         rec["config"] = self.config
@@ -313,5 +329,5 @@ def evaluate_detections(
 
 def write_report(report: EvalReport, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.as_dict(), fh, sort_keys=True, indent=2)
+        json.dump(report.as_dict(), fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")

@@ -29,7 +29,6 @@ from .dqem import (
     EvolutionTrace,
     aggregate_over_centers,
     blend_and_rescale,
-    extract_detections,
     gather_neighborhood,
     kmeans,
 )
@@ -294,14 +293,18 @@ def iter_sequence(
             tparams.alpha if fused else 0.0, carries if fused else None,
         )
 
-        detections = extract_detections(traces, frame_index=t)
+        # Healthy queries become detections, scored by their final round's
+        # attention concentration; flagged ones are dropped.
+        healthy = [(qi, trace) for qi, trace in enumerate(traces) if not trace.flag]
+        boxes = np.array([trace.attrs for _, trace in healthy]).reshape(-1, 9)
+        velocities = repeat(None)
         if tparams is not None:
-            detections = [
-                replace(det, velocity=_velocity_estimate(det, prev_xy, dt))
-                for det in detections
-            ]
-            xy = np.array([det.box[:2] for det in detections]).reshape(-1, 2)
-            recent.append((frame.timestamp, xy))
+            velocities = _velocity_estimate(boxes, prev_xy, dt)
+            recent.append((frame.timestamp, boxes[:, :2]))
+        detections = [
+            Detection(t, box, trace.score, qi, velocity)
+            for (qi, trace), box, velocity in zip(healthy, boxes, velocities)
+        ]
         fused_out = fused if tparams is not None else None
         yield DetectionFrame(frame.timestamp, detections, fused_out), traces
 
@@ -324,29 +327,29 @@ BACKTRACK_GATE = 3.0
 
 
 def _velocity_estimate(
-    det: Detection,
+    boxes: np.ndarray,
     prev_xy: np.ndarray,
     dt: float,
 ) -> np.ndarray:
-    """Average the decoded velocity channels with a track position delta.
+    """Average each box's decoded velocity channels with a track position
+    delta: the (m, 2) velocities of the (m, 9) rows of ``boxes``.
 
-    The detection is projected back by its channel velocity over ``dt``,
-    the seconds since the earlier detections, whose positions are the rows
-    of ``prev_xy`` (m, 2); the nearest earlier detection within the gate is
+    Each box is projected back by its channel velocity over ``dt``, the
+    seconds since the earlier detections, whose positions are the rows of
+    ``prev_xy`` (n, 2); the nearest earlier detection within the gate is
     taken as the same physical track.  Grid queries
     alone cannot serve as tracks since an object crossing cells changes
     which query sees it.  With no earlier
     detection inside the gate, or a ``dt`` so long or so short that the
     projection or the average overflows, the decoded channels stand alone.
     """
-    v_chan = det.box[7:9]
+    v_chan = boxes[:, 7:9]
     if not len(prev_xy):
-        return np.array(v_chan)
-    cur = det.box[:2]
+        return v_chan.copy()
+    cur = boxes[:, :2]
     with np.errstate(over="ignore", invalid="ignore"):
-        gaps = np.linalg.norm(prev_xy - (cur - v_chan * dt), axis=1)
-        j = int(np.argmin(gaps))
+        gaps = np.linalg.norm(prev_xy - (cur - v_chan * dt)[:, None], axis=2)
+        j = np.argmin(gaps, axis=1)
         fused = 0.5 * ((cur - prev_xy[j]) / dt + v_chan)
-    if not (gaps[j] <= BACKTRACK_GATE and np.isfinite(fused).all()):
-        return np.array(v_chan)
-    return fused
+    keep = (gaps[np.arange(len(j)), j] <= BACKTRACK_GATE) & np.isfinite(fused).all(axis=1)
+    return np.where(keep[:, None], fused, v_chan)

@@ -983,3 +983,84 @@ def test_main_exits_zero_one_or_two(tmp_path, capsys, small_inputs, data):
     assert code in (0, 1, 2), argv
     assert code == 0 or err, argv
     assert "runtime failure:" not in err, (argv, config, err)
+
+
+def strict_json(text):
+    """``json.loads`` that refuses the non-JSON tokens Infinity and NaN."""
+    def refuse(token):
+        raise ValueError(f"non-JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+# A frame interval of 1e-200 once made a fused velocity of about 1e200 m/s,
+# whose error overflowed in evaluation; 1e154 and 1e-300 sit at the edges of
+# squaring and of division.
+DEEP_FLOATS = [*EXTREME_FLOATS, "1e-200", "1e154", "1e-300"]
+
+
+PIPELINE_FLOATS = [a.option_strings[-1] for a in build_parser()[1]["pipeline"]._actions
+                   if a.type is float]
+
+
+@pytest.mark.parametrize("option", PIPELINE_FLOATS)
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(value=st.sampled_from(DEEP_FLOATS), seed=st.integers(0, 3), frames=st.integers(2, 3))
+def test_pipeline_with_one_extreme_float_exits_zero_or_one(tmp_path, capsys, option, value,
+                                                          seed, frames):
+    # A small valid fused run with one float option at an extreme either
+    # refuses it (exit 1) or finishes with a strict-JSON report and
+    # stdout line; the extreme never ends a run deep inside numpy.
+    out_dir = tmp_path / "run"
+    argv = ["pipeline", "--seed", str(seed), "--frames", str(frames), "--stride", "1",
+            "--grid-nx", "3", "--grid-ny", "3", f"{option}={value}", "--out-dir", str(out_dir)]
+    capsys.readouterr()
+    code = run(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 1), (argv, err)
+    assert "runtime failure:" not in err, (argv, err)
+    if code == 0:
+        assert strict_json(out) == strict_json((out_dir / "report.json").read_text())
+
+
+def test_an_overflowing_fused_velocity_reports_an_infinite_mave(tmp_path, capsys):
+    # At a 1e-200 s frame interval a fused velocity is finite but its error
+    # against the ground truth overflows: mAVE is infinite, echoed as "inf",
+    # and NDS caps the term at 1.
+    argv = ["pipeline", "--seed", "1", "--frames", "3", "--grid-nx", "3", "--grid-ny", "3",
+            "--interval", "1e-200", "--out-dir", str(tmp_path)]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    report = strict_json((tmp_path / "report.json").read_text())
+    assert strict_json(out) == report
+    assert report["mAVE"] == "inf"
+    assert 0.0 < report["NDS"] < 1.0
+
+
+def test_eval_scores_a_detection_whose_distance_overflows_as_far_away(tmp_path, capsys):
+    # A detection moved to x = 1e200, where every center distance overflows,
+    # scores as one moved to a finite x beyond every threshold: a false
+    # positive at each, matched by no ground truth.
+    scenes, dets = tmp_path / "scenes.jsonl", tmp_path / "dets.jsonl"
+    assert run(simulate_args(scenes)) == 0
+    assert run(detect_args(scenes, dets)) == 0
+    lines = dets.read_text().splitlines()
+    rec = json.loads(lines[0])
+    gt = read_scenes(scenes)[0].boxes[0]
+    rec["detections"][0]["box"][:2] = gt[:2].tolist()
+    capsys.readouterr()
+    reports = []
+    for x in (None, 1e6, 1e200):
+        if x is not None:
+            rec["detections"][0]["box"][0] = x
+        moved = tmp_path / f"dets-{x}.jsonl"
+        moved.write_text("\n".join([json.dumps(rec), *lines[1:]]) + "\n")
+        report = tmp_path / f"report-{x}.json"
+        assert run(["eval", "--dets", str(moved), "--scenes", str(scenes),
+                    "--report", str(report)]) == 0
+        assert strict_json(capsys.readouterr().out)["mAP"] is not None
+        rep = strict_json(report.read_text())
+        reports.append({k: v for k, v in rep.items() if k != "config"})
+    on_gt, far, overflow = reports
+    assert overflow == far
+    assert far["mAP"] < on_gt["mAP"]

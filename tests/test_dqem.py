@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from qebev.dqem import (
     dedup_detections,
     diversity_loss,
     diversity_loss_grad,
-    extract_detections,
     fit_projections,
     gather_neighborhood,
     init_pillars,
@@ -24,7 +24,7 @@ from qebev.dqem import (
     read_detections,
     write_detections,
 )
-from qebev.ltfm import evolve_queries
+from qebev.ltfm import TemporalParams, evolve_queries, iter_sequence
 from qebev.numerics import make_rng, softmax
 
 
@@ -458,13 +458,17 @@ def test_evolve_empty_neighborhood_flagged():
     params = DqemParams()
     traces = evolve_queries([start], fr, params, make_rng(1))
     assert traces[0].flag == "empty" and traces[0].attrs is start
-    assert extract_detections(traces) == []
+    [(out, traces)] = iter_sequence([fr], params, None, make_rng(1), np.array([start]))
+    assert traces[0].flag == "empty" and out.detections == []
 
 
 def test_evolve_an_empty_query_grid_returns_no_queries():
     fr = generate_sequence(SceneConfig(n_objects=1), 1, 0.5, make_rng(2))[0]
     assert evolve_queries([], fr, DqemParams(), make_rng(1)) == []
-    assert extract_detections([]) == []
+    for tparams in (None, TemporalParams(stride=1)):
+        frames = [fr, replace(fr, timestamp=1.0)]
+        out = list(iter_sequence(frames, DqemParams(), tparams, make_rng(1), np.zeros((0, 9))))
+        assert [(o.detections, traces) for o, traces in out] == [([], [])] * 2
 
 
 def test_evolve_deterministic():
@@ -499,11 +503,16 @@ def test_a_healthy_query_scores_its_detection(iterations):
     # A detection's confidence is its query's score: the largest attention
     # weight of the final round, or 0.0 when no round ran.
     fr = generate_sequence(SceneConfig(n_objects=3), 1, 0.5, make_rng(14))[0]
-    traces = evolve_queries(init_pillars(4, 4, 50.0), fr, DqemParams(iterations=iterations),
-                            make_rng(9))
-    dets = extract_detections(traces)
+    [(out, traces)] = iter_sequence([fr], DqemParams(iterations=iterations), None, make_rng(9),
+                                    init_pillars(4, 4, 50.0))
+    dets = out.detections
     assert dets
+    # The healthy queries become the detections, in query order, each at
+    # its final box; flagged queries are dropped.
+    assert [det.query_id for det in dets] == [qi for qi, tr in enumerate(traces) if not tr.flag]
     for det in dets:
+        assert det.frame == 0 and det.velocity is None
+        assert det.box.tobytes() == traces[det.query_id].attrs.tobytes()
         assert det.score == traces[det.query_id].score
         assert 0.0 < det.score <= 1.0 if iterations else det.score == 0.0
 

@@ -135,6 +135,28 @@ def test_match_empty_inputs():
     assert match_detections(np.stack([box(0, 0)]), np.zeros((0, 9)), 2.0).shape == (0, 2)
 
 
+@pytest.mark.parametrize("threshold", [0.5, 4.0, 1e308])
+def test_match_a_pred_whose_distances_overflow_matches_nothing(threshold):
+    # Pred 0's distances overflow at x = 1e200 and pred 2's at -1e200; pred
+    # 1 still takes its own gt. A tall matrix leaves the overflowing preds
+    # out of the assignment, a wide one gives them the leftover gts.
+    gt = np.stack([box(0.0, 0), box(9.0, 0)])
+    pred = np.stack([box(1e200, 0), box(0.1, 0), box(-1e200, 0)])
+    assert match_detections(pred, gt, threshold).tolist() == [[1, 0]]
+    assert match_detections(pred[:2], gt, threshold).tolist() == [[1, 0]]
+    assert match_detections(pred[:1], gt[:1], threshold).shape == (0, 2)
+
+
+def test_average_precision_counts_a_detection_whose_distance_overflows_as_false():
+    gt = [np.stack([box(0.0, 0)])]
+    near = Detection(frame=0, box=box(0.1, 0), score=0.5, query_id=1)
+    for x in (50.0, 1e200):
+        far = Detection(frame=0, box=box(x, 0), score=0.9, query_id=0)
+        assert average_precision([far], gt, 1.0) == 0.0
+        assert average_precision([far, near], gt, 1.0) == average_precision(
+            [Detection(0, box(50.0, 0), 0.9, 0), near], gt, 1.0)
+
+
 # ---------------------------------------------------------------- tp errors
 
 
@@ -329,6 +351,25 @@ def test_matchers_reject_a_threshold_that_is_not_positive(threshold):
     boxes = np.zeros((1, 9))
     with pytest.raises(ValueError, match="threshold must be positive"):
         match_detections(boxes, boxes, threshold)
+
+
+def test_an_overflowing_error_is_reported_as_a_string_and_capped_in_nds(tmp_path):
+    # A fused velocity far out of range makes the velocity error overflow:
+    # mAVE is infinite, the report holds the string "inf" (strict JSON), and
+    # NDS counts the term as 1 like any error at or above 1.
+    det_frames, scene_frames = perfect_run()
+    det_frames[0].detections[0].velocity = np.array([1e300, 0.0])
+    det_frames[1].detections[0].velocity = np.array([-1e300, 0.0])
+    rep = evaluate_detections(det_frames, scene_frames)
+    assert rep.tp["mAVE"] == math.inf
+    assert rep.nds_ == pytest.approx(0.9, abs=1e-12)
+    write_report(rep, str(tmp_path / "r.json"))
+
+    def refuse(token):
+        raise ValueError(token)
+
+    rec = json.loads((tmp_path / "r.json").read_text(), parse_constant=refuse)
+    assert rec["mAVE"] == "inf" and rec["mATE"] == 0.0
 
 
 def test_evaluate_config_echo_and_determinism():

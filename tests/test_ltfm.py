@@ -104,16 +104,21 @@ def positions(dets):
     return np.array([d.box[:2] for d in dets]).reshape(-1, 2)
 
 
+def rows(dets):
+    # The (m, 9) box rows of one frame that iter_sequence hands _velocity_estimate.
+    return np.array([d.box for d in dets]).reshape(-1, 9)
+
+
 def test_velocity_no_history_uses_channel():
     d = det_at(5.0, 5.0, vx=2.0, vy=-1.0)
-    v = _velocity_estimate(d, positions([]), dt=1.0)
+    v = _velocity_estimate(rows([d]), positions([]), dt=1.0)[0]
     assert np.allclose(v, [2.0, -1.0])
 
 
 def test_velocity_gate_exceeded_uses_channel():
     d = det_at(0.0, 0.0, vx=1.0, vy=0.0)
     far = [det_at(50.0, 50.0, frame=0)]
-    v = _velocity_estimate(d, positions(far), dt=1.0)
+    v = _velocity_estimate(rows([d]), positions(far), dt=1.0)[0]
     assert np.allclose(v, [1.0, 0.0])
 
 
@@ -122,7 +127,7 @@ def test_velocity_association_mixes_motion_and_channel():
     dt = 1.0
     cur = det_at(3.0, 0.0, vx=2.0, vy=0.0, frame=2)
     prev = [det_at(1.2, 0.0, frame=0), det_at(-8.0, 4.0, frame=0)]
-    v = _velocity_estimate(cur, positions(prev), dt=1.0)
+    v = _velocity_estimate(rows([cur]), positions(prev), dt=1.0)[0]
     v_mot = (np.array([3.0, 0.0]) - np.array([1.2, 0.0])) / dt
     assert np.allclose(v, 0.5 * (v_mot + np.array([2.0, 0.0])), atol=1e-12)
 
@@ -135,7 +140,7 @@ def test_velocity_backtracks_with_channel_prediction():
     # predicted back-position is (-4, 0)
     right = det_at(-3.8, 0.0, frame=0, qid=1)
     wrong = det_at(0.5, 0.0, frame=0, qid=2)
-    v = _velocity_estimate(cur, positions([wrong, right]), dt=1.0)
+    v = _velocity_estimate(rows([cur]), positions([wrong, right]), dt=1.0)[0]
     v_mot = (np.array([0.0, 0.0]) - np.array([-3.8, 0.0])) / dt
     assert np.allclose(v, 0.5 * (v_mot + np.array([4.0, 0.0])), atol=1e-12)
 
@@ -145,7 +150,7 @@ def test_velocity_over_a_gap_that_overflows_uses_channel(dt):
     # A frame interval of 5e-324 or 1e154 once ended a pipeline run as a
     # numpy overflow warning, from the track delta or the back projection.
     cur = det_at(0.001, 0.0, vx=3.0, vy=0.0, frame=2)
-    v = _velocity_estimate(cur, positions([det_at(0.0, 0.0, frame=0)]), dt=dt)
+    v = _velocity_estimate(rows([cur]), positions([det_at(0.0, 0.0, frame=0)]), dt=dt)[0]
     assert v.tolist() == [3.0, 0.0]
 
 
@@ -371,8 +376,10 @@ def test_fused_velocities_use_the_timestamp_gap():
     for t in (2, 4):
         assert res.frames[t].fused
         dt = frames[t].timestamp - frames[t - 2].timestamp
-        for det in res.frames[t].detections:
-            want = _velocity_estimate(det, positions(res.frames[t - 2].detections), dt)
+        dets = res.frames[t].detections
+        wants = _velocity_estimate(rows(dets), positions(res.frames[t - 2].detections), dt)
+        assert wants.shape == (len(dets), 2)
+        for det, want in zip(dets, wants):
             assert same_bits(det.velocity, want)
             hits += not np.array_equal(want, det.box[7:9])
     assert hits > 0
