@@ -218,8 +218,10 @@ def _sample_boxes(cfg: SceneConfig, rng: np.random.Generator) -> np.ndarray:
     for i in range(cfg.n_objects):
         for _attempt in range(_SPACING_DRAWS):
             c = rng.uniform(lo, hi, size=2)
-            if all(np.hypot(*(c - box[:2])) >= _MIN_SEPARATION for box in boxes):
-                break
+            # Centers too far apart for their distance to be a float are far apart.
+            with np.errstate(over="ignore"):
+                if all(np.hypot(*(c - box[:2])) >= _MIN_SEPARATION for box in boxes):
+                    break
         else:
             raise ValueError(
                 f"object {i}: no center at least min_separation {_MIN_SEPARATION} m "
@@ -292,6 +294,13 @@ def generate_sequence(
         raise ValueError("frames must be at least 1")
     if not interval > 0.0 or not math.isfinite(interval):
         raise ValueError(f"frame interval must be positive and finite, got {interval}")
+    try:
+        last = (frames - 1) * interval
+    except OverflowError:  # a frame count beyond the float range
+        last = math.inf
+    if not math.isfinite(last):
+        raise ValueError(
+            f"{frames} frames at interval {interval} s stamp the last frame past the float range")
     encoder_seed = draw_seed(rng)
     boxes = _sample_boxes(cfg, rng)
     track_ids = list(range(len(boxes)))

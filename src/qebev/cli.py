@@ -18,11 +18,13 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import bench as bench_mod
-from .bevscene import SceneConfig, generate_sequence, read_scenes, write_scenes
+from .bevscene import Frame, SceneConfig, generate_sequence, read_scenes, write_scenes
 from .bevscene import _MARGIN, _MIN_SEPARATION  # echoed in the pipeline's report
 from .bevscene import _check_utf8
 from .dqem import (
+    DetectionFrame,
     DqemParams,
+    _check_dedup_radius,
     dedup_detections,
     diversity_loss,
     diversity_loss_grad,
@@ -31,7 +33,7 @@ from .dqem import (
     read_detections,
     write_detections,
 )
-from .evalkit import TP_THRESHOLD, evaluate_detections, write_report
+from .evalkit import TP_THRESHOLD, _check_tp_threshold, evaluate_detections, write_report
 from .ltfm import TemporalParams, run_sequence
 from .numerics import derive_seed, make_rng
 
@@ -174,16 +176,8 @@ def _detect_params(
     )
     # Built even without --temporal, so that a bad --alpha or --stride fails.
     tparams = TemporalParams(alpha=args.alpha, stride=args.stride)
-    if not args.dedup_radius >= 0.0:
-        # dedup_detections' check, made before detection runs.
-        raise ValueError("dedup radius must be non-negative")
+    _check_dedup_radius(args.dedup_radius)
     return params, tparams, init_pillars(args.grid_nx, args.grid_ny, args.bounds)
-
-
-def _check_tp_threshold(args: argparse.Namespace) -> None:
-    """evaluate_detections' check, made before any file is read or written."""
-    if not args.tp_threshold > 0.0 or not math.isfinite(args.tp_threshold):
-        raise ValueError(f"tp_threshold must be positive and finite, got {args.tp_threshold}")
 
 
 def _json_settings(settings: dict) -> dict:
@@ -200,7 +194,8 @@ def _detect_over_scenes(
     starts: np.ndarray,
     scenes_path: str,
     out_path: str,
-) -> None:
+) -> list[DetectionFrame]:
+    """Detect over the scene file; write and return the deduped frames."""
     frames = read_scenes(scenes_path)
     if not frames:
         raise ValueError(f"{scenes_path}: no frames")
@@ -226,12 +221,25 @@ def _detect_over_scenes(
         for fr in result.frames
     ]
     write_detections(out_path, det_frames, _json_settings(echo))
+    return det_frames
+
+
+def _simulate(args: argparse.Namespace, cfg: SceneConfig) -> list[Frame]:
+    rng = make_rng(derive_seed(args.seed, "simulate"))
+    return generate_sequence(cfg, args.frames, args.interval, rng)
+
+
+def _report(args: argparse.Namespace, det_frames: list[DetectionFrame],
+            scene_frames: list[Frame], config: dict, path: str) -> int:
+    """Score the detections, write the report to ``path`` and print it."""
+    report = evaluate_detections(det_frames, scene_frames, args.tp_threshold, config)
+    write_report(report, path)
+    print(json.dumps(report.as_dict(), sort_keys=True, allow_nan=False))
+    return 0
 
 
 def _run_simulate(args: argparse.Namespace) -> int:
-    cfg = _scene_config(args)
-    rng = make_rng(derive_seed(args.seed, "simulate"))
-    frames = generate_sequence(cfg, args.frames, args.interval, rng)
+    frames = _simulate(args, _scene_config(args))
     write_scenes(frames, args.out)
     n_pts = sum(len(f.xy) for f in frames)
     print(f"wrote {len(frames)} frames ({n_pts} points) to {args.out}")
@@ -245,22 +253,10 @@ def _run_detect(args: argparse.Namespace) -> int:
 
 
 def _run_eval(args: argparse.Namespace) -> int:
-    _check_tp_threshold(args)
+    _check_tp_threshold(args.tp_threshold)
     det_frames = read_detections(args.dets)
-    scene_frames = read_scenes(args.scenes)
-    report = evaluate_detections(
-        det_frames,
-        scene_frames,
-        tp_threshold=args.tp_threshold,
-        config={
-            "dets": args.dets,
-            "scenes": args.scenes,
-            "tp_threshold": args.tp_threshold,
-        },
-    )
-    write_report(report, args.report)
-    print(json.dumps(report.as_dict(), sort_keys=True, allow_nan=False))
-    return 0
+    config = {"dets": args.dets, "scenes": args.scenes, "tp_threshold": args.tp_threshold}
+    return _report(args, det_frames, read_scenes(args.scenes), config, args.report)
 
 
 def _run_gradcheck(args: argparse.Namespace) -> int:
@@ -338,29 +334,20 @@ def _run_pipeline(args: argparse.Namespace) -> int:
 
     cfg = _scene_config(args)
     params, tparams, starts = _detect_params(args)
-    _check_tp_threshold(args)
-    frames = generate_sequence(
-        cfg, args.frames, args.interval, make_rng(derive_seed(args.seed, "simulate"))
-    )
+    _check_tp_threshold(args.tp_threshold)
+    frames = _simulate(args, cfg)
     os.makedirs(args.out_dir, exist_ok=True)
     write_scenes(frames, scenes_path)
-    _detect_over_scenes(args, params, tparams, starts, scenes_path, dets_path)
-
-    report = evaluate_detections(
-        read_detections(dets_path),
-        read_scenes(scenes_path),
-        tp_threshold=args.tp_threshold,
-        # Everything the run depends on, echoed into its report.
-        config={
-            "seed": args.seed, "frames": args.frames, "interval": args.interval,
-            "scene": {**asdict(cfg), "margin": _MARGIN, "min_separation": _MIN_SEPARATION},
-            "detect": _json_settings(asdict(params)),
-            "temporal": args.temporal, "tp_threshold": args.tp_threshold,
-        },
-    )
-    write_report(report, report_path)
-    print(json.dumps(report.as_dict(), sort_keys=True, allow_nan=False))
-    return 0
+    det_frames = _detect_over_scenes(args, params, tparams, starts, scenes_path, dets_path)
+    # Everything the run depends on, echoed into its report.
+    config = {
+        "seed": args.seed, "frames": args.frames, "interval": args.interval,
+        "scene": {**asdict(cfg), "margin": _MARGIN, "min_separation": _MIN_SEPARATION},
+        "detect": _json_settings(asdict(params)),
+        "temporal": args.temporal, "tp_threshold": args.tp_threshold,
+    }
+    # Scored as detected, not parsed back; the scene file is read as eval reads it.
+    return _report(args, det_frames, read_scenes(scenes_path), config, report_path)
 
 
 def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:

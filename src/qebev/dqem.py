@@ -740,14 +740,19 @@ class DetectionFrame:
     fused: bool | None = None
 
 
+def _check_dedup_radius(radius: float) -> None:
+    """dedup_detections' rule, which the CLI checks before a run."""
+    if not radius >= 0.0:
+        raise ValueError("dedup radius must be non-negative")
+
+
 def dedup_detections(dets: list[Detection], radius: float) -> list[Detection]:
     """Greedy score-ordered suppression of detections within ``radius`` (BEV).
 
     Radius 0 disables suppression.  Ordering ties break on query id, so the
     result is deterministic.
     """
-    if not radius >= 0.0:
-        raise ValueError("dedup radius must be non-negative")
+    _check_dedup_radius(radius)
     if radius == 0.0 or len(dets) <= 1:
         return list(dets)
     order = sorted(dets, key=lambda d: (-d.score, d.query_id))

@@ -263,6 +263,12 @@ class EvalReport:
         return rec
 
 
+def _check_tp_threshold(tp_threshold: float) -> None:
+    """evaluate_detections' rule, which the CLI checks before any file is read."""
+    if not tp_threshold > 0.0 or not math.isfinite(tp_threshold):
+        raise ValueError(f"tp_threshold must be positive and finite, got {tp_threshold}")
+
+
 def evaluate_detections(
     det_frames: list[DetectionFrame],
     scene_frames: list[Frame],
@@ -275,8 +281,7 @@ def evaluate_detections(
     true-positive errors use optimal one-to-one matching at ``tp_threshold``
     per frame.
     """
-    if not tp_threshold > 0.0 or not math.isfinite(tp_threshold):
-        raise ValueError(f"tp_threshold must be positive and finite, got {tp_threshold}")
+    _check_tp_threshold(tp_threshold)
     if len(det_frames) != len(scene_frames):
         raise ValueError(
             f"frame count mismatch: {len(det_frames)} detection lines vs "
@@ -297,8 +302,9 @@ def evaluate_detections(
     aps = [v for v in per_threshold.values() if v is not None]
     map_ = float(np.mean(aps)) if aps else None
 
-    # Pool matched-pair errors across frames at the fixed TP threshold.
-    err_rows: list[np.ndarray] = []
+    # Pool matched-pair errors across frames at the fixed TP threshold:
+    # each frame's means weighted by its pair count, summed in frame order.
+    err_sum, n = np.zeros(len(TP_KEYS)), 0
     for df, gt in zip(det_frames, gt_frames):
         if not df.detections:
             continue
@@ -308,14 +314,10 @@ def evaluate_detections(
         )
         pairs = match_detections(boxes, gt, tp_threshold)
         if pairs.shape[0]:
-            row = np.array(list(tp_errors(pairs, boxes, gt, vels).values()))
-            err_rows.append(np.concatenate([row * pairs.shape[0], [pairs.shape[0]]]))
+            err_sum += np.array(list(tp_errors(pairs, boxes, gt, vels).values())) * pairs.shape[0]
+            n += pairs.shape[0]
     # Every term saturates to 1.0 when nothing matched.
-    tp = dict.fromkeys(TP_KEYS, 1.0)
-    if err_rows:
-        stacked = np.stack(err_rows)
-        n = stacked[:, -1].sum()
-        tp = dict(zip(TP_KEYS, (stacked[:, :-1].sum(axis=0) / n).tolist()))
+    tp = dict(zip(TP_KEYS, (err_sum / n).tolist())) if n else dict.fromkeys(TP_KEYS, 1.0)
 
     nds_val = nds(map_, tp) if map_ is not None else None
     return EvalReport(

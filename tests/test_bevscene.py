@@ -493,6 +493,22 @@ def test_scene_sequence_rejects_a_bad_interval(interval):
     assert rng.bit_generator.state == state  # checked before any draw
 
 
+@pytest.mark.parametrize("frames, interval", [(3, 1e308), (2**1100, 0.5)])
+def test_scene_sequence_rejects_a_last_timestamp_beyond_the_float_range(frames, interval):
+    # 2 * 1e308 is inf, which the scene writer cannot hold; 2**1100 frames
+    # are more than a float counts.
+    rng = make_rng(2)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError) as info:
+        generate_sequence(SceneConfig(n_objects=1), frames, interval, rng)
+    assert str(info.value) == (
+        f"{frames} frames at interval {interval} s stamp the last frame past the float range")
+    assert rng.bit_generator.state == state  # checked before any draw
+    # One step of 1e308 s stays finite.
+    frames = generate_sequence(SceneConfig(n_objects=1), 2, 1e308, rng)
+    assert [f.timestamp for f in frames] == [0.0, 1e308]
+
+
 def test_read_scenes_skips_blank_lines_and_counts_them(tmp_path):
     cfg = SceneConfig(n_objects=1, points_per_object=4, background_points=2)
     seq = generate_sequence(cfg, 2, 0.5, make_rng(3))
@@ -540,6 +556,22 @@ def test_sampled_centers_keep_min_separation():
         xy = frame.boxes[:, :2]
         gaps = np.linalg.norm(xy[:, None] - xy[None], axis=2)
         assert gaps[np.triu_indices(len(xy), 1)].min() >= 6.0
+
+
+def test_centers_whose_distance_overflows_count_as_far_apart():
+    # At bounds 8e307 two centers can lie further apart than the largest
+    # float; the spacing test takes them as far apart, without a warning.
+    overflowed = 0
+    for seed in range(8):
+        [frame] = generate_sequence(SceneConfig(bounds=8e307, n_objects=6), 1, 0.5,
+                                    make_rng(seed))
+        xy = frame.boxes[:, :2]
+        with np.errstate(over="ignore"):
+            gaps = np.hypot(xy[:, None, 0] - xy[None, :, 0], xy[:, None, 1] - xy[None, :, 1])
+        assert len(xy) == 6
+        assert gaps[np.triu_indices(len(xy), 1)].min() >= 6.0
+        overflowed += int(np.isinf(gaps).sum())
+    assert overflowed > 0
 
 
 def test_over_packed_scene_raises_naming_the_object():

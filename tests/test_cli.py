@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import qebev
@@ -110,6 +110,17 @@ def test_bounds_whose_span_overflows_exit_one_and_write_nothing(tmp_path, capsys
     assert not out.exists() and not run_dir.exists()
     assert run(["simulate", "--bounds", "1e154", "--frames", "1", "--out", str(out)]) == 0
     assert run(detect_args(scenes, out, extra=("--bounds", "1e154"))) == 0
+
+
+def test_an_interval_whose_timestamps_overflow_exits_one_and_writes_nothing(tmp_path, capsys):
+    # The third frame's timestamp, 2 * 1e308, is inf: the scene writer once
+    # refused it after writing part of scenes.jsonl, naming neither option.
+    run_dir = tmp_path / "run"
+    assert run(["pipeline", "--seed", "0", "--frames", "3", "--interval", "1e308",
+                "--out-dir", str(run_dir)]) == 1
+    assert capsys.readouterr().err == (
+        "error: 3 frames at interval 1e+308 s stamp the last frame past the float range\n")
+    assert not run_dir.exists()
 
 
 def test_a_scene_without_objects_needs_no_margin(tmp_path, capsys):
@@ -994,8 +1005,9 @@ def strict_json(text):
 
 # A frame interval of 1e-200 once made a fused velocity of about 1e200 m/s,
 # whose error overflowed in evaluation; 1e154 and 1e-300 sit at the edges of
-# squaring and of division.
-DEEP_FLOATS = [*EXTREME_FLOATS, "1e-200", "1e154", "1e-300"]
+# squaring and of division, and at bounds 8e307 two object centers can lie
+# further apart than the largest float.
+DEEP_FLOATS = [*EXTREME_FLOATS, "1e-200", "1e154", "1e-300", "8e307"]
 
 
 PIPELINE_FLOATS = [a.option_strings[-1] for a in build_parser()[1]["pipeline"]._actions
@@ -1006,11 +1018,14 @@ PIPELINE_FLOATS = [a.option_strings[-1] for a in build_parser()[1]["pipeline"]._
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(value=st.sampled_from(DEEP_FLOATS), seed=st.integers(0, 3), frames=st.integers(2, 3))
+@example(value="8e307", seed=2, frames=2)  # --bounds: the spacing test overflowed
+@example(value="1e308", seed=0, frames=3)  # --interval: the last timestamp overflowed
 def test_pipeline_with_one_extreme_float_exits_zero_or_one(tmp_path, capsys, option, value,
                                                           seed, frames):
     # A small valid fused run with one float option at an extreme either
     # refuses it (exit 1) or finishes with a strict-JSON report and
-    # stdout line; the extreme never ends a run deep inside numpy.
+    # stdout line; the extreme never ends a run deep inside numpy, and a
+    # check, not a writer, is the first to see a non-finite value.
     out_dir = tmp_path / "run"
     argv = ["pipeline", "--seed", str(seed), "--frames", str(frames), "--stride", "1",
             "--grid-nx", "3", "--grid-ny", "3", f"{option}={value}", "--out-dir", str(out_dir)]
@@ -1021,6 +1036,27 @@ def test_pipeline_with_one_extreme_float_exits_zero_or_one(tmp_path, capsys, opt
     assert "runtime failure:" not in err, (argv, err)
     if code == 0:
         assert strict_json(out) == strict_json((out_dir / "report.json").read_text())
+    else:
+        assert "not JSON compliant" not in err, (argv, err)
+
+
+@pytest.mark.parametrize("extra, code", [
+    (["--seed", "2", "--frames", "2", "--stride", "1", "--grid-nx", "3", "--grid-ny", "3",
+      "--bounds", "8e307"], 0),
+    (["--seed", "0", "--frames", "3", "--interval", "1e308"], 1),
+])
+def test_pipeline_at_an_extreme_float_as_a_child_process(tmp_path, extra, code):
+    """The two extremes the property above once failed on, run as
+    ``python -W error -m qebev``: every warning is an error there, not only
+    a RuntimeWarning, and the shipped start-up path runs."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qebev.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "qebev", "pipeline", *extra,
+         "--out-dir", str(tmp_path / "run")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert out.returncode == code, out.stderr
+    assert "runtime failure:" not in out.stderr
 
 
 def test_an_overflowing_fused_velocity_reports_an_infinite_mave(tmp_path, capsys):

@@ -40,8 +40,23 @@ def test_pipeline_seed_42_matches_baseline(tmp_path, monkeypatch, capsys):
         return result
 
     monkeypatch.setattr(qebev.ltfm, "_evolve_single", counting_evolve_single)
+    # The pipeline scores the detection frames it made: it never parses
+    # detections.jsonl back, and it reads its scene file twice (detect, eval).
+    scene_reads = []
+    read_scenes = cli.read_scenes
+
+    def counting_read_scenes(path):
+        scene_reads.append(path)
+        return read_scenes(path)
+
+    def no_read_detections(path):
+        raise AssertionError(f"pipeline read {path} back")
+
+    monkeypatch.setattr(cli, "read_scenes", counting_read_scenes)
+    monkeypatch.setattr(cli, "read_detections", no_read_detections)
     assert cli.main(["pipeline", "--seed", "42", "--out-dir", str(tmp_path)]) == 0
     capsys.readouterr()
+    assert scene_reads == [str(tmp_path / "scenes.jsonl")] * 2
 
     got = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
