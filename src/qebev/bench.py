@@ -48,15 +48,13 @@ class BenchConfig:
 @dataclass
 class BenchRow:
     n: int
-    k: int
-    iters: int
-    d: int
     median_seconds: float
     slope_running: float | None
 
 
 @dataclass
 class ScalingReport:
+    config: BenchConfig
     rows: list[BenchRow]
     slope: float | None
     slope_ci: tuple[float, float] | None
@@ -161,29 +159,20 @@ def run_scaling(cfg: BenchConfig, rng: np.random.Generator) -> ScalingReport:
             fit_ts.append(median)
             fit = _fit_slope(fit_ns, fit_ts)
             slope_running = fit[0] if fit is not None else None
-        rows.append(
-            BenchRow(
-                n=n, k=cfg.k, iters=cfg.kmeans_iters, d=cfg.d,
-                median_seconds=median, slope_running=slope_running,
-            )
-        )
+        rows.append(BenchRow(n=n, median_seconds=median, slope_running=slope_running))
 
     slope, ci = _fit_slope(fit_ns, fit_ts) or (None, None)
-    return ScalingReport(rows=rows, slope=slope, slope_ci=ci, notes=notes)
+    return ScalingReport(config=cfg, rows=rows, slope=slope, slope_ci=ci, notes=notes)
 
 
 def write_bench_csv(report: ScalingReport, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "K", "I", "d", "median_seconds", "slope_running"])
+        cfg = report.config
         for row in report.rows:
-            writer.writerow(
-                [
-                    row.n,
-                    row.k,
-                    row.iters,
-                    row.d,
-                    f"{row.median_seconds:.9e}",
-                    "" if row.slope_running is None else f"{row.slope_running:.6f}",
-                ]
-            )
+            writer.writerow([
+                row.n, cfg.k, cfg.kmeans_iters, cfg.d,
+                f"{row.median_seconds:.9e}",
+                "" if row.slope_running is None else f"{row.slope_running:.6f}",
+            ])

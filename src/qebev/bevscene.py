@@ -106,7 +106,8 @@ class SceneConfig:
     """Knobs for synthetic scene generation.
 
     ``bounds`` is the half-extent of the square scene in meters, so points
-    and object centers live in [-bounds, bounds]^2.
+    and object centers live in [-bounds, bounds]^2.  By default objects
+    stand still (``speed_max`` 0); the CLI's ``--speed-max`` default is 3 m/s.
     """
 
     bounds: float = 50.0

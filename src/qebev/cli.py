@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -33,7 +32,8 @@ from .dqem import (
     read_detections,
     write_detections,
 )
-from .evalkit import TP_THRESHOLD, _check_tp_threshold, evaluate_detections, write_report
+from .evalkit import TP_THRESHOLD, EvalReport, _check_tp_threshold, _json_values
+from .evalkit import evaluate_detections, write_report
 from .ltfm import TemporalParams, run_sequence
 from .numerics import derive_seed, make_rng
 
@@ -105,46 +105,57 @@ def _apply_config(sub: argparse.ArgumentParser, argv: list[str]) -> None:
     if path is None:
         return
     values = _load_config_file(path)
-    actions = {a.dest: a for a in sub._actions if a.dest != "help"}
+    # A config file cannot name another.
+    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
     unknown = sorted(set(values) - set(actions))
     if unknown:
         raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
+    for key in values:
+        actions[key].required = False  # the file's value stands in for the flag
     sub.set_defaults(**{k: _coerce(v, actions[k], path, k) for k, v in values.items()})
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
     p.add_argument("--config", help="flat key=value file with # comments; flags override")
-    p.add_argument("--seed", type=int, default=0, help="root seed for all randomness")
+    if seed:
+        p.add_argument("--seed", type=int, default=0, help="root seed for all randomness")
 
 
 def _add_scene_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--frames", type=int, default=8, help="sequence length")
     p.add_argument("--interval", type=float, default=0.5, help="seconds between frames")
-    p.add_argument("--bounds", type=float, default=50.0, help="scene half-extent in meters")
-    p.add_argument("--objects", type=int, default=6, help="objects per scene")
-    p.add_argument("--points-per-object", type=int, default=20)
-    p.add_argument("--background-points", type=int, default=60)
-    p.add_argument("--noise-sigma", type=float, default=0.05)
-    p.add_argument("--d", type=int, default=16, help="feature width (at least 9)")
-    p.add_argument("--speed-min", type=float, default=0.0)
+    p.add_argument("--bounds", type=float, default=SceneConfig.bounds,
+                   help="scene half-extent in meters")
+    p.add_argument("--objects", type=int, default=SceneConfig.n_objects, help="objects per scene")
+    p.add_argument("--points-per-object", type=int, default=SceneConfig.points_per_object)
+    p.add_argument("--background-points", type=int, default=SceneConfig.background_points)
+    p.add_argument("--noise-sigma", type=float, default=SceneConfig.noise_sigma)
+    p.add_argument("--d", type=int, default=SceneConfig.d, help="feature width (at least 9)")
+    p.add_argument("--speed-min", type=float, default=SceneConfig.speed_min)
+    # The one default SceneConfig does not set: the CLI simulates moving
+    # objects, while SceneConfig()'s static scenes feed acceptance criteria 5 and 7.
     p.add_argument("--speed-max", type=float, default=3.0)
 
 
 def _add_detect_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, default=6, help="clusters per neighborhood")
-    p.add_argument("--topk", type=int, default=4, help="clusters kept by attention")
-    p.add_argument("--beta", type=float, default=0.6, help="query blend weight")
-    p.add_argument("--radius", type=float, default=8.0, help="gather radius in meters")
-    p.add_argument("--iters", type=int, default=3, help="refinement rounds per frame")
-    p.add_argument("--kmeans-iters", type=int, default=20, help="Lloyd update cap")
-    p.add_argument("--tau-bg", type=float, default=0.0, help="background feature-norm gate")
+    p.add_argument("--k", type=int, default=DqemParams.k, help="clusters per neighborhood")
+    p.add_argument("--topk", type=int, default=DqemParams.top_k, help="clusters kept by attention")
+    p.add_argument("--beta", type=float, default=DqemParams.beta, help="query blend weight")
+    p.add_argument("--radius", type=float, default=DqemParams.radius,
+                   help="gather radius in meters")
+    p.add_argument("--iters", type=int, default=DqemParams.iterations,
+                   help="refinement rounds per frame")
+    p.add_argument("--kmeans-iters", type=int, default=DqemParams.kmeans_iters,
+                   help="Lloyd update cap")
+    p.add_argument("--tau-bg", type=float, default=DqemParams.tau_bg,
+                   help="background feature-norm gate")
     p.add_argument("--grid-nx", type=int, default=10)
     p.add_argument("--grid-ny", type=int, default=10)
     p.add_argument("--dedup-radius", type=float, default=2.0,
                    help="suppress lower-scored detections within this BEV radius; 0 disables")
     p.add_argument("--temporal", action="store_true", help="enable temporal fusion")
-    p.add_argument("--alpha", type=float, default=0.4, help="temporal blend weight")
-    p.add_argument("--stride", type=int, default=2, help="frames between fusions")
+    p.add_argument("--alpha", type=float, default=TemporalParams.alpha, help="temporal blend weight")
+    p.add_argument("--stride", type=int, default=TemporalParams.stride, help="frames between fusions")
 
 
 def _scene_config(args: argparse.Namespace) -> SceneConfig:
@@ -180,13 +191,6 @@ def _detect_params(
     return params, tparams, init_pillars(args.grid_nx, args.grid_ny, args.bounds)
 
 
-def _json_settings(settings: dict) -> dict:
-    """``settings`` with each infinite value, which JSON cannot hold, as its
-    string ("inf"): an infinite --radius or --dedup-radius is valid."""
-    return {k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
-            for k, v in settings.items()}
-
-
 def _detect_over_scenes(
     args: argparse.Namespace,
     params: DqemParams,
@@ -220,7 +224,7 @@ def _detect_over_scenes(
         replace(fr, detections=dedup_detections(fr.detections, args.dedup_radius))
         for fr in result.frames
     ]
-    write_detections(out_path, det_frames, _json_settings(echo))
+    write_detections(out_path, det_frames, _json_values(echo))
     return det_frames
 
 
@@ -229,10 +233,8 @@ def _simulate(args: argparse.Namespace, cfg: SceneConfig) -> list[Frame]:
     return generate_sequence(cfg, args.frames, args.interval, rng)
 
 
-def _report(args: argparse.Namespace, det_frames: list[DetectionFrame],
-            scene_frames: list[Frame], config: dict, path: str) -> int:
-    """Score the detections, write the report to ``path`` and print it."""
-    report = evaluate_detections(det_frames, scene_frames, args.tp_threshold, config)
+def _report(report: EvalReport, path: str) -> int:
+    """Write the report to ``path`` and print it."""
     write_report(report, path)
     print(json.dumps(report.as_dict(), sort_keys=True, allow_nan=False))
     return 0
@@ -254,9 +256,13 @@ def _run_detect(args: argparse.Namespace) -> int:
 
 def _run_eval(args: argparse.Namespace) -> int:
     _check_tp_threshold(args.tp_threshold)
-    det_frames = read_detections(args.dets)
+    det_frames, scene_frames = read_detections(args.dets), read_scenes(args.scenes)
     config = {"dets": args.dets, "scenes": args.scenes, "tp_threshold": args.tp_threshold}
-    return _report(args, det_frames, read_scenes(args.scenes), config, args.report)
+    try:
+        report = evaluate_detections(det_frames, scene_frames, args.tp_threshold, config)
+    except ValueError as exc:  # the threshold is checked, so the frames do not pair up
+        raise ValueError(f"{args.dets} vs {args.scenes}: {exc}") from None
+    return _report(report, args.report)
 
 
 def _run_gradcheck(args: argparse.Namespace) -> int:
@@ -308,6 +314,9 @@ def _run_bench(args: argparse.Namespace) -> int:
     while n <= args.n_max:
         sweep.append(n)
         n *= args.factor
+    if len(sweep) < 2:
+        raise ValueError(f"--n-min {args.n_min}, --n-max {args.n_max} and --factor "
+                         f"{args.factor} give one size; the sweep needs at least two")
     cfg = bench_mod.BenchConfig(
         n_sweep=tuple(sweep),
         k=args.k,
@@ -343,62 +352,58 @@ def _run_pipeline(args: argparse.Namespace) -> int:
     config = {
         "seed": args.seed, "frames": args.frames, "interval": args.interval,
         "scene": {**asdict(cfg), "margin": _MARGIN, "min_separation": _MIN_SEPARATION},
-        "detect": _json_settings(asdict(params)),
+        "detect": _json_values(asdict(params)),
         "temporal": args.temporal, "tp_threshold": args.tp_threshold,
     }
     # Scored as detected, not parsed back; the scene file is read as eval reads it.
-    return _report(args, det_frames, read_scenes(scenes_path), config, report_path)
+    report = evaluate_detections(det_frames, read_scenes(scenes_path), args.tp_threshold, config)
+    return _report(report, report_path)
 
 
 def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     parser = _Parser(prog="qebev", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    registry: dict[str, argparse.ArgumentParser] = {}
 
     p = subs.add_parser("simulate", help="write a synthetic scene JSONL")
     _add_common(p)
     _add_scene_args(p)
     p.add_argument("--out", required=True, help="output scene JSONL path")
     p.set_defaults(func=_run_simulate)
-    registry["simulate"] = p
 
     p = subs.add_parser("detect", help="run query evolution over a scene file")
     _add_common(p)
     _add_detect_args(p)
     p.add_argument("--scenes", required=True, help="input scene JSONL")
     p.add_argument("--out", required=True, help="output detection JSONL")
-    p.add_argument("--bounds", type=float, default=50.0, help="pillar grid half-extent")
+    p.add_argument("--bounds", type=float, default=SceneConfig.bounds,
+                   help="pillar grid half-extent")
     p.set_defaults(func=_run_detect)
-    registry["detect"] = p
 
     p = subs.add_parser("eval", help="score detections against their scenes")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.add_argument("--dets", required=True, help="detection JSONL")
     p.add_argument("--scenes", required=True, help="scene JSONL")
     p.add_argument("--report", required=True, help="output report JSON path")
     p.add_argument("--tp-threshold", type=float, default=TP_THRESHOLD)
     p.set_defaults(func=_run_eval)
-    registry["eval"] = p
 
     p = subs.add_parser("gradcheck", help="finite-difference checks of the gradients")
     _add_common(p)
     p.add_argument("--cases", type=int, default=100)
     p.add_argument("--fit-steps", type=int, default=3)
     p.set_defaults(func=_run_gradcheck)
-    registry["gradcheck"] = p
 
     p = subs.add_parser("bench", help="scaling sweep of the refinement step")
     _add_common(p)
-    p.add_argument("--n-min", type=int, default=1000)
-    p.add_argument("--n-max", type=int, default=128000)
+    p.add_argument("--n-min", type=int, default=bench_mod.BenchConfig.n_sweep[0])
+    p.add_argument("--n-max", type=int, default=bench_mod.BenchConfig.n_sweep[-1])
     p.add_argument("--factor", type=int, default=2)
-    p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--d", type=int, default=16)
-    p.add_argument("--k", type=int, default=6)
-    p.add_argument("--kmeans-iters", type=int, default=20)
+    p.add_argument("--repeats", type=int, default=bench_mod.BenchConfig.repeats)
+    p.add_argument("--d", type=int, default=bench_mod.BenchConfig.d)
+    p.add_argument("--k", type=int, default=bench_mod.BenchConfig.k)
+    p.add_argument("--kmeans-iters", type=int, default=bench_mod.BenchConfig.kmeans_iters)
     p.add_argument("--out", default="scaling.csv", help="output CSV path")
     p.set_defaults(func=_run_bench)
-    registry["bench"] = p
 
     p = subs.add_parser("pipeline", help="simulate, detect, and eval in one run")
     _add_common(p)
@@ -409,18 +414,17 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--no-temporal", dest="temporal", action="store_false",
                    help="run every frame independently")
     p.set_defaults(func=_run_pipeline, temporal=True)
-    registry["pipeline"] = p
 
-    return parser, registry
+    return parser, subs.choices
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, registry = build_parser()
+    parser, commands = build_parser()
     try:
-        command = next((a for a in argv if not a.startswith("-")), None)
-        if command in registry:
-            _apply_config(registry[command], argv)
+        sub = commands.get(next((a for a in argv if not a.startswith("-")), None))
+        if sub is not None:
+            _apply_config(sub, argv)
         args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:

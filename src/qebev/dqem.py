@@ -719,9 +719,8 @@ def fit_projections(
 class Detection:
     """One detected box; ``velocity`` is the fused estimate when temporal
     fusion produced one, otherwise None (consumers fall back to the box's
-    velocity channels)."""
+    velocity channels).  Its frame is the list that holds it."""
 
-    frame: int
     box: np.ndarray
     score: float
     query_id: int
@@ -790,13 +789,13 @@ def write_detections(path: str, frames: list[DetectionFrame], params_echo: dict)
     ), path)
 
 
-def _detection(d: dict, frame: int) -> Detection:
+def _detection(d: dict) -> Detection:
     score = _json_number(d["score"], "score")
     if not math.isfinite(score):
         raise ValueError("score is not finite")
     velocity = _json_numbers(d["velocity"], 2, "velocity") if "velocity" in d else None
     query_id = _json_int(d["query_id"], "query_id")
-    return Detection(frame, _json_box(d["box"]), score, query_id, velocity)
+    return Detection(_json_box(d["box"]), score, query_id, velocity)
 
 
 def _detection_frame(rec: dict, timestamp: float, frames: list[DetectionFrame]) -> DetectionFrame:
@@ -804,7 +803,7 @@ def _detection_frame(rec: dict, timestamp: float, frames: list[DetectionFrame]) 
         raise ValueError(f"fused must be true or false, got {rec['fused']!r}")
     dets = _json_array(rec["detections"], "detections")
     return DetectionFrame(timestamp, [
-        _named("detection", i, _detection, d, len(frames)) for i, d in enumerate(dets)
+        _named("detection", i, _detection, d) for i, d in enumerate(dets)
     ], rec.get("fused"))
 
 

@@ -190,37 +190,39 @@ def tp_errors(
 
 
 def average_precision(
-    detections: list[Detection],
+    detections: list[list[Detection]],
     gt_frames: list[np.ndarray],
     threshold: float,
 ) -> float | None:
-    """AP at one center-distance threshold, 101-point interpolated.
+    """AP at one center-distance threshold, 101-point interpolated, from
+    one detection list per frame of ``gt_frames``.
 
-    Detections across all frames are ranked by score and matched greedily
-    to the nearest free ground truth of their own frame; a detection whose
-    distances overflow matches none and counts as a false positive.
-    Returns None when there is no ground truth at all.
+    Detections across all frames are ranked by score, ties in frame then
+    list order (the sort is stable), and matched greedily to the nearest
+    free ground truth of their own frame; a detection whose distances
+    overflow matches none and counts as a false positive.  Returns None
+    when there is no ground truth at all.
     """
     n_gt = sum(g.shape[0] for g in gt_frames)
     if n_gt == 0:
         return None
-    if not detections:
+    ranked = [(t, det) for t, dets in enumerate(detections) for det in dets]
+    ranked.sort(key=lambda pair: -pair[1].score)
+    if not ranked:
         return 0.0
-    order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
     taken: list[np.ndarray] = [np.zeros(g.shape[0], dtype=bool) for g in gt_frames]
-    tp = np.zeros(len(order))
-    fp = np.zeros(len(order))
-    for rank, di in enumerate(order):
-        det = detections[di]
-        g = gt_frames[det.frame]
-        free = np.flatnonzero(~taken[det.frame])
+    tp = np.zeros(len(ranked))
+    fp = np.zeros(len(ranked))
+    for rank, (t, det) in enumerate(ranked):
+        g = gt_frames[t]
+        free = np.flatnonzero(~taken[t])
         matched = False
         if free.size:
             with np.errstate(over="ignore"):
                 dists = np.linalg.norm(g[free, :2] - det.box[:2], axis=1)
             best = int(np.argmin(dists))
             if dists[best] <= threshold:
-                taken[det.frame][free[best]] = True
+                taken[t][free[best]] = True
                 matched = True
         tp[rank] = 1.0 if matched else 0.0
         fp[rank] = 0.0 if matched else 1.0
@@ -244,6 +246,13 @@ def nds(map_: float, tp: dict[str, float]) -> float:
     return total / 10.0
 
 
+def _json_values(values: dict) -> dict:
+    """``values`` with each non-finite float, which JSON cannot hold, as its
+    string ("inf"): an infinite TP error, --radius or --dedup-radius is valid."""
+    return {k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in values.items()}
+
+
 @dataclass
 class EvalReport:
     map_: float | None
@@ -256,7 +265,7 @@ class EvalReport:
         """The report as JSON values: an infinite TP error, which JSON
         cannot hold, as its string ("inf")."""
         rec: dict = {"mAP": self.map_}
-        rec.update({k: v if math.isfinite(v) else str(v) for k, v in self.tp.items()})
+        rec.update(_json_values(self.tp))
         rec["NDS"] = self.nds_
         rec["per_threshold_AP"] = {f"{t:g}": ap for t, ap in self.per_threshold_ap.items()}
         rec["config"] = self.config
@@ -282,23 +291,21 @@ def evaluate_detections(
     per frame.
     """
     _check_tp_threshold(tp_threshold)
-    if len(det_frames) != len(scene_frames):
-        raise ValueError(
-            f"frame count mismatch: {len(det_frames)} detection lines vs "
-            f"{len(scene_frames)} scene frames"
-        )
-    for df, sf in zip(det_frames, scene_frames):
+    n_det, n_scene = len(det_frames), len(scene_frames)
+    if n_det != n_scene:
+        raise ValueError(f"frame count mismatch: {n_det} detection lines vs {n_scene} "
+                         f"scene frames; frame {min(n_det, n_scene)} has no pair")
+    for t, (df, sf) in enumerate(zip(det_frames, scene_frames)):
         if not abs(df.timestamp - sf.timestamp) <= 1e-9:
-            raise ValueError(
-                f"timestamp mismatch: detections at {df.timestamp} vs scene at {sf.timestamp}"
-            )
+            raise ValueError(f"frame {t}: timestamp mismatch: detections at "
+                             f"{df.timestamp} vs scene at {sf.timestamp}")
 
     gt_frames = [sf.boxes for sf in scene_frames]
-    all_dets = [d for df in det_frames for d in df.detections]
+    dets = [df.detections for df in det_frames]
 
     per_threshold: dict[float, float | None] = {}
     for th in AP_THRESHOLDS:
-        per_threshold[th] = average_precision(all_dets, gt_frames, th)
+        per_threshold[th] = average_precision(dets, gt_frames, th)
     aps = [v for v in per_threshold.values() if v is not None]
     map_ = float(np.mean(aps)) if aps else None
 

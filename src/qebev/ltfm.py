@@ -302,7 +302,7 @@ def iter_sequence(
             velocities = _velocity_estimate(boxes, prev_xy, dt)
             recent.append((frame.timestamp, boxes[:, :2]))
         detections = [
-            Detection(t, box, trace.score, qi, velocity)
+            Detection(box, trace.score, qi, velocity)
             for (qi, trace), box, velocity in zip(healthy, boxes, velocities)
         ]
         fused_out = fused if tparams is not None else None

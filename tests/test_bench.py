@@ -86,7 +86,7 @@ def test_run_scaling_tiny_sweep():
     for row in rep.rows:
         assert row.median_seconds > 0
         assert math.isfinite(row.median_seconds)
-        assert row.k == cfg.k and row.d == cfg.d
+    assert rep.config is cfg
     assert math.isfinite(rep.slope)
     assert rep.slope_ci[0] <= rep.slope <= rep.slope_ci[1]
 

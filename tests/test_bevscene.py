@@ -545,7 +545,7 @@ def test_writers_emit_no_non_json_token(tmp_path):
     frame = Frame(0.0, np.zeros((0, 9)), [], [[0.0, 0.0]], [[math.inf] + [0.0] * 15], 0)
     with pytest.raises(ValueError, match="not JSON compliant"):
         write_scenes([frame], tmp_path / "s.jsonl")
-    dets = [DetectionFrame(0.0, [Detection(0, [1.0] * 9, math.nan, 0)])]
+    dets = [DetectionFrame(0.0, [Detection([1.0] * 9, math.nan, 0)])]
     with pytest.raises(ValueError, match="not JSON compliant"):
         write_detections(tmp_path / "d.jsonl", dets, {})
 

@@ -9,9 +9,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import qebev
-from qebev.bevscene import read_scenes
+from qebev.bench import BenchConfig
+from qebev.bevscene import SceneConfig, read_scenes
 from qebev.cli import build_parser, main
-from qebev.dqem import read_detections
+from qebev.dqem import DqemParams, read_detections
+from qebev.ltfm import TemporalParams
 
 
 def run(argv):
@@ -223,6 +225,24 @@ def test_eval_mismatched_files_exit_one(tmp_path):
                 "--report", str(tmp_path / "r.json")]) == 1
 
 
+def test_eval_pairing_faults_name_both_files_and_the_frame(tmp_path, capsys):
+    two, one, late = (tmp_path / f"{name}.jsonl" for name in ("two", "one", "late"))
+    dets = tmp_path / "d.jsonl"
+    run(simulate_args(two, frames=2))
+    run(simulate_args(one, frames=1))
+    run([*simulate_args(late, frames=2), "--interval", "0.7"])
+    run(detect_args(two, dets))
+    for scenes, fault in (
+        (one, "frame count mismatch: 2 detection lines vs 1 scene frames; frame 1 has no pair"),
+        (late, "frame 1: timestamp mismatch: detections at 0.5 vs scene at 0.7"),
+    ):
+        capsys.readouterr()
+        assert run(["eval", "--dets", str(dets), "--scenes", str(scenes),
+                    "--report", str(tmp_path / "r.json")]) == 1
+        assert capsys.readouterr().err == f"error: {dets} vs {scenes}: {fault}\n"
+    assert not (tmp_path / "r.json").exists()
+
+
 # ---------------------------------------------------------------- pipeline
 
 
@@ -400,6 +420,17 @@ def test_bench_accepts_fewer_clusters_than_attention_keeps(tmp_path):
     assert [row.split(",")[:2] for row in rows] == [["200", "2"], ["400", "2"]]
 
 
+@pytest.mark.parametrize("n_min, n_max, factor", [(5, 5, 2), (5, 10, 4)])
+def test_bench_sweep_of_one_size_names_its_flags(tmp_path, capsys, n_min, n_max, factor):
+    out = tmp_path / "bench.csv"
+    assert run(["bench", "--n-min", str(n_min), "--n-max", str(n_max),
+                "--factor", str(factor), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --n-min {n_min}, --n-max {n_max} and --factor {factor} give one size; "
+        "the sweep needs at least two\n")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- config file
 
 
@@ -421,6 +452,79 @@ def test_config_file_flag_overrides(tmp_path):
     assert run(["simulate", "--config", str(cfg), "--seed", "5",
                 "--frames", "4", "--out", str(out)]) == 0
     assert len(read_scenes(out)) == 4
+
+
+def test_config_file_values_satisfy_required_options(tmp_path):
+    # simulate once exited 1 with "the following arguments are required:
+    # --out" although its config file set out.
+    scenes, dets, report = tmp_path / "s.jsonl", tmp_path / "d.jsonl", tmp_path / "r.json"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"out = {scenes}\nframes = 2\npoints_per_object = 5\n")
+    assert run(["simulate", "--config", str(cfg)]) == 0
+    assert len(read_scenes(scenes)) == 2
+    cfg.write_text(f"scenes = {scenes}\nout = {dets}\ngrid_nx = 2\ngrid_ny = 2\n")
+    assert run(["detect", "--config", str(cfg)]) == 0
+    cfg.write_text(f"dets = {dets}\nscenes = {scenes}\nreport = {report}\n")
+    assert run(["eval", "--config", str(cfg)]) == 0
+    assert report.exists()
+    # A flag still wins over the file.
+    other = tmp_path / "other.json"
+    assert run(["eval", "--config", str(cfg), "--report", str(other)]) == 0
+    assert other.read_bytes() == report.read_bytes()
+
+
+def test_config_file_cannot_name_another(tmp_path, capsys):
+    # A config key was once accepted and ignored: simulate wrote 8 frames
+    # although the file it named set frames = 2.
+    other, cfg = tmp_path / "other.cfg", tmp_path / "run.cfg"
+    other.write_text("frames = 2\n")
+    cfg.write_text(f"config = {other}\n")
+    out = tmp_path / "s.jsonl"
+    capsys.readouterr()
+    assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: unknown config keys: config\n"
+    assert not out.exists()
+
+
+def test_cli_defaults_are_the_dataclass_defaults():
+    # Each default a dataclass owns is read from its field, type included,
+    # since the run echoes it.  --speed-max is the one exception: the CLI
+    # simulates moving objects, while SceneConfig()'s static scenes feed
+    # acceptance criteria 5 and 7.
+    _, commands = build_parser()
+
+    def default(command, option):
+        [value] = [a.default for a in commands[command]._actions if option in a.option_strings]
+        return type(value), value
+
+    def owned(obj, field):
+        value = getattr(obj, field)
+        return type(value), value
+
+    scene, dqem, temporal, bench = SceneConfig(), DqemParams(), TemporalParams(), BenchConfig()
+    for command in ("simulate", "pipeline"):
+        for option, field in (("--bounds", "bounds"), ("--objects", "n_objects"),
+                              ("--points-per-object", "points_per_object"),
+                              ("--background-points", "background_points"),
+                              ("--noise-sigma", "noise_sigma"), ("--d", "d"),
+                              ("--speed-min", "speed_min")):
+            assert default(command, option) == owned(scene, field), (command, option)
+        assert default(command, "--speed-max") == (float, 3.0) != owned(scene, "speed_max")
+    assert default("detect", "--bounds") == owned(scene, "bounds")
+    for command in ("detect", "pipeline"):
+        for option, obj, field in (("--k", dqem, "k"), ("--topk", dqem, "top_k"),
+                                   ("--beta", dqem, "beta"), ("--radius", dqem, "radius"),
+                                   ("--iters", dqem, "iterations"),
+                                   ("--kmeans-iters", dqem, "kmeans_iters"),
+                                   ("--tau-bg", dqem, "tau_bg"),
+                                   ("--alpha", temporal, "alpha"),
+                                   ("--stride", temporal, "stride")):
+            assert default(command, option) == owned(obj, field), (command, option)
+    for option, field in (("--k", "k"), ("--kmeans-iters", "kmeans_iters"), ("--d", "d"),
+                          ("--repeats", "repeats")):
+        assert default("bench", option) == owned(bench, field), option
+    assert default("bench", "--n-min") == (int, bench.n_sweep[0])
+    assert default("bench", "--n-max") == (int, bench.n_sweep[-1])
 
 
 def test_config_file_unknown_key_exits_one(tmp_path):
@@ -876,13 +980,14 @@ def test_every_float_flag_rejects_infinity(
         ("--fixed-neighborhood", None, ("detect", "pipeline")),
         ("--matcher", "greedy", ("eval", "pipeline")),
         ("--proj", "w.json", ("detect", "pipeline")),
+        ("--seed", "1", ("eval",)),
     )
     for command in commands
 ])
 def test_deleted_flags_are_unknown(tmp_path, capsys, scenes_and_dets, command, flag, value):
     # Attention always scales its scores and normalizes over the selected
     # clusters with identity projections, every round re-gathers, and eval
-    # matches optimally.
+    # matches optimally and draws nothing, so it takes no seed.
     argv = command_args(command, tmp_path, scenes_and_dets)
     capsys.readouterr()
     assert run([*argv, flag, *([value] if value else [])]) == 1

@@ -511,7 +511,7 @@ def test_a_healthy_query_scores_its_detection(iterations):
     # its final box; flagged queries are dropped.
     assert [det.query_id for det in dets] == [qi for qi, tr in enumerate(traces) if not tr.flag]
     for det in dets:
-        assert det.frame == 0 and det.velocity is None
+        assert det.velocity is None
         assert det.box.tobytes() == traces[det.query_id].attrs.tobytes()
         assert det.score == traces[det.query_id].score
         assert 0.0 < det.score <= 1.0 if iterations else det.score == 0.0
@@ -565,11 +565,11 @@ def test_fit_deterministic():
 # ---------------------------------------------------------------- detections
 
 
-def make_det(x, y, score, qid, frame=0):
+def make_det(x, y, score, qid):
     box = np.array([x, y, 1.0, 1.0, 2.0, 1.0, 0.0, 0.0, 0.0])
     from qebev.dqem import Detection
 
-    return Detection(frame=frame, box=box, score=score, query_id=qid)
+    return Detection(box=box, score=score, query_id=qid)
 
 
 def test_dedup_keeps_higher_score():
@@ -613,7 +613,6 @@ def test_detections_io_velocity_preserved(tmp_path):
     from qebev.dqem import Detection
 
     det = Detection(
-        frame=0,
         box=np.array([1, 2, 1, 1, 2, 1, 0, 3.0, 4.0], dtype=float),
         score=0.5,
         query_id=0,

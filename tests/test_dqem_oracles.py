@@ -136,7 +136,7 @@ def detection_lists(draw):
         y = draw(st.one_of(st.integers(-4, 4).map(float), st.floats(-5.0, 5.0)))
         score = draw(st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.0, 1.0)))
         box = np.array([x, y, 0.8, 2.0, 4.5, 1.6, 0.0, 0.0, 0.0])
-        dets.append(Detection(frame=0, box=box, score=score, query_id=qid))
+        dets.append(Detection(box=box, score=score, query_id=qid))
     radius = draw(st.one_of(st.sampled_from([0.0, 1.0, 2.0, math.sqrt(2.0), 5.0]),
                             st.floats(0.0, 20.0)))
     return dets, radius

@@ -149,12 +149,12 @@ def test_match_a_pred_whose_distances_overflow_matches_nothing(threshold):
 
 def test_average_precision_counts_a_detection_whose_distance_overflows_as_false():
     gt = [np.stack([box(0.0, 0)])]
-    near = Detection(frame=0, box=box(0.1, 0), score=0.5, query_id=1)
+    near = Detection(box=box(0.1, 0), score=0.5, query_id=1)
     for x in (50.0, 1e200):
-        far = Detection(frame=0, box=box(x, 0), score=0.9, query_id=0)
-        assert average_precision([far], gt, 1.0) == 0.0
-        assert average_precision([far, near], gt, 1.0) == average_precision(
-            [Detection(0, box(50.0, 0), 0.9, 0), near], gt, 1.0)
+        far = Detection(box=box(x, 0), score=0.9, query_id=0)
+        assert average_precision([[far]], gt, 1.0) == 0.0
+        assert average_precision([[far, near]], gt, 1.0) == average_precision(
+            [[Detection(box(50.0, 0), 0.9, 0), near]], gt, 1.0)
 
 
 # ---------------------------------------------------------------- tp errors
@@ -208,18 +208,18 @@ def test_tp_errors_no_matches_saturate():
 
 def test_ap_perfect_detections():
     gt = [np.stack([box(0, 0), box(10, 0)])]
-    dets = [Detection(0, box(0, 0), 0.9, 0), Detection(0, box(10, 0), 0.8, 1)]
+    dets = [[Detection(box(0, 0), 0.9, 0), Detection(box(10, 0), 0.8, 1)]]
     assert average_precision(dets, gt, 2.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ap_all_misses_is_zero():
     gt = [np.stack([box(0, 0)])]
-    dets = [Detection(0, box(30, 30), 0.9, 0)]
+    dets = [[Detection(box(30, 30), 0.9, 0)]]
     assert average_precision(dets, gt, 2.0) == 0.0
 
 
 def test_ap_no_ground_truth_is_none():
-    assert average_precision([Detection(0, box(0, 0), 0.9, 0)],
+    assert average_precision([[Detection(box(0, 0), 0.9, 0)]],
                              [np.zeros((0, 9))], 2.0) is None
 
 
@@ -231,11 +231,11 @@ def test_ap_frozen_interpolation_case():
     # ranked TP, FP, TP over two gts: 50 levels at precision 1, the rest
     # interpolate toward 2/3; the exact 101-point mean is frozen here
     gt = [np.stack([box(0, 0), box(10, 0)])]
-    dets = [
-        Detection(0, box(0.1, 0), 0.9, 0),
-        Detection(0, box(5.0, 0), 0.8, 1),
-        Detection(0, box(10.2, 0), 0.7, 2),
-    ]
+    dets = [[
+        Detection(box(0.1, 0), 0.9, 0),
+        Detection(box(5.0, 0), 0.8, 1),
+        Detection(box(10.2, 0), 0.7, 2),
+    ]]
     ap = average_precision(dets, gt, 1.0)
     assert ap == pytest.approx(0.7896039603960394, abs=1e-12)
 
@@ -244,11 +244,8 @@ def test_ap_pools_ranking_across_frames():
     # a confident false positive in frame 1 must depress precision for
     # frame 0's true positives ranked below it
     gt = [np.stack([box(0, 0)]), np.stack([box(0, 0)])]
-    dets_clean = [
-        Detection(0, box(0, 0), 0.9, 0),
-        Detection(1, box(0, 0), 0.8, 0),
-    ]
-    dets_fp = dets_clean + [Detection(1, box(30, 30), 0.95, 1)]
+    dets_clean = [[Detection(box(0, 0), 0.9, 0)], [Detection(box(0, 0), 0.8, 0)]]
+    dets_fp = [dets_clean[0], dets_clean[1] + [Detection(box(30, 30), 0.95, 1)]]
     ap_clean = average_precision(dets_clean, gt, 2.0)
     ap_fp = average_precision(dets_fp, gt, 2.0)
     assert ap_clean == pytest.approx(1.0, abs=1e-12)
@@ -257,7 +254,7 @@ def test_ap_pools_ranking_across_frames():
 
 def test_ap_one_gt_cannot_match_twice():
     gt = [np.stack([box(0, 0)])]
-    dets = [Detection(0, box(0.1, 0), 0.9, 0), Detection(0, box(0.2, 0), 0.8, 1)]
+    dets = [[Detection(box(0.1, 0), 0.9, 0), Detection(box(0.2, 0), 0.8, 1)]]
     ap = average_precision(dets, gt, 2.0)
     # the second detection is a duplicate and counts as a false positive:
     # the final recall level interpolates to precision 0.5, the other 100
@@ -305,9 +302,9 @@ def perfect_run(seed=1, frames=2):
     cfg = SceneConfig(n_objects=3, background_points=10)
     seq = generate_sequence(cfg, frames, 0.5, make_rng(seed))
     det_frames = []
-    for t, fr in enumerate(seq):
+    for fr in seq:
         dets = [
-            Detection(frame=t, box=b.copy(), score=0.9, query_id=i)
+            Detection(box=b.copy(), score=0.9, query_id=i)
             for i, b in enumerate(fr.boxes)
         ]
         det_frames.append(

@@ -95,10 +95,9 @@ def detection_frames(draw):
     frames = []
     # Timestamps strictly rise, as reading requires.
     stamps = sorted(draw(st.sets(finite, min_size=1, max_size=3)))
-    for t, timestamp in enumerate(stamps):
+    for timestamp in stamps:
         dets = [
             Detection(
-                frame=t,
                 box=draw(boxes()),
                 score=draw(finite),
                 query_id=draw(st.integers(-2**63, 2**63)),
@@ -124,7 +123,7 @@ def test_detection_file_round_trips_bit_for_bit(frames):
         assert a.fused is b.fused
         assert len(a.detections) == len(b.detections)
         for da, db in zip(a.detections, b.detections):
-            assert (da.frame, da.query_id) == (db.frame, db.query_id)
+            assert da.query_id == db.query_id
             assert same_bits(da.box, db.box)
             assert same_bits(da.score, db.score)
             if da.velocity is None:
@@ -142,7 +141,7 @@ def seeded_lines():
     frames = generate_sequence(cfg, 3, 0.5, make_rng(11))
     dets = [
         DetectionFrame(frame.timestamp, [
-            Detection(t, box, 0.5 + 0.1 * i, i, box[7:9] if t % 2 else None)
+            Detection(box, 0.5 + 0.1 * i, i, box[7:9] if t % 2 else None)
             for i, box in enumerate(frame.boxes)
         ], bool(t % 2) if t else None)
         for t, frame in enumerate(frames)

@@ -94,9 +94,9 @@ def test_temporal_params_validation():
 # ------------------------------------------------------------- velocity
 
 
-def det_at(x, y, vx=0.0, vy=0.0, frame=0, qid=0):
+def det_at(x, y, vx=0.0, vy=0.0, qid=0):
     box = np.array([x, y, 1.0, 1.0, 2.0, 1.0, 0.0, vx, vy])
-    return Detection(frame=frame, box=box, score=0.9, query_id=qid)
+    return Detection(box=box, score=0.9, query_id=qid)
 
 
 def positions(dets):
@@ -117,7 +117,7 @@ def test_velocity_no_history_uses_channel():
 
 def test_velocity_gate_exceeded_uses_channel():
     d = det_at(0.0, 0.0, vx=1.0, vy=0.0)
-    far = [det_at(50.0, 50.0, frame=0)]
+    far = [det_at(50.0, 50.0)]
     v = _velocity_estimate(rows([d]), positions(far), dt=1.0)[0]
     assert np.allclose(v, [1.0, 0.0])
 
@@ -125,8 +125,8 @@ def test_velocity_gate_exceeded_uses_channel():
 def test_velocity_association_mixes_motion_and_channel():
     # object at (3, 0) moving +x at 2 m/s, dt = 1 s; it was near (1, 0)
     dt = 1.0
-    cur = det_at(3.0, 0.0, vx=2.0, vy=0.0, frame=2)
-    prev = [det_at(1.2, 0.0, frame=0), det_at(-8.0, 4.0, frame=0)]
+    cur = det_at(3.0, 0.0, vx=2.0, vy=0.0)
+    prev = [det_at(1.2, 0.0), det_at(-8.0, 4.0)]
     v = _velocity_estimate(rows([cur]), positions(prev), dt=1.0)[0]
     v_mot = (np.array([3.0, 0.0]) - np.array([1.2, 0.0])) / dt
     assert np.allclose(v, 0.5 * (v_mot + np.array([2.0, 0.0])), atol=1e-12)
@@ -135,11 +135,11 @@ def test_velocity_association_mixes_motion_and_channel():
 def test_velocity_backtracks_with_channel_prediction():
     # two candidates; the right one is closest to cur - v_chan * dt,
     # not closest to cur
-    cur = det_at(0.0, 0.0, vx=4.0, vy=0.0, frame=2)
+    cur = det_at(0.0, 0.0, vx=4.0, vy=0.0)
     dt = 1.0
     # predicted back-position is (-4, 0)
-    right = det_at(-3.8, 0.0, frame=0, qid=1)
-    wrong = det_at(0.5, 0.0, frame=0, qid=2)
+    right = det_at(-3.8, 0.0, qid=1)
+    wrong = det_at(0.5, 0.0, qid=2)
     v = _velocity_estimate(rows([cur]), positions([wrong, right]), dt=1.0)[0]
     v_mot = (np.array([0.0, 0.0]) - np.array([-3.8, 0.0])) / dt
     assert np.allclose(v, 0.5 * (v_mot + np.array([4.0, 0.0])), atol=1e-12)
@@ -149,8 +149,8 @@ def test_velocity_backtracks_with_channel_prediction():
 def test_velocity_over_a_gap_that_overflows_uses_channel(dt):
     # A frame interval of 5e-324 or 1e154 once ended a pipeline run as a
     # numpy overflow warning, from the track delta or the back projection.
-    cur = det_at(0.001, 0.0, vx=3.0, vy=0.0, frame=2)
-    v = _velocity_estimate(rows([cur]), positions([det_at(0.0, 0.0, frame=0)]), dt=dt)[0]
+    cur = det_at(0.001, 0.0, vx=3.0, vy=0.0)
+    v = _velocity_estimate(rows([cur]), positions([det_at(0.0, 0.0)]), dt=dt)[0]
     assert v.tolist() == [3.0, 0.0]
 
 

@@ -28,7 +28,7 @@ def assert_matches_reference(boxes, prev_xy, dt):
     got = _velocity_estimate(boxes, prev_xy, dt)
     assert got.dtype == np.float64 and got.shape == (len(boxes), 2)
     for i, box in enumerate(boxes):
-        want = ref.velocity_estimate(Detection(0, box, 0.5, i), prev_xy, dt)
+        want = ref.velocity_estimate(Detection(box, 0.5, i), prev_xy, dt)
         assert want.dtype == got.dtype and got[i].tobytes() == want.tobytes(), (i, dt)
 
 
