@@ -65,9 +65,9 @@ class Frame:
     xy: np.ndarray
     feat: np.ndarray
     encoder_seed: int
-    # Per-radius cell indices over ``xy``, built by the first neighbourhood
-    # gather at that radius and reused by the later ones.
-    cell_index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (xy, indices, x values) of the finite points of ``xy`` in ascending x,
+    # built by the first neighbourhood gather and shared by every radius.
+    x_order: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Copies, so that a caller's array is never made read-only.

@@ -67,9 +67,9 @@ def _load_config_file(path: str) -> dict[str, str]:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
+            key, eq, value = line.partition("=")
+            if not eq or not key:
                 raise ValueError(f"{path}:{line_no}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
             out[key.strip()] = value.strip()
     return out
 

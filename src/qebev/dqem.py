@@ -174,105 +174,44 @@ def init_pillars(grid_nx: int, grid_ny: int, bounds: float) -> np.ndarray:
 
 # Radii whose square is a normal float.  For them a point that passes the
 # squared-distance test lies within radius * (1 + a few ulp) of the center,
-# well inside the slack on a window's reach.
+# well inside the slack on the strip's reach.
 _GRID_RADII = (1e-150, 1e150)
 _REACH_SLACK = 1.0 + 1e-6
-_MAX_CELL = 2**31 - 1
-# Offsets from a 3x3 block's lower-left cell to each of its cells.
-_BLOCK_DX = np.repeat(np.arange(3), 3)
-_BLOCK_DY = np.tile(np.arange(3), 3)
-
-
-class _CellIndex:
-    """Frame points bucketed on a uniform grid of cell size ``radius``.
-
-    The cell-list method for fixed-radius near neighbours (Bentley, Stanat &
-    Williams 1977).  Each cell anchors the 3x3 block of cells above and to
-    the right of it, and the index keeps every block's points in point
-    order, one run per block in order of the block key ``ix * ny + iy``:
-    nine 4-byte entries a point, plus a key and a run start per block.
-    A cell coordinate is a monotone function of position (floor, then
-    clipped to the grid), so the cells between those of ``center - reach``
-    and ``center + reach`` hold every point the squared-distance test can
-    accept.  That window is at most 3 cells wide unless the center lies
-    within the reach slack of a cell edge; wider windows take the blocks
-    that tile them.  Non-finite points never pass the test and are left
-    out.  A radius outside ``_GRID_RADII`` (or NaN), whose square under- or
-    overflows, gets one block holding every point.
-    """
-
-    def __init__(self, xy: np.ndarray, radius: float) -> None:
-        self.xy = xy
-        self.radius = float(radius)
-        self.reach = self.radius * _REACH_SLACK
-        self.grid = _GRID_RADII[0] < radius < _GRID_RADII[1]
-        if not self.grid:
-            self.points = np.arange(xy.shape[0], dtype=np.int32)
-            return
-        idx = np.flatnonzero(np.isfinite(xy).all(axis=1))
-        self.origin = xy[idx].min(axis=0).tolist() if idx.size else [0.0, 0.0]
-        with np.errstate(over="ignore"):  # an overflow lands in the last cell
-            cells = np.floor((xy[idx] - self.origin) / self.radius)
-        cells = np.clip(cells, 0, _MAX_CELL).astype(np.int64)
-        self.nx, self.ny = (cells.max(axis=0) + 1).tolist() if idx.size else (1, 1)
-        # Row p, column b: the block anchored (_BLOCK_DX[b], _BLOCK_DY[b])
-        # cells down-left of point p's cell, kept if that cell is on the
-        # grid.  Rows run in point order, and the stable sort keeps it.
-        inside = (cells[:, :1] >= _BLOCK_DX) & (cells[:, 1:] >= _BLOCK_DY)
-        own = cells[:, 0] * self.ny + cells[:, 1]
-        keys = (own[:, None] - (_BLOCK_DX * self.ny + _BLOCK_DY))[inside]
-        by_block = np.argsort(keys, kind="stable")
-        self.points = np.repeat(idx.astype(np.int32), inside.sum(axis=1))[by_block]
-        keys = keys[by_block]
-        # Block i's points are points[run_starts[i]:run_starts[i + 1]].
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        self.block_keys = keys[starts]
-        self.run_starts = np.append(starts, keys.size)
-
-    def _cell(self, v: float, axis: int, n: int) -> int:
-        t = (v - self.origin[axis]) / self.radius
-        return 0 if t < 0.0 else n - 1 if t >= n - 1 else int(t)
-
-    def candidates(self, cx: float, cy: float) -> np.ndarray:
-        """Ascending indices of the points in the cells around a center."""
-        if not self.grid:
-            return self.points
-        if not (math.isfinite(cx) and math.isfinite(cy)):
-            # Every delta is non-finite, so the test accepts nothing.
-            return self.points[:0]
-        ax, bx = self._cell(cx - self.reach, 0, self.nx), self._cell(cx + self.reach, 0, self.nx)
-        ay, by = self._cell(cy - self.reach, 1, self.ny), self._cell(cy + self.reach, 1, self.ny)
-        bounds = []
-        for ix in range(ax, bx + 1, 3):
-            for iy in range(ay, by + 1, 3):
-                key = ix * self.ny + iy
-                bounds += (key, key + 1)
-        ends = self.run_starts.take(self.block_keys.searchsorted(bounds)).tolist()
-        if len(ends) == 2:
-            return self.points[ends[0]:ends[1]]
-        cand = np.concatenate([self.points[s:e] for s, e in zip(ends[::2], ends[1::2])])
-        cand.sort()
-        return cand
 
 
 def gather_neighborhood(frame: Frame, center_xy: np.ndarray, radius: float) -> np.ndarray:
     """Ascending indices of the frame points within ``radius`` of a BEV
     position (inclusive).
 
-    Only the points in the cells around the center are tested, through the
-    frame's cell index for this radius (built on first use); the test and the
-    order are those of a scan over every point.
+    Only the points whose x lies within the radius (and a slack) of the
+    center's are tested: two binary searches find them in the frame's
+    finite points sorted by x, an order built on first use and shared by
+    every radius.  The test and the order are those of a scan over every
+    point.  A radius outside ``_GRID_RADII`` (or NaN), whose square under-
+    or overflows, tests every point.
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     c = np.asarray(center_xy, dtype=np.float64).reshape(2)
+    cx, cy = c.tolist()
     xy = frame.xy
     if len(xy) == 0:
         return np.zeros(0, dtype=np.int32)
-    index = frame.cell_index.get(radius)
-    if index is None or index.xy is not xy:
-        index = frame.cell_index[radius] = _CellIndex(xy, radius)
-    cand = index.candidates(*c.tolist())
+    if not _GRID_RADII[0] < radius < _GRID_RADII[1]:
+        cand = np.arange(len(xy), dtype=np.int32)
+    elif not (math.isfinite(cx) and math.isfinite(cy)):
+        # Every delta is non-finite, so the test accepts nothing.
+        return np.zeros(0, dtype=np.int32)
+    else:
+        if frame.x_order is None or frame.x_order[0] is not xy:
+            finite = np.flatnonzero(np.isfinite(xy).all(axis=1)).astype(np.int32)
+            by_x = finite[np.argsort(xy[finite, 0], kind="stable")]
+            frame.x_order = (xy, by_x, xy[by_x, 0])
+        _, by_x, xs = frame.x_order
+        reach = radius * _REACH_SLACK
+        lo = xs.searchsorted(cx - reach, side="left")
+        hi = xs.searchsorted(cx + reach, side="right")
+        cand = np.sort(by_x[lo:hi])
     # take() gathers rows several times faster than fancy indexing.
     delta = xy.take(cand, axis=0) - c
     return cand[np.einsum("nd,nd->n", delta, delta) <= radius * radius]

@@ -203,6 +203,9 @@ def average_precision(
     overflow matches none and counts as a false positive.  Returns None
     when there is no ground truth at all.
     """
+    if len(detections) != len(gt_frames):
+        raise ValueError(f"frame count mismatch: {len(detections)} detection frames vs "
+                         f"{len(gt_frames)} ground-truth frames")
     n_gt = sum(g.shape[0] for g in gt_frames)
     if n_gt == 0:
         return None

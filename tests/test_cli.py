@@ -541,6 +541,16 @@ def test_config_file_malformed_line_exits_one(tmp_path):
                 "--out", str(tmp_path / "s.jsonl")]) == 1
 
 
+def test_config_file_line_with_no_key_exits_one_with_its_line(tmp_path, capsys):
+    # This once failed as "unknown config keys: ", naming nothing.
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("frames = 2\n= 5\n")
+    out = tmp_path / "s.jsonl"
+    assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:2: expected key=value, got '= 5'\n"
+    assert not out.exists()
+
+
 def test_config_file_byte_that_is_not_utf8_exits_one_with_its_line(tmp_path, capsys):
     # The whole file was once decoded as strict UTF-8: "'utf-8' codec can't
     # decode byte 0xff in position 19", naming neither the file nor the line.

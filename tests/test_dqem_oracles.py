@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qebev.bevscene import Frame
@@ -53,8 +53,8 @@ NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 @st.composite
 def gather_cases(draw):
     # Dense lattice points, lattice centers and radii a whole number of steps
-    # put points at exactly the radius and on cell edges (cells start at the
-    # smallest coordinate).  A few odd points and centers ride along.
+    # put points at exactly the radius and at the edges of the x strip.  A
+    # few odd points and centers ride along.
     step = draw(st.sampled_from([0.1, 0.25, 1.0, 2.5]))
     lattice = st.integers(-8, 8).map(lambda i: i * step)
     anywhere = st.floats(-100.0, 100.0)
@@ -84,6 +84,9 @@ def gather_cases(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(gather_cases())
+# The scan accepts the point, at 5 * 0.1 from the center by the squared
+# test, but x = -7 * 0.1 lies just outside an x strip with no slack.
+@example(([(-7 * 0.1, 0.0)], 5 * 0.1, [(-2 * 0.1, 0.0)]))
 def test_indexed_gather_matches_scan_in_point_order(case):
     xy, radius, centers = case
     frame = frame_at(xy)
@@ -94,25 +97,25 @@ def test_indexed_gather_matches_scan_in_point_order(case):
         assert got.tolist() == want.tolist()
 
 
-def test_gather_builds_one_index_per_radius_and_follows_new_points():
+def test_gather_shares_one_x_order_across_radii_and_follows_new_points():
     frame = frame_at(make_rng_points(100))
-    for center in make_rng_points(20):
-        gather_neighborhood(frame, center, 8.0)
-        gather_neighborhood(frame, center, 3.0)
-    assert sorted(frame.cell_index) == [3.0, 8.0]
-    index = frame.cell_index[8.0]
     gather_neighborhood(frame, np.zeros(2), 8.0)
-    assert frame.cell_index[8.0] is index
+    order = frame.x_order
+    for center in make_rng_points(20):
+        for radius in (8.0, 3.0):
+            got = gather_neighborhood(frame, center, radius)
+            assert got.tolist() == scan_gather_indices(frame.xy, center, radius).tolist()
+    assert frame.x_order is order
     moved = frame_at(make_rng_points(50) + 100.0)
     frame.xy, frame.feat = moved.xy, moved.feat
     got = gather_neighborhood(frame, np.array([100.0, 100.0]), 8.0)
-    assert frame.cell_index[8.0] is not index
+    assert frame.x_order is not order
     assert got.tolist() == scan_gather_indices(
         frame.xy, [100.0, 100.0], 8.0).tolist()
 
 
 def test_frame_xy_is_a_read_only_copy_so_no_write_leaves_the_index_stale():
-    # The cell index is keyed by the identity of xy, so an in-place write
+    # The gather order is keyed by the identity of xy, so an in-place write
     # once left it stale: after xy[1] = (1, 1) the gather still returned
     # [0] while a scan over every point returned [0, 1].
     mine = np.array([[0.0, 0.0], [100.0, 100.0]])

@@ -224,7 +224,27 @@ def test_ap_no_ground_truth_is_none():
 
 
 def test_ap_no_detections_is_zero():
-    assert average_precision([], [np.stack([box(0, 0)])], 2.0) == 0.0
+    assert average_precision([[]], [np.stack([box(0, 0)])], 2.0) == 0.0
+
+
+def test_ap_refuses_more_detection_frames_than_ground_truth_frames():
+    # Frame 1 has no ground truth to match against: this once raised a bare
+    # "IndexError: list index out of range" from the ranking loop.
+    det = Detection(box(0, 0), 0.9, 0)
+    with pytest.raises(ValueError, match="^frame count mismatch: 2 detection frames "
+                                         "vs 1 ground-truth frames$"):
+        average_precision([[], [det]], [np.stack([box(0, 0)])], 1.0)
+
+
+def test_ap_refuses_fewer_detection_frames_than_ground_truth_frames():
+    # This once scored the missing frame as empty and returned 0.505.
+    det = Detection(box(0, 0), 0.9, 0)
+    gt = np.stack([box(0, 0)])
+    with pytest.raises(ValueError, match="^frame count mismatch: 1 detection frames "
+                                         "vs 2 ground-truth frames$"):
+        average_precision([[det]], [gt, gt], 1.0)
+    with pytest.raises(ValueError, match="0 detection frames vs 1 ground-truth"):
+        average_precision([], [gt], 1.0)
 
 
 def test_ap_frozen_interpolation_case():

@@ -435,7 +435,7 @@ def test_run_sequence_memory_grows_only_by_its_detections():
             return run_sequence(seq, params, TemporalParams(), make_rng(4),
                                 init_pillars(8, 8, 30.0))
 
-        run()  # builds the frames' cell indices outside the traced run
+        run()  # builds the frames' gather orders outside the traced run
         res, peak, _ = traced_memory(run)
         _, _, held = traced_memory(lambda: copy.deepcopy([fr.detections for fr in res.frames]))
         peaks.append(peak)
