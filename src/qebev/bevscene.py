@@ -21,11 +21,9 @@ import numpy as np
 from .numerics import draw_seed, make_rng
 
 __all__ = [
-    "ATTR_DIM",
     "Frame",
     "SceneConfig",
     "encoding_matrix",
-    "encode_attributes",
     "decode_feature",
     "generate_sequence",
     "write_scenes",

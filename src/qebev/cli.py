@@ -203,10 +203,13 @@ def _detect_over_scenes(
     frames = read_scenes(scenes_path)
     if not frames:
         raise ValueError(f"{scenes_path}: no frames")
-    result = run_sequence(
-        frames, params, tparams if args.temporal else None,
-        make_rng(derive_seed(args.seed, "detect")), starts,
-    )
+    try:
+        result = run_sequence(
+            frames, params, tparams if args.temporal else None,
+            make_rng(derive_seed(args.seed, "detect")), starts,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{scenes_path}: {exc}") from exc
     echo = asdict(params)
     echo.update(
         {

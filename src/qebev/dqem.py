@@ -43,7 +43,6 @@ __all__ = [
     "init_pillars",
     "gather_neighborhood",
     "kmeans",
-    "attention_scores",
     "aggregate_over_centers",
     "blend_and_rescale",
     "diversity_loss",

@@ -19,13 +19,7 @@ from .dqem import Detection, DetectionFrame
 
 __all__ = [
     "EvalReport",
-    "AP_THRESHOLDS",
     "TP_THRESHOLD",
-    "hungarian_assign",
-    "match_detections",
-    "tp_errors",
-    "average_precision",
-    "nds",
     "evaluate_detections",
     "write_report",
 ]

@@ -37,7 +37,6 @@ from .numerics import derive_seed, draw_seed, make_rng
 __all__ = [
     "TemporalParams",
     "SequenceResult",
-    "temporal_init",
     "temporal_aggregate",
     "evolve_queries",
     "iter_sequence",
@@ -266,6 +265,7 @@ def iter_sequence(
 
     Each frame's randomness derives from one base seed and the frame index,
     so with- and without-fusion runs see identical per-frame streams.
+    A frame the kernel refuses fails as ``frame t (timestamp ts): reason``.
     """
     base_seed = draw_seed(rng)
     carries: list[_Carry | None] | None = None
@@ -288,10 +288,13 @@ def iter_sequence(
                     f"{t - tparams.stride} (timestamp {back_time}), one stride back"
                 )
         frame_rng = make_rng(derive_seed(base_seed, f"frame:{t}"))
-        traces, carries = _evolve_frame(
-            starts, frame, params, frame_rng,
-            tparams.alpha if fused else 0.0, carries if fused else None,
-        )
+        try:
+            traces, carries = _evolve_frame(
+                starts, frame, params, frame_rng,
+                tparams.alpha if fused else 0.0, carries if fused else None,
+            )
+        except ValueError as exc:
+            raise ValueError(f"frame {t} (timestamp {frame.timestamp}): {exc}") from exc
 
         # Healthy queries become detections, scored by their final round's
         # attention concentration; flagged ones are dropped.

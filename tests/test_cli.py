@@ -662,17 +662,19 @@ def test_eval_infinite_point_exits_one(tmp_path):
 @pytest.mark.filterwarnings("error")
 def test_detect_overflowing_features_exits_one(tmp_path, capsys):
     # Finite features scaled up, refused without a numpy warning, with
-    # fusion off and on.  At 1e200 the neighborhood mean overflows its norm
-    # before any decode.  At 1e3 a decoded log-size channel overflows exp(),
-    # and at 1e4 another also underflows it to 0.  Unscaled features blended
-    # with --beta 1e200 overflow the blend norm.
+    # fusion off and on, naming the scene file and the frame.  At 1e200 the
+    # neighborhood mean overflows its norm before any decode.  At 1e3 a
+    # decoded log-size channel overflows exp(), and at 1e4 another also
+    # underflows it to 0.  Unscaled features blended with --beta 1e200
+    # overflow the blend norm.
     scenes, bad = tmp_path / "s.jsonl", tmp_path / "bad.jsonl"
     run(simulate_args(scenes))
     for extra in (("--beta", "1e200"), ("--beta", "1e200", "--temporal", "--stride", "1")):
         capsys.readouterr()
         assert run(detect_args(scenes, tmp_path / "d.jsonl", extra)) == 1
         assert capsys.readouterr().err == (
-            "error: blend norm is not finite (overflowing features or beta)\n")
+            f"error: {scenes}: frame 0 (timestamp 0.0): "
+            "blend norm is not finite (overflowing features or beta)\n")
     for factor, message in (
         (1e200, "neighborhood mean is not finite (non-finite or overflowing features)"),
         (1e3, "decoded box size over- or underflows (overflowing features)"),
@@ -687,7 +689,7 @@ def test_detect_overflowing_features_exits_one(tmp_path, capsys):
         for extra in ((), ("--temporal", "--stride", "1")):
             capsys.readouterr()
             assert run(detect_args(bad, tmp_path / "d.jsonl", extra)) == 1
-            assert capsys.readouterr().err == f"error: {message}\n"
+            assert capsys.readouterr().err == f"error: {bad}: frame 1 (timestamp 0.5): {message}\n"
 
 
 def test_eval_non_finite_score_exits_one_with_location(tmp_path, capsys):

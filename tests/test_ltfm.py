@@ -480,12 +480,18 @@ def degenerate_frames(draw):
     return Frame(0.0, np.zeros((0, 9)), [], xy, feat, draw(st.integers(0, 2**32)))
 
 
-def finished(run):
-    """``run()``'s result, or None when an overflow check refused the frame."""
+def finished(run, frames=None):
+    """``run()``'s result, or None when an overflow check refused the frame.
+    A run over ``frames`` must name the refused frame first, as
+    ``iter_sequence`` does."""
+    messages = OVERFLOW_MESSAGES if frames is None else {
+        f"frame {t} (timestamp {fr.timestamp}): {m}"
+        for t, fr in enumerate(frames) for m in OVERFLOW_MESSAGES
+    }
     try:
         return run()
     except ValueError as exc:
-        assert str(exc) in OVERFLOW_MESSAGES, exc
+        assert str(exc) in messages, exc
         return None
 
 
@@ -516,7 +522,8 @@ def test_degenerate_frames_finish_finite_and_flagged(frame, k, iterations, radiu
         assert_finite_and_flagged(traces)
     frames = [frame, replace(frame, timestamp=0.5)]
     tparams = TemporalParams(stride=1) if fuse else None
-    out = finished(lambda: list(iter_sequence(frames, params, tparams, make_rng(seed), starts)))
+    out = finished(lambda: list(iter_sequence(frames, params, tparams, make_rng(seed), starts)),
+                   frames)
     if out is None:
         return
     assert len(out) == 2
