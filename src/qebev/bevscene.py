@@ -8,10 +8,11 @@ points carry pure noise and decode to nothing.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
+import reprlib
 import sys
-from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable
@@ -316,17 +317,34 @@ def generate_sequence(
     return out
 
 
-def _frame_record(frame: Frame) -> dict:
+def _non_finite_point(xy: np.ndarray, feat: np.ndarray) -> str | None:
+    """``point i: xy is not finite`` (or ``feature``) for the first such
+    point, positions checked first; None when every value is finite."""
+    for name, values in (("xy", xy), ("feature", feat)):
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+        if bad.size:
+            return f"point {bad[0]}: {name} is not finite"
+    return None
+
+
+def _base64_float64s(values: np.ndarray) -> str:
+    """The values, row by row, as little-endian float64 bytes in base64
+    (RFC 4648, padded)."""
+    return base64.b64encode(np.ascontiguousarray(values, dtype="<f8")).decode("ascii")
+
+
+def _frame_record(t: int, frame: Frame) -> dict:
+    fault = _non_finite_point(frame.xy, frame.feat)
+    if fault:
+        raise ValueError(f"frame {t}: {fault}")
     return {
         "timestamp": frame.timestamp,
         "gt": [
             {"box": box, "track_id": tid}
             for box, tid in zip(frame.boxes.tolist(), frame.track_ids)
         ],
-        "points": [
-            {"xy": xy, "f": f}
-            for xy, f in zip(frame.xy.tolist(), frame.feat.tolist())
-        ],
+        "xy": _base64_float64s(frame.xy),
+        "feat": _base64_float64s(frame.feat),
         "encoder_seed": frame.encoder_seed,
         "d": frame.d,
     }
@@ -340,49 +358,10 @@ def _write_records(records: Iterable[dict], path: str) -> None:
 
 
 def write_scenes(frames: Iterable[Frame], path: str) -> None:
-    """One frame per line."""
-    _write_records(map(_frame_record, frames), path)
-
-
-def _packed_point(obj: dict) -> dict | array:
-    """json.loads object hook: a point record ``{"xy": [x, y], "f": [...]}``
-    becomes one packed float64 row (x, y, then the features).
-
-    A parsed line then holds one small buffer per point instead of a dict,
-    two lists and their float objects.  Any other object, and a point whose
-    values are not two coordinates and a list of numbers, stays as parsed.
-    """
-    xy, f = obj.get("xy"), obj.get("f")
-    if type(xy) is list and len(xy) == 2 and type(f) is list:
-        try:
-            return array("d", xy + f)
-        except (TypeError, OverflowError):
-            pass
-    return obj
-
-
-def _packed_point_no_bool(obj: dict) -> dict | array:
-    """:func:`_packed_point` for a line that may hold a JSON bool, which a
-    packed row would read as 1.0 or 0.0: a point holding one stays as parsed."""
-    row = _packed_point(obj)
-    if row is not obj and any(type(v) is bool for v in obj["xy"] + obj["f"]):
-        return obj
-    return row
-
-
-def _point_arrays(records: list) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, 2) positions, a view that :class:`Frame` copies, and the
-    (n, d) features of a line's packed points."""
-    try:
-        packed = b"".join(records)  # buffers only: any unpacked record fails
-    except TypeError:
-        bad = next(i for i, row in enumerate(records) if not isinstance(row, array))
-        raise ValueError(f"point {bad}: not an xy pair and a list of numbers") from None
-    width = len(records[0])
-    if any(len(row) != width for row in records):
-        raise ValueError("points differ in feature width")
-    table = np.frombuffer(packed).reshape(len(records), width)
-    return table[:, :2], table[:, 2:].copy()
+    """One frame per line, its points as two base64 float64 arrays; a
+    non-finite point value is refused, naming frame and point, before
+    that frame's line is written."""
+    _write_records((_frame_record(t, frame) for t, frame in enumerate(frames)), path)
 
 
 class _NamedFault(ValueError):
@@ -405,9 +384,10 @@ def _json_number(value, name: str) -> float:
 
 
 def _json_array(value, name: str) -> list:
-    """A JSON array field; null, a number or an object is not read as empty."""
+    """A JSON array field; null, a number or an object is not read as empty.
+    A refusal echoes a shortened repr, since the value may be large."""
     if type(value) is not list:
-        raise ValueError(f"{name} must be an array, got {value!r}")
+        raise ValueError(f"{name} must be an array, got {reprlib.repr(value)}")
     return value
 
 
@@ -453,13 +433,12 @@ def _check_utf8(line: str) -> None:
             f"byte 0x{byte:02x} at character {exc.start + 1} is not UTF-8") from None
 
 
-def _read_records(path: str, kind: str, parse: Callable, hook=None) -> list:
+def _read_records(path: str, kind: str, parse: Callable) -> list:
     """``parse(obj, timestamp, records)`` of each non-blank line of a JSON
     Lines file, whose timestamp must be finite and later than the last
-    record's; ``hook(line)`` picks the line's object hook.  A fault raises
-    ``path:line: …``: a line that is no JSON object and a missing top-level
-    key are named as such, and any other fault is a malformed ``kind``
-    record unless it names its place.
+    record's.  A fault raises ``path:line: …``: a line that is no JSON
+    object and a missing top-level key are named as such, and any other
+    fault is a malformed ``kind`` record unless it names its place.
     """
     records: list = []
     # Bytes that are not UTF-8 come through as lone surrogates, so that the
@@ -473,7 +452,7 @@ def _read_records(path: str, kind: str, parse: Callable, hook=None) -> list:
             try:
                 if not line.isascii():
                     _check_utf8(line)
-                obj = json.loads(line, object_hook=hook and hook(line))
+                obj = json.loads(line)
                 del line
                 if type(obj) is not dict:
                     raise _NamedFault(f"record must be a JSON object, got {type(obj).__name__}")
@@ -499,6 +478,17 @@ def _gt_entry(g: dict) -> tuple[list[float], int]:
     return box, _json_int(g["track_id"], "track_id")
 
 
+def _float64_bytes(rec: dict, key: str) -> bytes:
+    """The bytes of a record's base64 float64 field."""
+    value = rec[key]
+    if type(value) is not str:
+        raise ValueError(f"{key} must be a base64 string, got {reprlib.repr(value)}")
+    try:
+        return base64.b64decode(value, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character that is not ASCII
+        raise ValueError(f"{key} is not base64 ({exc})") from None
+
+
 def _frame(rec: dict, timestamp: float, frames: list[Frame]) -> Frame:
     """One scene record as a frame, given the frames before it."""
     d = _json_int(rec["d"], "d")
@@ -510,22 +500,27 @@ def _frame(rec: dict, timestamp: float, frames: list[Frame]) -> Frame:
     if not 0 <= encoder_seed < 2**64:
         raise ValueError(f"encoder_seed must be in [0, 2**64), got {encoder_seed}")
     gt = _json_array(rec["gt"], "gt")
-    rows = _json_array(rec["points"], "points")
-    xy, feat = _point_arrays(rows) if rows else (np.zeros((0, 2)), np.zeros((0, d)))
-    for field_name, values in (("xy", xy), ("feature", feat)):
-        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
-        if bad.size:
-            raise _NamedFault(f"point {bad[0]}: {field_name} is not finite")
+    if "points" in rec:
+        raise _NamedFault('old per-point scene format ("points"); simulate the scene again')
+    xy_bytes = _float64_bytes(rec, "xy")
+    if len(xy_bytes) % 16:
+        raise ValueError(f"xy holds {len(xy_bytes)} bytes, not 16 (two float64) per point")
+    n = len(xy_bytes) // 16
+    feat_bytes = _float64_bytes(rec, "feat")
+    if len(feat_bytes) != n * d * 8:
+        raise ValueError(f"feat holds {len(feat_bytes)} bytes, not {n * d * 8} "
+                         f"(n {n} points * d {d} * 8)")
+    # Frame copies xy; the features are copied here, so they stay writeable.
+    xy = np.frombuffer(xy_bytes, "<f8").reshape(n, 2)
+    feat = np.frombuffer(feat_bytes, "<f8").reshape(n, d).astype(np.float64)
+    fault = _non_finite_point(xy, feat)
+    if fault:
+        raise _NamedFault(fault)
     entries = [_named("gt", i, _gt_entry, g) for i, g in enumerate(gt)]
     boxes = np.array([box for box, _ in entries]).reshape(-1, ATTR_DIM)
-    if feat.shape[1] != d:
-        raise ValueError("feature width disagrees with d")
     return Frame(timestamp, boxes, [tid for _, tid in entries], xy, feat, encoder_seed)
 
 
 def read_scenes(path: str) -> list[Frame]:
     """Parse a scene JSONL file into frames of one feature width, timestamps strictly rising."""
-    # A JSON bool holds a "u" (true) or an "l" (false), and a scene line
-    # holds neither, so only a line with one checks its points for bools.
-    return _read_records(path, "frame", _frame, lambda line: (
-        _packed_point_no_bool if "u" in line or "l" in line else _packed_point))
+    return _read_records(path, "frame", _frame)

@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import tracemalloc
@@ -5,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from _scene_lines import encode, old_format, points, set_value
 from qebev.bevscene import (
     ATTR_DIM,
     Frame,
@@ -273,10 +275,15 @@ def test_scene_io_exact_keys(tmp_path):
     path = tmp_path / "one.jsonl"
     write_scenes([fr], path)
     rec = json.loads(path.read_text().splitlines()[0])
-    assert set(rec) == {"timestamp", "gt", "points", "encoder_seed", "d"}
+    assert set(rec) == {"timestamp", "gt", "xy", "feat", "encoder_seed", "d"}
     assert set(rec["gt"][0]) == {"box", "track_id"}
-    assert set(rec["points"][0]) == {"xy", "f"}
     assert len(rec["gt"][0]["box"]) == 9
+    # The points are the frame's little-endian float64 bytes in padded
+    # base64 (RFC 4648): 3 points of 2 and of 16 values.
+    for key, values in (("xy", fr.xy), ("feat", fr.feat)):
+        assert base64.b64decode(rec[key], validate=True) == values.astype("<f8").tobytes()
+        assert len(rec[key]) == 4 * math.ceil(values.size * 8 / 3)
+    assert (len(rec["xy"]), len(rec["feat"])) == (64, 512)
 
 
 def test_read_scenes_reports_bad_line(tmp_path):
@@ -292,10 +299,11 @@ def test_read_scenes_reports_bad_line(tmp_path):
 @pytest.mark.parametrize(
     "where, value, message",
     [
-        (("points", 3, "f", 2), float("nan"), r":2: point 3: feature is not finite"),
-        (("points", 1, "xy", 0), float("inf"), r":2: point 1: xy is not finite"),
+        (("feat", 3, 2), float("nan"), r":2: point 3: feature is not finite"),
+        (("xy", 1, 0), float("inf"), r":2: point 1: xy is not finite"),
         (("gt", 0, "box", 7), float("-inf"), r":2: gt 0: box is not finite"),
         (("gt", 0, "box", 3), float("nan"), r":2: gt 0: box is not finite"),
+        (("feat", 5, 15), float("-inf"), r":2: point 5: feature is not finite"),
     ],
 )
 def test_read_scenes_rejects_non_finite_values(tmp_path, where, value, message):
@@ -304,36 +312,61 @@ def test_read_scenes_rejects_non_finite_values(tmp_path, where, value, message):
     write_scenes(generate_sequence(cfg, 2, 0.5, make_rng(3)), path)
     lines = path.read_text().splitlines()
     rec = json.loads(lines[1])
-    group, index, key, channel = where
-    rec[group][index][key][channel] = value
+    if where[0] == "gt":
+        rec["gt"][where[1]][where[2]][where[3]] = value
+    else:
+        set_value(where[0], where[1:], value)(rec)
     lines[1] = json.dumps(rec)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=message):
         read_scenes(path)
 
 
-@pytest.mark.parametrize("point", [
-    {"xy": [1.0, 2.0]},                                  # no features
-    {"f": [0.0] * 16},                                   # no position
-    {"xy": [1.0, 2.0, 3.0], "f": [0.0] * 15},            # three coordinates
-    {"xy": [1.0], "f": [0.0] * 17},                      # one coordinate
-    {"xy": [1.0, 2.0], "f": [0.0] * 15 + [{"v": 1}]},    # a feature that is no number
-    {"xy": [1.0, 2.0], "f": [0.0] * 17},                 # a wider feature row
-    [1.0, 2.0] + [0.0] * 16,                             # a bare row
-    {"xy": [1.0, True], "f": [0.0] * 16},                # a bool, once packed as 1.0
-    {"xy": [1.0, 2.0], "f": [0.0] * 15 + [False]},       # a bool, once packed as 0.0
-])
+# The second line holds 6 points of d 16: 96 bytes of xy, 768 of feat.
+POINT_FIELD_FAULTS = [
+    (old_format, 'old per-point scene format ("points"); simulate the scene again'),
+    (lambda rec: {**rec, "xy": points(rec)[0].tolist()},
+     "malformed frame record (xy must be a base64 string, got [["),
+    (lambda rec: {**rec, "feat": None},
+     "malformed frame record (feat must be a base64 string, got None)"),
+    (lambda rec: {k: v for k, v in rec.items() if k != "feat"}, "missing 'feat'"),
+    (lambda rec: {**rec, "xy": rec["xy"][:-1]},
+     "malformed frame record (xy is not base64 (Incorrect padding))"),
+    (lambda rec: {**rec, "feat": "*" + rec["feat"][1:]},
+     "malformed frame record (feat is not base64 (Only base64 data is allowed))"),
+    (lambda rec: {**rec, "xy": rec["xy"] + "\n"},
+     "malformed frame record (xy is not base64 (Only base64 data is allowed))"),
+    (lambda rec: {**rec, "xy": "\u00e9" + rec["xy"][1:]},
+     "malformed frame record (xy is not base64 (string argument should contain only "
+     "ASCII characters))"),
+    (lambda rec: {**rec, "xy": encode(points(rec)[0].ravel()[:-1])},
+     "malformed frame record (xy holds 88 bytes, not 16 (two float64) per point)"),
+    (lambda rec: {**rec, "xy": encode(points(rec)[0][:5])},  # one point fewer
+     "malformed frame record (feat holds 768 bytes, not 640 (n 5 points * d 16 * 8))"),
+    (lambda rec: {**rec, "feat": encode(points(rec)[1][:, :15])},  # one feature fewer
+     "malformed frame record (feat holds 720 bytes, not 768 (n 6 points * d 16 * 8))"),
+    (lambda rec: {**rec, "feat": rec["feat"] + "AAAAAAAAAAA="},  # one float64 more
+     "malformed frame record (feat holds 776 bytes, not 768 (n 6 points * d 16 * 8))"),
+    (set_value("feat", (4, 9), np.nan), "point 4: feature is not finite"),
+]
+
+
+@pytest.mark.parametrize("point", POINT_FIELD_FAULTS)
 def test_read_scenes_rejects_a_malformed_point(tmp_path, point):
+    # Each fault of the two point fields, named.  A point of the old format
+    # that held a JSON bool, three coordinates, a ragged feature row or a
+    # feature that is no number has no counterpart: any 8 bytes are one
+    # float64, and the rows are cut from the bytes by n and d.
     path = tmp_path / "bad.jsonl"
     cfg = SceneConfig(n_objects=1, points_per_object=4, background_points=2)
     write_scenes(generate_sequence(cfg, 2, 0.5, make_rng(3)), path)
     lines = path.read_text().splitlines()
-    rec = json.loads(lines[1])
-    rec["points"][2] = point
-    lines[1] = json.dumps(rec)
+    edit, message = point
+    lines[1] = json.dumps(edit(json.loads(lines[1])))
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=r":2: malformed frame record"):
+    with pytest.raises(ValueError) as info:
         read_scenes(path)
+    assert str(info.value).startswith(f"{path}:2: {message}")
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -350,10 +383,14 @@ def test_read_scenes_rejects_a_malformed_point(tmp_path, point):
     pytest.param("timestamp", 10**400, "int too large to convert to float", id="huge-int"),
     ("encoder_seed", -5, "encoder_seed must be in [0, 2**64), got -5"),
     ("encoder_seed", 2**64, "encoder_seed must be in [0, 2**64), got 18446744073709551616"),
-    ("points", None, "points must be an array, got None"),
-    ("points", 0, "points must be an array, got 0"),
+    ("xy", None, "xy must be a base64 string, got None"),
+    ("feat", 0, "feat must be a base64 string, got 0"),
     ("gt", {}, "gt must be an array, got {}"),
     ("track_id", "x", "track_id must be an integer, got 'x'"),
+    ("gt", {str(i): i for i in range(1000)},
+     "gt must be an array, got {'0': 0, '1': 1, '10': 10, '100': 100, ...}"),
+    ("xy", [[1.0, 2.0]] * 6000, "xy must be a base64 string, got [[1.0, 2.0], [1.0, 2.0], "
+     "[1.0, 2.0], [1.0, 2.0], [1.0, 2.0], [1.0, 2.0], ...]"),
 ])
 def test_read_scenes_rejects_a_malformed_frame_field(tmp_path, key, value, message):
     # A float was once truncated to an integer, a d below 9 was read, a
@@ -362,7 +399,10 @@ def test_read_scenes_rejects_a_malformed_frame_field(tmp_path, key, value, messa
     # integer timestamp ended the run as an unexpected failure, an
     # encoder_seed outside 64 bits named the encoding of its low 64 bits,
     # and a null or 0 points or an object gt read as an empty list.  A bad
-    # track_id once named no gt.
+    # track_id once named no gt.  The points are now two base64 strings,
+    # and a null or 0 in their place is refused the same way.  A large
+    # object or list is echoed shortened: 6000 points once made a
+    # 251,712-character message.
     path = tmp_path / "bad.jsonl"
     cfg = SceneConfig(n_objects=1, points_per_object=4, background_points=2)
     write_scenes(generate_sequence(cfg, 2, 0.5, make_rng(3)), path)
@@ -401,8 +441,9 @@ def test_read_scenes_names_the_gt_of_a_bad_box(tmp_path, box, message):
 
 def test_read_scenes_peak_memory_follows_the_arrays(tmp_path):
     # A 6000-point frame's arrays take 0.86 MB.  Parsing each point into a
-    # dict, two lists and 18 floats before building them peaked at 8.5 MB;
-    # packing each point as it parses keeps the peak near 5.3 MB.
+    # dict, two lists and 18 floats before building them peaked at 8.5 MB,
+    # and packing each point as it parsed at 5.3 MB.  Decoding two base64
+    # strings keeps the peak near 4.0 MB.
     cfg = SceneConfig(n_objects=40, points_per_object=100, background_points=2000)
     path = tmp_path / "large.jsonl"
     write_scenes([generate_sequence(cfg, 1, 0.5, make_rng(42))[0]], path)
@@ -418,7 +459,7 @@ def test_read_scenes_peak_memory_follows_the_arrays(tmp_path):
         if not was_tracing:
             tracemalloc.stop()
     assert len(frame.xy) == 6000
-    assert peak < 6.5 * 2**20
+    assert peak < 5 * 2**20
 
 
 @pytest.mark.parametrize("timestamp", [0.5, 0.25])
@@ -469,19 +510,23 @@ def test_scene_config_rejects_bad_bounds_and_noise(field_name, value, message):
 
 def test_read_scenes_rejects_a_d_that_disagrees_with_the_feature_width(tmp_path):
     # The file's d comes from outside the program, so the reader checks it
-    # against the points it holds.
+    # against the feature bytes, which it does not reinterpret: at d 32 the
+    # 768 bytes of 6 points of 16 would read as 3 points.
     path = tmp_path / "wide.jsonl"
     cfg = SceneConfig(n_objects=1, points_per_object=4, background_points=2)
     write_scenes(generate_sequence(cfg, 2, 0.5, make_rng(3)), path)
     lines = path.read_text().splitlines()
     rec = json.loads(lines[0])
-    assert rec["d"] == 16 and {len(p["f"]) for p in rec["points"]} == {16}
-    rec["d"] = 17
-    lines[0] = json.dumps(rec)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError) as info:
-        read_scenes(path)
-    assert str(info.value) == f"{path}:1: malformed frame record (feature width disagrees with d)"
+    assert rec["d"] == 16 and points(rec)[1].shape == (6, 16)
+    for d in (17, 32, 9):
+        rec["d"] = d
+        lines[0] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_scenes(path)
+        assert str(info.value) == (
+            f"{path}:1: malformed frame record (feat holds 768 bytes, not {6 * d * 8} "
+            f"(n 6 points * d {d} * 8))")
 
 
 @pytest.mark.parametrize("interval", [math.nan, math.inf, 0.0, -0.5])
@@ -542,9 +587,21 @@ def test_read_scenes_reads_utf8_lines_under_every_line_end(tmp_path, end):
 
 
 def test_writers_emit_no_non_json_token(tmp_path):
-    frame = Frame(0.0, np.zeros((0, 9)), [], [[0.0, 0.0]], [[math.inf] + [0.0] * 15], 0)
-    with pytest.raises(ValueError, match="not JSON compliant"):
-        write_scenes([frame], tmp_path / "s.jsonl")
+    # Base64 bytes would carry a non-finite point value silently, so the
+    # scene writer refuses one, naming frame and point, before that frame's
+    # line is written.
+    good = Frame(0.0, np.zeros((0, 9)), [], [[0.0, 0.0]], [[0.0] * 16], 0)
+    for xy, feat, fault in (
+        ([[0.0, 0.0]], [[math.inf] + [0.0] * 15], "point 0: feature is not finite"),
+        ([[0.0, 0.0], [math.nan, 0.0]], [[0.0] * 16] * 2, "point 1: xy is not finite"),
+        ([[0.0, -math.inf]], [[math.nan] * 16], "point 0: xy is not finite"),
+    ):
+        path = tmp_path / "s.jsonl"
+        frame = Frame(0.5, np.zeros((0, 9)), [], xy, feat, 0)
+        with pytest.raises(ValueError) as info:
+            write_scenes([good, frame], path)
+        assert str(info.value) == f"frame 1: {fault}"
+        assert len(path.read_text().splitlines()) == 1
     dets = [DetectionFrame(0.0, [Detection([1.0] * 9, math.nan, 0)])]
     with pytest.raises(ValueError, match="not JSON compliant"):
         write_detections(tmp_path / "d.jsonl", dets, {})

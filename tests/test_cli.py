@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import qebev
+from _scene_lines import encode, old_format, points, set_points, set_value
 from qebev.bench import BenchConfig
 from qebev.bevscene import SceneConfig, read_scenes
 from qebev.cli import build_parser, main
@@ -594,11 +595,7 @@ def _corrupt_second_frame(src, dst, edit):
 def test_detect_nan_feature_exits_one_with_location(tmp_path, capsys):
     scenes, bad = tmp_path / "s.jsonl", tmp_path / "bad.jsonl"
     run(simulate_args(scenes))
-
-    def nan_feature(rec):
-        rec["points"][3]["f"][2] = float("nan")
-
-    _corrupt_second_frame(scenes, bad, nan_feature)
+    _corrupt_second_frame(scenes, bad, set_value("feat", (3, 2), float("nan")))
     capsys.readouterr()
     assert run(detect_args(bad, tmp_path / "d.jsonl")) == 1
     assert f"{bad}:2: point 3: feature is not finite" in capsys.readouterr().err
@@ -611,9 +608,9 @@ def test_detect_narrow_features_exit_one_with_location(tmp_path, capsys):
     run(simulate_args(scenes, frames=2))
     recs = [json.loads(line) for line in scenes.read_text().splitlines()]
     for rec in recs:
+        xy, feat = points(rec)
+        set_points(rec, xy, feat[:, :4])
         rec["d"] = 4
-        for p in rec["points"]:
-            p["f"] = p["f"][:4]
     bad.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
     capsys.readouterr()
     assert run(detect_args(bad, out)) == 1
@@ -631,9 +628,9 @@ def test_detect_and_eval_reject_mixed_feature_widths_with_location(tmp_path, cap
     assert run(detect_args(scenes, dets)) == 0
 
     def wider_features(rec):
+        xy, feat = points(rec)
+        set_points(rec, xy, np.hstack([feat, np.zeros((len(feat), 1))]))
         rec["d"] = 17
-        for p in rec["points"]:
-            p["f"].append(0.0)
 
     _corrupt_second_frame(scenes, bad, wider_features)
     capsys.readouterr()
@@ -646,17 +643,15 @@ def test_detect_and_eval_reject_mixed_feature_widths_with_location(tmp_path, cap
     assert capsys.readouterr().err == message
 
 
-def test_eval_infinite_point_exits_one(tmp_path):
+def test_eval_infinite_point_exits_one(tmp_path, capsys):
     scenes, bad, dets = tmp_path / "s.jsonl", tmp_path / "bad.jsonl", tmp_path / "d.jsonl"
     run(simulate_args(scenes))
     assert run(detect_args(scenes, dets)) == 0
-
-    def infinite_xy(rec):
-        rec["points"][0]["xy"][0] = float("inf")
-
-    _corrupt_second_frame(scenes, bad, infinite_xy)
+    _corrupt_second_frame(scenes, bad, set_value("xy", (0, 0), float("inf")))
+    capsys.readouterr()
     assert run(["eval", "--dets", str(dets), "--scenes", str(bad),
                 "--report", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == f"error: {bad}:2: point 0: xy is not finite\n"
 
 
 @pytest.mark.filterwarnings("error")
@@ -682,8 +677,8 @@ def test_detect_overflowing_features_exits_one(tmp_path, capsys):
     ):
 
         def scale(rec):
-            for p in rec["points"]:
-                p["f"] = [v * factor for v in p["f"]]
+            xy, feat = points(rec)
+            set_points(rec, xy, feat * factor)
 
         _corrupt_second_frame(scenes, bad, scale)
         for extra in ((), ("--temporal", "--stride", "1")):
@@ -748,8 +743,8 @@ def test_detect_and_eval_reject_a_timestamp_going_back(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("file, key, value, message", [
-    ("scenes", "points", None, "malformed frame record (points must be an array, got None)"),
-    ("scenes", "points", 0, "malformed frame record (points must be an array, got 0)"),
+    ("scenes", "xy", None, "malformed frame record (xy must be a base64 string, got None)"),
+    ("scenes", "feat", 0, "malformed frame record (feat must be a base64 string, got 0)"),
     ("scenes", "gt", {}, "malformed frame record (gt must be an array, got {})"),
     ("dets", "detections", {}, "malformed detection record (detections must be an array, got {})"),
     ("dets", "timestamp", float("nan"), "timestamp nan is not finite"),
@@ -764,7 +759,8 @@ def test_detect_and_eval_reject_a_timestamp_going_back(tmp_path, capsys):
 def test_a_list_that_is_no_array_or_a_nan_timestamp_exits_one(tmp_path, capsys, file, key,
                                                                value, message):
     # Each of the first five was once read as an empty list or scored, with
-    # exit 0.  A gt or detection entry with a missing key, a bad track_id or
+    # exit 0 (the first two as a null or 0 "points", which two base64
+    # strings have replaced).  A gt or detection entry with a missing key, a bad track_id or
     # no object was once reported as a malformed record naming no entry.
     _second_record_exits_one(tmp_path, capsys, file, lambda rec: {**rec, key: value}, message)
 
@@ -788,6 +784,24 @@ def _second_record_exits_one(tmp_path, capsys, file, replace, message):
     assert run(["eval", "--dets", str(paths["dets"]), "--scenes", str(paths["scenes"]),
                 "--report", str(tmp_path / "r.json")]) == 1
     assert capsys.readouterr().err == f"error: {bad}:2: {message}\n"
+
+
+# The second simulated line holds 35 points of d 16: 560 bytes of xy and
+# 4,480 of feat.
+@pytest.mark.parametrize("replace, message", [
+    (old_format, 'old per-point scene format ("points"); simulate the scene again'),
+    (lambda rec: {**rec, "feat": []}, "malformed frame record (feat must be a base64 string, got [])"),
+    (lambda rec: {**rec, "xy": rec["xy"][:-1]},
+     "malformed frame record (xy is not base64 (Incorrect padding))"),
+    (lambda rec: {**rec, "xy": encode(points(rec)[0].ravel()[:-1])},
+     "malformed frame record (xy holds 552 bytes, not 16 (two float64) per point)"),
+    (lambda rec: {**rec, "feat": encode(points(rec)[1][:, :15])},
+     "malformed frame record (feat holds 4200 bytes, not 4480 (n 35 points * d 16 * 8))"),
+    (set_value("feat", (7, 0), -np.inf), "point 7: feature is not finite"),
+])
+def test_each_fault_of_the_point_fields_exits_one_with_its_line(tmp_path, capsys, replace,
+                                                                message):
+    _second_record_exits_one(tmp_path, capsys, "scenes", replace, message)
 
 
 def _without(key):

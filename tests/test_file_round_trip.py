@@ -3,9 +3,12 @@
 A file written and read back is bit-equal, for arbitrary finite float64
 values, edge cases included: -0.0, subnormals, +-max and values whose
 shortest repr is long.  A file with one value of a line replaced or
-deleted is either refused, naming that line, or read as it says.
+deleted is either refused, naming that line, or read as it says.  A
+scene line's points are two base64 strings of float64 bytes; an edit
+reaches into them as decoded values and is written back re-encoded.
 """
 
+import base64
 import copy
 import functools
 import json
@@ -18,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from _scene_lines import encode, points
 from qebev.bevscene import (
     ATTR_DIM,
     Frame,
@@ -71,19 +75,31 @@ def scene_frames(draw):
     return frames
 
 
+# Every edge value in both point arrays, d at its least.
+EDGE_FRAME = Frame(0.0, np.zeros((0, ATTR_DIM)), [], np.reshape(EDGES + [0.0], (5, 2)),
+                   np.tile(EDGES, (5, 1)), 0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(frames=scene_frames())
+@example(frames=[EDGE_FRAME])
 def test_scene_file_round_trips_bit_for_bit(frames):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "scenes.jsonl")
         write_scenes(frames, path)
         back = read_scenes(path)
-    assert len(back) == len(frames)
-    for a, b in zip(frames, back):
+        with open(path) as fh:
+            recs = [json.loads(line) for line in fh]
+    assert len(back) == len(frames) == len(recs)
+    for a, b, rec in zip(frames, back, recs):
         assert same_bits(a.timestamp, b.timestamp)
         assert (a.encoder_seed, a.d, a.track_ids) == (b.encoder_seed, b.d, b.track_ids)
+        # The line holds the little-endian bytes of both arrays.
+        assert base64.b64decode(rec["xy"]) == a.xy.astype("<f8").tobytes()
+        assert base64.b64decode(rec["feat"]) == a.feat.astype("<f8").tobytes()
         assert same_bits(a.xy, b.xy)
         assert same_bits(a.feat, b.feat)
+        assert b.feat.flags.writeable
         assert a.boxes.shape == b.boxes.shape == (len(a.track_ids), ATTR_DIM)
         # Reading wraps the written yaw; every other channel reads as written.
         assert same_bits(np.delete(a.boxes, 6, axis=1), np.delete(b.boxes, 6, axis=1))
@@ -136,7 +152,8 @@ def test_detection_file_round_trips_bit_for_bit(frames):
 def seeded_lines():
     """The JSON records of a seeded 3-frame scene file with a few points and
     of a detection file for it: one detection per object, with a velocity
-    on every other frame."""
+    on every other frame.  A scene record's points are decoded into nested
+    lists, (n, 2) ``xy`` and (n, d) ``feat``."""
     cfg = SceneConfig(n_objects=2, points_per_object=2, background_points=1, speed_max=2.0)
     frames = generate_sequence(cfg, 3, 0.5, make_rng(11))
     dets = [
@@ -153,25 +170,43 @@ def seeded_lines():
         for kind, name in (("scenes", "s.jsonl"), ("detections", "d.jsonl")):
             with open(os.path.join(tmp, name)) as fh:
                 lines[kind] = [json.loads(line) for line in fh]
-        return lines
+    for rec in lines["scenes"]:
+        xy, feat = points(rec)
+        rec["xy"], rec["feat"] = xy.tolist(), feat.tolist()
+    return lines
 
 
 DELETE = object()
 VALUES = ["0.5", True, False, None, {}, [], 10**400, 1e30, -1e30, math.nan, math.inf,
           -math.inf, -0.0, 2**64]
+POINT_FIELDS = ("xy", "feat")
+# Whole point fields: no base64, bad padding, and 0, 3, 8 and 16 bytes.
+STRINGS = ["0.5", "AAA", "AA=A", "", "AAAA", "AAAAAAAAAAA=", encode([1.0, 2.0])]
+# Values inside a decoded point array.
+FLOATS = [1e30, -1e30, math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]
 
 
 @st.composite
 def edits(draw):
     """A file kind, a path to one value of its line 2, and the value to put
-    there (``DELETE`` drops it); each step stops or goes one level deeper."""
+    there (``DELETE`` drops it); each step stops or goes one level deeper.
+    Inside a decoded point array the value is a float."""
     kind = draw(st.sampled_from(["detections", "scenes"]))
     path, node = [], seeded_lines()[kind][1]
     while isinstance(node, (dict, list)) and node and not (path and draw(st.booleans())):
         key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
         path.append(key)
         node = node[key]
-    return kind, tuple(path), draw(st.sampled_from(VALUES + [DELETE]))
+    if kind == "scenes" and path and path[0] in POINT_FIELDS:
+        values = FLOATS if len(path) > 1 else VALUES + STRINGS
+    else:
+        values = VALUES
+    return kind, tuple(path), draw(st.sampled_from(values + [DELETE]))
+
+
+def flat(node) -> list:
+    """The numbers of a nested list, in order."""
+    return [v for item in node for v in flat(item)] if type(node) is list else [node]
 
 
 def is_number(value, read) -> bool:
@@ -180,6 +215,7 @@ def is_number(value, read) -> bool:
 
 
 def check_scene(frame, rec):
+    """``frame`` holds what the written line ``rec`` says, bit for bit."""
     assert type(rec["d"]) is type(rec["encoder_seed"]) is int
     assert (frame.d, frame.encoder_seed) == (rec["d"], rec["encoder_seed"])
     assert type(rec["gt"]) is list and len(frame.boxes) == len(rec["gt"])
@@ -189,10 +225,10 @@ def check_scene(frame, rec):
         assert len(values) == 9 and type(values[6]) in (int, float)
         assert all(map(is_number, values[:6] + values[7:], read[:6] + read[7:]))
         assert wrap_angle(values[6]) == read[6]  # reading wraps the yaw
-    assert type(rec["points"]) is list and len(frame.xy) == len(rec["points"])
-    for p, xy, f in zip(rec["points"], frame.xy.tolist(), frame.feat.tolist()):
-        assert len(p["xy"]) == 2 and len(p["f"]) == len(f) == rec["d"]
-        assert all(map(is_number, p["xy"] + p["f"], xy + f))
+    assert "points" not in rec
+    assert base64.b64decode(rec["xy"], validate=True) == frame.xy.astype("<f8").tobytes()
+    assert base64.b64decode(rec["feat"], validate=True) == frame.feat.astype("<f8").tobytes()
+    assert frame.xy.shape == (len(frame.feat), 2) and frame.feat.shape[1] == rec["d"]
 
 
 def check_detections(frame, rec):
@@ -210,7 +246,11 @@ def check_detections(frame, rec):
 
 @settings(max_examples=200, deadline=None)
 @given(case=edits())
-@example(case=("scenes", ("points",), None))
+@example(case=("scenes", ("xy",), None))
+@example(case=("scenes", ("points",), []))
+@example(case=("scenes", ("feat", 1, 3), math.nan))
+@example(case=("scenes", ("xy", 2), DELETE))
+@example(case=("scenes", ("feat",), "AAAAAAAAAAA="))
 @example(case=("scenes", ("gt",), {}))
 @example(case=("detections", ("detections",), {}))
 @example(case=("detections", ("timestamp",), math.nan))
@@ -226,6 +266,13 @@ def test_an_edited_line_is_refused_with_its_place_or_read_as_written(case):
         del parent[path[-1]]
     else:
         parent[path[-1]] = copy.deepcopy(value)
+    if kind == "scenes":
+        # Decoded point arrays go back as base64 of their values in order;
+        # a whole field put in place of one is written as it is.
+        for rec in lines:
+            for key in POINT_FIELDS:
+                if key in rec and not (rec is lines[1] and path == (key,)):
+                    rec[key] = encode(flat(rec[key]))
     with tempfile.TemporaryDirectory() as tmp:
         name = os.path.join(tmp, f"{kind}.jsonl")
         with open(name, "w") as fh:

@@ -5,8 +5,10 @@ change that alters them on purpose says so and records the new values; on
 another numpy or BLAS build, take them again.  The detection and report
 hashes cover the echoed run parameters too, so they moved when the
 attention, re-gather and matcher switches left the echo, while every
-detection and score stayed bit-identical.  A numpy warning on either run
-fails its test.
+detection and score stayed bit-identical.  The two scene hashes moved when
+scene points became base64 float64 arrays, while every detection and
+report byte stayed the same.  A numpy warning on either run fails its
+test.
 """
 
 import hashlib
@@ -24,7 +26,7 @@ import qebev.ltfm
 BASELINE_SHA256 = {
     "report.json": "57063317bbb8dfc75074329896ad0fd8f0472b1c53481162d502b5096c98c89c",
     "detections.jsonl": "5443ec9ab55c9f3001d61ae0100db063e2ada0e9fb2ebd5e7588e1dbcf00b46c",
-    "scenes.jsonl": "27572412d555dcdde3a61e3745689792729e4a8dfe1a76d4b8be7084d59bab32",
+    "scenes.jsonl": "c39a2e9cac98276537cbca6eef2b019b8e499ca5f2f6a19d54f74d01bc2e956c",
 }
 
 
@@ -86,7 +88,7 @@ def test_pipeline_seed_42_as_a_child_process_matches_baseline(tmp_path):
     assert got == BASELINE_SHA256
 
 
-LARGE_SCENE_SHA256 = "e5ece011cb7493207554a4b677a1417d7aa972aa34fa7f0e2aeb22edde0e255d"
+LARGE_SCENE_SHA256 = "2a8b146e19b03758f76d76d5b4db77fda95c450f1d16401d497f4cc943a79e69"
 LARGE_DETECTIONS_SHA256 = "dc8e350a53d525780d959bf040ded5e041153e2c7d817fe9e865ae125eb39102"
 
 
