@@ -187,7 +187,10 @@ def decode_feature(
         return None
     e = encoding_matrix(encoder_seed, f.shape[0])
     channels = e.T @ f
-    if not all(_LOG_SIZE_MIN <= v <= _LOG_SIZE_MAX for v in channels[3:6].tolist()):
+    log_w, log_l, log_h = channels[3:6].tolist()
+    # Written so that NaN fails too.
+    if not (_LOG_SIZE_MIN <= log_w <= _LOG_SIZE_MAX and _LOG_SIZE_MIN <= log_l <= _LOG_SIZE_MAX
+            and _LOG_SIZE_MIN <= log_h <= _LOG_SIZE_MAX):
         raise ValueError(_SIZE_OVERFLOW)
     # Undo standardize().  The sizes take numpy's exp, which rounds some
     # values differently from math.exp.
@@ -444,7 +447,11 @@ def _read_records(path: str, kind: str, parse: Callable) -> list:
     # Bytes that are not UTF-8 come through as lone surrogates, so that the
     # line holding them is named below rather than by the decoder.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, line in enumerate(fh, start=1):
+        # Counted by hand: enumerate() keeps its last (index, line) tuple for
+        # reuse, which would keep each line alive until the next is read.
+        line_no = 0
+        for line in fh:
+            line_no += 1
             # json.loads skips surrounding whitespace, so the line is parsed
             # as read, without a stripped copy, and dropped once parsed.
             if line.isspace():
@@ -479,8 +486,9 @@ def _gt_entry(g: dict) -> tuple[list[float], int]:
 
 
 def _float64_bytes(rec: dict, key: str) -> bytes:
-    """The bytes of a record's base64 float64 field."""
-    value = rec[key]
+    """The bytes of a record's base64 float64 field, which leaves the
+    record so that the string is freed once decoded."""
+    value = rec.pop(key)
     if type(value) is not str:
         raise ValueError(f"{key} must be a base64 string, got {reprlib.repr(value)}")
     try:

@@ -236,6 +236,14 @@ def _simulate(args: argparse.Namespace, cfg: SceneConfig) -> list[Frame]:
     return generate_sequence(cfg, args.frames, args.interval, rng)
 
 
+def _check_out_dir(option: str, path: str) -> None:
+    """Refuse an output path whose directory does not exist, before the
+    command reads or computes anything."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise ValueError(f"{option} {path}: directory {directory} does not exist")
+
+
 def _report(report: EvalReport, path: str) -> int:
     """Write the report to ``path`` and print it."""
     write_report(report, path)
@@ -244,7 +252,9 @@ def _report(report: EvalReport, path: str) -> int:
 
 
 def _run_simulate(args: argparse.Namespace) -> int:
-    frames = _simulate(args, _scene_config(args))
+    cfg = _scene_config(args)
+    _check_out_dir("--out", args.out)
+    frames = _simulate(args, cfg)
     write_scenes(frames, args.out)
     n_pts = sum(len(f.xy) for f in frames)
     print(f"wrote {len(frames)} frames ({n_pts} points) to {args.out}")
@@ -252,13 +262,16 @@ def _run_simulate(args: argparse.Namespace) -> int:
 
 
 def _run_detect(args: argparse.Namespace) -> int:
-    _detect_over_scenes(args, *_detect_params(args), args.scenes, args.out)
+    settings = _detect_params(args)
+    _check_out_dir("--out", args.out)
+    _detect_over_scenes(args, *settings, args.scenes, args.out)
     print(f"wrote detections to {args.out}")
     return 0
 
 
 def _run_eval(args: argparse.Namespace) -> int:
     _check_tp_threshold(args.tp_threshold)
+    _check_out_dir("--report", args.report)
     det_frames, scene_frames = read_detections(args.dets), read_scenes(args.scenes)
     config = {"dets": args.dets, "scenes": args.scenes, "tp_threshold": args.tp_threshold}
     try:
@@ -327,6 +340,7 @@ def _run_bench(args: argparse.Namespace) -> int:
         d=args.d,
         repeats=args.repeats,
     )
+    _check_out_dir("--out", args.out)
     report = bench_mod.run_scaling(cfg, make_rng(derive_seed(args.seed, "bench")))
     bench_mod.write_bench_csv(report, args.out)
     for note in report.notes:

@@ -30,7 +30,7 @@ from .bevscene import (
     _write_records,
     encoding_matrix,
 )
-from .numerics import pairwise_sq_dist, softmax, top_k_indices
+from .numerics import c_einsum, pairwise_sq_dist, softmax, top_k_indices
 
 __all__ = [
     "DqemParams",
@@ -210,10 +210,12 @@ def gather_neighborhood(frame: Frame, center_xy: np.ndarray, radius: float) -> n
         reach = radius * _REACH_SLACK
         lo = xs.searchsorted(cx - reach, side="left")
         hi = xs.searchsorted(cx + reach, side="right")
-        cand = np.sort(by_x[lo:hi])
+        # np.sort's copy, sorted in place.
+        cand = by_x[lo:hi].copy()
+        cand.sort()
     # take() gathers rows several times faster than fancy indexing.
     delta = xy.take(cand, axis=0) - c
-    return cand[np.einsum("nd,nd->n", delta, delta) <= radius * radius]
+    return cand[c_einsum("nd,nd->n", delta, delta) <= radius * radius]
 
 
 def _kmeans_pp_draws(k: int, n: int) -> int:
@@ -340,7 +342,8 @@ def kmeans(
         sums = np.bincount(
             bins.take(assign, axis=0).ravel(), weights=flat_x, minlength=k_eff * d
         ).reshape(k_eff, d)
-        if np.count_nonzero(counts) == k_eff:
+        # Every cluster non-empty; np.count_nonzero(counts) == k_eff.
+        if np.logical_and.reduce(counts):
             centers = sums / counts[:, None]
         else:
             nonempty = counts > 0
@@ -354,7 +357,7 @@ def kmeans(
 
     # Compact away clusters left empty by the final assignment, whose
     # counts are the last ones taken (a break repeats that assignment).
-    if np.count_nonzero(counts) < k_eff:
+    if not np.logical_and.reduce(counts):
         keep = np.flatnonzero(counts)
         relabel = np.full(k_eff, -1, dtype=np.int64)
         relabel[keep] = np.arange(keep.size)
@@ -374,7 +377,9 @@ def attention_scores(q: np.ndarray, centers: np.ndarray) -> np.ndarray:
     feature width grows.
     """
     qv = np.asarray(q, dtype=np.float64)
-    c = np.atleast_2d(np.asarray(centers, dtype=np.float64))
+    c = np.asarray(centers, dtype=np.float64)
+    if c.ndim < 2:  # np.atleast_2d's reshape
+        c = c.reshape(1, -1)
     # Column-major centers make the BLAS sum each dot product in the order of
     # (I @ c.T).T @ (I @ q), the identity-projected product the golden outputs
     # pin.  A row-major c @ q rounds differently and changes detections.

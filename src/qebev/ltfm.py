@@ -32,7 +32,7 @@ from .dqem import (
     gather_neighborhood,
     kmeans,
 )
-from .numerics import derive_seed, draw_seed, make_rng
+from .numerics import _first_draw, derive_seed, draw_seed, make_rng
 
 __all__ = [
     "TemporalParams",
@@ -136,7 +136,8 @@ def _evolve_single(
 
     feat = frame.feat.take(sel, axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = feat.mean(axis=0)
+        # ndarray.mean's sum and division, called directly.
+        mean = np.add.reduce(feat, axis=0) / len(feat)
         # Vector 2-norms here and below are computed as np.linalg.norm does.
         norm0 = math.sqrt(mean.dot(mean))
     if not math.isfinite(norm0):
@@ -161,7 +162,7 @@ def _evolve_single(
     # One clustering stream per query, rewound every round: successive
     # rounds then see consistent partitions and the update converges
     # instead of chasing re-randomized cluster boundaries.
-    krng = make_rng(draw_seed(make_rng(seed)))
+    krng = make_rng(_first_draw(seed))
     kstate = krng.bit_generator.state
     for it in range(params.iterations):
         init = None
@@ -171,7 +172,8 @@ def _evolve_single(
             if len(sel) == 0:
                 flag = "empty-regather"
                 break
-            if not np.array_equal(sel, prev_sel):
+            # Equal int32 bytes are equal index arrays.
+            if sel.tobytes() != prev_sel.tobytes():
                 feat = frame.feat.take(sel, axis=0)
             elif len(clusters.inertia_trace) < params.kmeans_iters:
                 # The rewound stream would seed the run that converged last
@@ -199,7 +201,7 @@ def _evolve_single(
     if not flag and decoded[-1] is None:
         flag = "background"
     # The final round's attention concentration: the detection confidence.
-    score = float(result.weights.max()) if result is not None else 0.0
+    score = float(np.maximum.reduce(result.weights)) if result is not None else 0.0
     trace = EvolutionTrace(attrs, q, scale, flag, score, decoded)
     return trace, None if flag else (q, clusters)
 

@@ -9,6 +9,9 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+# What np.einsum calls, with the same operands, when ``optimize`` is off (its
+# default): calling it directly skips the Python wrapper and its dispatcher.
+from numpy._core.multiarray import c_einsum
 
 __all__ = [
     "softmax",
@@ -27,9 +30,10 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("softmax expects a non-empty 1-D array")
-    if not np.isfinite(s).all():
+    # The reductions that ndarray.all() and .max() end in, called directly.
+    if not np.logical_and.reduce(np.isfinite(s)):
         raise ValueError("softmax scores must be finite")
-    z = np.exp(s - s.max())
+    z = np.exp(s - np.maximum.reduce(s))
     return z / np.add.reduce(z)
 
 
@@ -65,7 +69,7 @@ def pairwise_sq_dist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
         raise ValueError(f"dimension mismatch: {p.shape[1]} vs {c.shape[1]}")
     diff = p[:, None, :].repeat(c.shape[0], axis=1)
     diff -= c
-    return np.einsum("nkd,nkd->nk", diff, diff)
+    return c_einsum("nkd,nkd->nk", diff, diff)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -86,3 +90,10 @@ def derive_seed(root: int, purpose: str) -> int:
 def draw_seed(rng: np.random.Generator) -> int:
     """One 64-bit seed drawn from an existing generator."""
     return int(rng.integers(0, 2**64, dtype=_U64))
+
+
+def _first_draw(seed: int) -> int:
+    """``draw_seed(make_rng(seed))`` from one bit generator and no
+    Generator: a draw over the whole uint64 range is the bit generator's
+    next raw output."""
+    return int(np.random.PCG64(seed & 0xFFFFFFFFFFFFFFFF).random_raw())

@@ -369,6 +369,28 @@ def test_eval_bad_tp_threshold_fails_before_reading(tmp_path, capsys):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("argv, option, work", [
+    (["simulate"], "--out", "qebev.cli.generate_sequence"),
+    (["detect", "--scenes", "s.jsonl"], "--out", "qebev.cli.read_scenes"),
+    (["eval", "--dets", "d.jsonl", "--scenes", "s.jsonl"], "--report",
+     "qebev.cli.read_detections"),
+    (["bench", "--n-min", "8", "--n-max", "16", "--repeats", "3"], "--out",
+     "qebev.bench.run_scaling"),
+])
+def test_an_output_in_a_missing_directory_fails_before_any_work(
+        tmp_path, capsys, monkeypatch, argv, option, work):
+    # The command's first read or computation must not run: a detect-large
+    # frame once ran in full before its output failed to open.
+    calls = []
+    monkeypatch.setattr(work, lambda *args, **kwargs: calls.append(args))
+    missing = tmp_path / "no-dir"
+    out = missing / "out"
+    assert run([*argv, option, str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {option} {out}: directory {missing} does not exist\n")
+    assert calls == [] and not missing.exists()
+
+
 # ---------------------------------------------------------------- gradcheck
 
 

@@ -87,6 +87,9 @@ def gather_cases(draw):
 # The scan accepts the point, at 5 * 0.1 from the center by the squared
 # test, but x = -7 * 0.1 lies just outside an x strip with no slack.
 @example(([(-7 * 0.1, 0.0)], 5 * 0.1, [(-2 * 0.1, 0.0)]))
+# A point exactly at the radius: 3**2 + 4**2 == 5**2 in floats, and the test
+# is inclusive.
+@example(([(3.0, 4.0), (-3.0, -4.0), (3.0, 4.5)], 5.0, [(0.0, 0.0)]))
 def test_indexed_gather_matches_scan_in_point_order(case):
     xy, radius, centers = case
     frame = frame_at(xy)

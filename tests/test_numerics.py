@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy._core import einsumfunc, multiarray
 
 from qebev.numerics import (
+    _first_draw,
+    c_einsum,
     derive_seed,
     draw_seed,
     make_rng,
@@ -103,6 +108,60 @@ def test_pairwise_sq_dist_exact_zero_on_identical_rows():
     a = np.array([[1.25, -3.5, 0.75]])
     d = pairwise_sq_dist(a, a.copy())
     assert d[0, 0] == 0.0
+
+
+def test_np_einsum_hands_its_operands_to_the_c_einsum_the_kernels_call(monkeypatch):
+    # pairwise_sq_dist and the gather call c_einsum directly for np.einsum's
+    # bits.  That holds while np.einsum, with optimize off, passes its
+    # operands straight to this function and returns its result; a numpy
+    # release that changes either fails here.
+    assert c_einsum is multiarray.c_einsum is einsumfunc.c_einsum
+    calls, results = [], []
+
+    def spy(*operands, **kwargs):
+        calls.append((operands, kwargs))
+        results.append(c_einsum(*operands, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(einsumfunc, "c_einsum", spy)
+    diff = make_rng(4).normal(size=(5, 3, 2))
+    got = np.einsum("nkd,nkd->nk", diff, diff)
+    assert len(calls) == 1
+    operands, kwargs = calls[0]
+    assert operands[0] == "nkd,nkd->nk" and operands[1] is diff and operands[2] is diff
+    assert kwargs == {}
+    assert got is results[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(0, 300), k=st.integers(1, 8), d=st.integers(1, 20),
+       seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e6, 1e150]))
+def test_pairwise_sq_dist_is_np_einsum_of_the_broadcast_difference(n, k, d, seed, scale):
+    rng = make_rng(seed)
+    points = rng.normal(size=(n, d)) * scale
+    centers = rng.normal(size=(k, d)) * scale
+    if n:
+        centers[0] = points[-1]  # an exact zero
+    diff = points[:, None, :] - centers[None, :, :]
+    want = np.einsum("nkd,nkd->nk", diff, diff)
+    got = pairwise_sq_dist(points, centers)
+    assert got.shape == want.shape == (n, k)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+def test_first_draw_is_draw_seed_of_make_rng(seed):
+    assert _first_draw(seed) == draw_seed(make_rng(seed))
+
+
+def test_first_draw_matches_every_query_seed_of_a_seed_42_frame():
+    # The per-query seeds of frame 0 of `detect --seed 42` (and so of
+    # `pipeline --seed 42`) over its default 10 x 10 query grid.
+    sequence_seed = draw_seed(make_rng(derive_seed(42, "detect")))
+    frame_seed = draw_seed(make_rng(derive_seed(sequence_seed, "frame:0")))
+    for qi in range(100):
+        seed = frame_seed ^ qi
+        assert _first_draw(seed) == draw_seed(make_rng(seed)), qi
 
 
 def test_make_rng_is_reproducible():
