@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dqem import aggregate_over_centers, kmeans
-from .numerics import derive_seed, make_rng
+from .numerics import derive_seed, draw_seed, make_rng
 
 __all__ = ["BenchConfig", "BenchRow", "ScalingReport", "run_scaling", "write_bench_csv"]
 
@@ -123,7 +123,7 @@ def run_scaling(cfg: BenchConfig, rng: np.random.Generator) -> ScalingReport:
     resolution are excluded from the fit (noted in the report).  The slope,
     and a row's running slope, are None until three sizes are usable.
     """
-    base_seed = int(rng.integers(0, 2**64, dtype=np.uint64))
+    base_seed = draw_seed(rng)
     resolution = time.get_clock_info("perf_counter").resolution
     rows: list[BenchRow] = []
     notes: list[str] = []

@@ -35,7 +35,7 @@ from .dqem import (
 from .evalkit import TP_THRESHOLD, EvalReport, _check_tp_threshold, _json_values
 from .evalkit import evaluate_detections, write_report
 from .ltfm import TemporalParams, run_sequence
-from .numerics import derive_seed, make_rng
+from .numerics import central_differences, derive_seed, make_rng
 
 __all__ = ["main"]
 
@@ -293,12 +293,7 @@ def _run_gradcheck(args: argparse.Namespace) -> int:
         for _ in range(args.cases):
             scores = rng.normal(0.0, 2.0, size=k)
             analytic = diversity_loss_grad(scores)
-            fd = np.zeros(k)
-            for j in range(k):
-                up, dn = scores.copy(), scores.copy()
-                up[j] += h
-                dn[j] -= h
-                fd[j] = (diversity_loss(up) - diversity_loss(dn)) / (2.0 * h)
+            fd = central_differences(diversity_loss, scores, h)
             denom = max(float(np.abs(analytic).max()), 1e-12)
             worst = max(worst, float(np.abs(analytic - fd).max()) / denom)
     grad_ok = worst < 1e-6

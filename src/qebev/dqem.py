@@ -30,7 +30,7 @@ from .bevscene import (
     _write_records,
     encoding_matrix,
 )
-from .numerics import c_einsum, pairwise_sq_dist, softmax, top_k_indices
+from .numerics import c_einsum, central_differences, pairwise_sq_dist, softmax, top_k_indices
 
 __all__ = [
     "DqemParams",
@@ -53,6 +53,13 @@ __all__ = [
     "read_detections",
 ]
 
+def _check_int(name: str, value) -> None:
+    """A count must be an int (numpy's too); a float or a bool is refused
+    here rather than failing deep inside a run."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class DqemParams:
     """Evolution hyperparameters; defaults are the tuned operating point."""
@@ -66,6 +73,8 @@ class DqemParams:
     tau_bg: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("k", "top_k", "iterations", "kmeans_iters"):
+            _check_int(name, getattr(self, name))
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if not 1 <= self.top_k <= self.k:
@@ -386,15 +395,17 @@ def attention_scores(q: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(c.T).T @ qv / math.sqrt(qv.shape[0])
 
 
-def diversity_loss(scores: np.ndarray) -> float:
-    """Entropy of the softmax over all cluster scores, in [0, ln k].
+def diversity_loss(scores: np.ndarray) -> float | np.ndarray:
+    """Entropy of the softmax over all cluster scores, in [0, ln k]: a
+    float for a 1-D array, one entropy per row for a 2-D one.
 
     Maximal when scores are uniform; regularizing toward larger values
     keeps attention from collapsing onto a single cluster.
     """
     p = softmax(scores)
     logp = np.log(np.where(p > 0.0, p, 1.0))
-    return float(-(p * logp).sum())
+    entropy = -(p * logp).sum(axis=-1)
+    return float(entropy) if p.ndim == 1 else entropy
 
 
 def diversity_loss_grad(scores: np.ndarray) -> np.ndarray:
@@ -487,9 +498,6 @@ class _Snapshots:
     sizes: np.ndarray     # (s, k) cluster populations
     decode_t: np.ndarray  # (s, 9, d) transposed encoding matrices
     gt_xy: np.ndarray     # (s, 2)
-    k: int
-    top_k: int
-    beta: float
 
 
 def _build_snapshots(
@@ -527,36 +535,27 @@ def _build_snapshots(
         sizes=np.stack(size_l),
         decode_t=np.stack(dec_l),
         gt_xy=np.stack(gt_l),
-        k=params.k,
-        top_k=params.top_k,
-        beta=params.beta,
     )
 
 
-def _snapshot_metrics(snap: _Snapshots, w_q: np.ndarray, w_k: np.ndarray) -> tuple[float, float]:
+def _snapshot_metrics(
+    snap: _Snapshots, params: DqemParams, w_q: np.ndarray, w_k: np.ndarray
+) -> tuple[float, float]:
     """(mean decoded-center error, mean attention entropy) over snapshots."""
-    s, k, d = snap.centers.shape
+    d = snap.centers.shape[2]
     qw = snap.q0 @ w_q.T                                   # (s, d)
     cw = snap.centers @ w_k.T                              # (s, k, d)
     scores = np.einsum("skd,sd->sk", cw, qw) / math.sqrt(d)
-
     # Entropy over all k scores per snapshot.
-    z = scores - scores.max(axis=1, keepdims=True)
-    ez = np.exp(z)
-    p = ez / ez.sum(axis=1, keepdims=True)
-    logp = np.log(np.where(p > 0.0, p, 1.0))
-    entropy = float(-(p * logp).sum(axis=1).mean())
+    entropy = float(diversity_loss(scores).mean())
 
-    order = np.argsort(-scores, axis=1, kind="stable")[:, : snap.top_k]
-    sel_scores = np.take_along_axis(scores, order, axis=1)
-    zz = sel_scores - sel_scores.max(axis=1, keepdims=True)
-    ezz = np.exp(zz)
-    w = ezz / ezz.sum(axis=1, keepdims=True)
+    order = top_k_indices(scores, params.top_k)            # (s, top_k)
+    w = softmax(np.take_along_axis(scores, order, axis=1))
     sel_centers = np.take_along_axis(
         snap.centers, order[:, :, None], axis=1
     )                                                      # (s, top_k, d)
     qp = np.einsum("st,std->sd", w, sel_centers)
-    u = qp + snap.beta * snap.q0
+    u = qp + params.beta * snap.q0
     nu = np.linalg.norm(u, axis=1, keepdims=True)
     nu = np.where(nu > 0.0, nu, 1.0)
     q1 = u / nu
@@ -584,23 +583,25 @@ def fit_projections(
     positive weight pushes toward balanced attention.  Gradients come from
     central differences over every matrix entry; steps that fail to improve
     the objective are retried with a halved rate, so the accepted-objective
-    log is non-increasing.  steps=0 returns the initialization.
+    log is non-increasing and the last accepted step is returned.  steps=0
+    returns the initialization.
     """
+    _check_int("steps", steps)
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    if lr <= 0.0:
-        raise ValueError("lr must be positive")
+    if not (lr > 0.0 and math.isfinite(lr)):
+        raise ValueError(f"lr must be positive and finite, got {lr}")
     if not diversity_weight >= 0.0:
         raise ValueError("diversity_weight must be non-negative")
     snap = _build_snapshots(frames, params, rng)
     d = snap.q0.shape[1]
-    ln_k = math.log(snap.k)
+    ln_k = math.log(params.k)
 
-    w_q = np.eye(d) + 0.01 * rng.standard_normal((d, d))
-    w_k = np.eye(d) + 0.01 * rng.standard_normal((d, d))
+    # w[0] is w_q and w[1] is w_k, each drawn as (d, d).
+    w = np.stack([np.eye(d) + 0.01 * rng.standard_normal((d, d)) for _ in range(2)])
 
-    def objective(wq: np.ndarray, wk: np.ndarray) -> float:
-        err, ent = _snapshot_metrics(snap, wq, wk)
+    def objective(wqk: np.ndarray) -> float:
+        err, ent = _snapshot_metrics(snap, params, wqk[0], wqk[1])
         val = err + diversity_weight * (ln_k - ent)
         if not math.isfinite(val):
             raise RuntimeError(
@@ -608,48 +609,27 @@ def fit_projections(
             )
         return val
 
-    obj = objective(w_q, w_k)
+    obj = objective(w)
     log = [obj]
-    best = (obj, w_q.copy(), w_k.copy())
-    h = 1e-5
-
     for _ in range(steps):
-        grads = []
-        for w in (w_q, w_k):
-            g = np.zeros_like(w)
-            for i in range(d):
-                for j in range(d):
-                    orig = w[i, j]
-                    w[i, j] = orig + h
-                    hi = objective(w_q, w_k)
-                    w[i, j] = orig - h
-                    lo = objective(w_q, w_k)
-                    w[i, j] = orig
-                    g[i, j] = (hi - lo) / (2.0 * h)
-            grads.append(g)
+        grad = central_differences(objective, w, 1e-5)
         step_lr = lr
-        accepted = False
         for _try in range(12):
-            wq_new = w_q - step_lr * grads[0]
-            wk_new = w_k - step_lr * grads[1]
-            obj_new = objective(wq_new, wk_new)
+            w_new = w - step_lr * grad
+            obj_new = objective(w_new)
             if obj_new <= obj:
-                w_q, w_k, obj = wq_new, wk_new, obj_new
-                accepted = True
+                w, obj = w_new, obj_new
                 break
             step_lr /= 2.0
-        if not accepted:
+        else:
             break
         log.append(obj)
-        if obj < best[0]:
-            best = (obj, w_q.copy(), w_k.copy())
 
-    _, bq, bk = best
     return FitResult(
-        w_q=bq,
-        w_k=bk,
+        w_q=w[0],
+        w_k=w[1],
         objective_log=log,
-        attention_entropy=_snapshot_metrics(snap, bq, bk)[1],
+        attention_entropy=_snapshot_metrics(snap, params, w[0], w[1])[1],
     )
 
 

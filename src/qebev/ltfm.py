@@ -27,6 +27,7 @@ from .dqem import (
     DetectionFrame,
     DqemParams,
     EvolutionTrace,
+    _check_int,
     aggregate_over_centers,
     blend_and_rescale,
     gather_neighborhood,
@@ -61,6 +62,7 @@ class TemporalParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
+        _check_int("stride", self.stride)
         if self.stride < 1:
             raise ValueError("stride must be at least 1")
 

@@ -7,6 +7,7 @@ single root seed reproduces a whole run bit for bit.
 from __future__ import annotations
 
 import hashlib
+from typing import Callable
 
 import numpy as np
 # What np.einsum calls, with the same operands, when ``optimize`` is off (its
@@ -20,36 +21,40 @@ __all__ = [
     "make_rng",
     "derive_seed",
     "draw_seed",
+    "central_differences",
 ]
 
 _U64 = np.uint64
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
-    """Stable softmax of a non-empty 1-D score array."""
+    """Stable softmax along the last axis of a 1-D or 2-D score array with
+    a non-empty last axis; a row of a 2-D array gets the bits of a 1-D call
+    on that row."""
     s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError("softmax expects a non-empty 1-D array")
+    if not 1 <= s.ndim <= 2 or s.shape[-1] == 0:
+        raise ValueError("softmax expects a 1-D or 2-D array with a non-empty last axis")
     # The reductions that ndarray.all() and .max() end in, called directly.
-    if not np.logical_and.reduce(np.isfinite(s)):
+    if not np.logical_and.reduce(np.isfinite(s), axis=None):
         raise ValueError("softmax scores must be finite")
-    z = np.exp(s - np.maximum.reduce(s))
-    return z / np.add.reduce(z)
+    z = np.exp(s - np.maximum.reduce(s, axis=-1, keepdims=True))
+    return z / np.add.reduce(z, axis=-1, keepdims=True)
 
 
 def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest scores, in descending score order.
+    """Indices of the k largest scores along the last axis of a 1-D or 2-D
+    array, in descending score order.
 
     Ties resolve to the lower index first, so the selection is
     deterministic regardless of platform.
     """
     s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1:
-        raise ValueError("top_k_indices expects a 1-D array")
-    if not 1 <= k <= s.size:
-        raise ValueError(f"k must be in [1, {s.size}], got {k}")
+    if not 1 <= s.ndim <= 2:
+        raise ValueError("top_k_indices expects a 1-D or 2-D array")
+    if not 1 <= k <= s.shape[-1]:
+        raise ValueError(f"k must be in [1, {s.shape[-1]}], got {k}")
     # Stable sort on the negated scores keeps equal scores in index order.
-    return (-s).argsort(kind="stable")[:k]
+    return (-s).argsort(axis=-1, kind="stable")[..., :k]
 
 
 def pairwise_sq_dist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -90,6 +95,26 @@ def derive_seed(root: int, purpose: str) -> int:
 def draw_seed(rng: np.random.Generator) -> int:
     """One 64-bit seed drawn from an existing generator."""
     return int(rng.integers(0, 2**64, dtype=_U64))
+
+
+def central_differences(f: Callable[[np.ndarray], float], x: np.ndarray, h: float) -> np.ndarray:
+    """Central-difference gradient of a scalar function ``f`` at ``x``.
+
+    Each entry of ``x`` (a C-contiguous float array) is set in place, in C
+    order, to its value plus ``h`` and minus ``h``, with ``f(x)`` evaluated
+    at both, and then restored, so ``x`` ends as it started.
+    """
+    flat = x.reshape(-1, copy=False)
+    g = np.empty_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        hi = f(x)
+        flat[i] = orig - h
+        lo = f(x)
+        flat[i] = orig
+        g[i] = (hi - lo) / (2.0 * h)
+    return g.reshape(x.shape)
 
 
 def _first_draw(seed: int) -> int:

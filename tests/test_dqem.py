@@ -35,7 +35,8 @@ from qebev.numerics import make_rng, softmax
     ("k", 0), ("top_k", 0), ("top_k", 7), ("beta", -0.1), ("beta", math.nan),
     ("beta", math.inf), ("radius", 0.0), ("radius", -1.0), ("radius", math.nan),
     ("iterations", -1), ("kmeans_iters", 0), ("tau_bg", -0.1), ("tau_bg", math.nan),
-    ("tau_bg", math.inf),
+    ("tau_bg", math.inf), ("k", 2.5), ("top_k", 2.5), ("top_k", True), ("iterations", 1.5),
+    ("kmeans_iters", 2.5),
 ])
 def test_dqem_params_rejects_bad_values(field, value):
     with pytest.raises(ValueError, match=f"^{field} "):
@@ -530,6 +531,18 @@ def test_fit_rejects_bad_diversity_weight(value):
     with pytest.raises(ValueError, match="^diversity_weight "):
         fit_projections(small_suite(n_frames=1), DqemParams(), make_rng(0),
                         diversity_weight=value)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"lr": math.nan}, "lr must be positive and finite, got nan"),
+    ({"lr": math.inf}, "lr must be positive and finite, got inf"),
+    ({"lr": 0.0}, "lr must be positive and finite, got 0.0"),
+    ({"steps": 2.5}, "steps must be an integer, got 2.5"),
+    ({"steps": -1}, "steps must be non-negative"),
+])
+def test_fit_rejects_bad_rate_and_step_count(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fit_projections(small_suite(n_frames=1), DqemParams(), make_rng(0), **kwargs)
 
 
 def test_fit_zero_steps_is_near_identity_init():

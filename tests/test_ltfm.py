@@ -89,6 +89,9 @@ def test_temporal_params_validation():
         TemporalParams(stride=0)
     with pytest.raises(ValueError):
         TemporalParams(alpha=1.5)
+    # Refused when made, not later by iter_sequence's range().
+    with pytest.raises(ValueError, match=r"^stride must be an integer, got 1\.5$"):
+        TemporalParams(stride=1.5)
 
 
 # ------------------------------------------------------------- velocity

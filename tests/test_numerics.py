@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy._core import einsumfunc, multiarray
 
+from qebev.dqem import diversity_loss
 from qebev.numerics import (
     _first_draw,
     c_einsum,
+    central_differences,
     derive_seed,
     draw_seed,
     make_rng,
@@ -50,6 +52,57 @@ def test_softmax_rejects_bad_input():
         softmax(np.array([1.0, np.nan]))
     with pytest.raises(ValueError):
         softmax(np.array([1.0, np.inf]))
+    for bad in (np.zeros(()), np.zeros((3, 0)), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="1-D or 2-D"):
+            softmax(bad)
+
+
+# Few distinct values, so most rows hold ties, beside arbitrary finite ones.
+_ROW_VALUE = st.one_of(
+    st.sampled_from([-3.0, -0.5, 0.0, 0.5, 2.0]),
+    st.floats(-50.0, 50.0, allow_nan=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 8), width=st.integers(1, 16))
+def test_row_wise_calls_equal_the_one_row_call_bitwise(data, rows, width):
+    s = np.array(data.draw(st.lists(
+        st.lists(_ROW_VALUE, min_size=width, max_size=width), min_size=rows, max_size=rows
+    )))
+    k = data.draw(st.integers(1, width))
+    p, top, ent = softmax(s), top_k_indices(s, k), diversity_loss(s)
+    assert p.shape == s.shape and top.shape == (rows, k) and ent.shape == (rows,)
+    for i, row in enumerate(s):
+        assert p[i].tobytes() == softmax(row).tobytes()
+        assert top[i].tolist() == top_k_indices(row, k).tolist()
+        assert ent[i] == diversity_loss(row)
+
+
+def test_central_differences_is_the_copying_loop_and_restores_x():
+    rng = make_rng(12)
+    x = rng.normal(size=(2, 3, 3))
+    before = x.copy()
+    seen = []
+
+    def f(v):
+        seen.append(v is x)
+        return float(np.sin(v).sum() + (v[0] @ v[1]).trace())
+
+    h = 1e-5
+    want = np.empty_like(x)
+    for idx in np.ndindex(x.shape):
+        up, dn = before.copy(), before.copy()
+        up[idx] += h
+        dn[idx] -= h
+        want[idx] = (f(up) - f(dn)) / (2.0 * h)
+    seen.clear()
+    got = central_differences(f, x, h)
+    assert got.tobytes() == want.tobytes()
+    assert x.tobytes() == before.tobytes()
+    assert seen == [True] * (2 * x.size)
+    with pytest.raises(ValueError):
+        central_differences(f, x.transpose(2, 1, 0), h)
 
 
 def test_top_k_ties_break_toward_lower_index():
@@ -88,6 +141,8 @@ def test_top_k_rejects_out_of_range_k():
     with pytest.raises(ValueError):
         top_k_indices(s, 0)
     assert top_k_indices(s, 2).tolist() == [0, 1]
+    with pytest.raises(ValueError, match="1-D or 2-D"):
+        top_k_indices(np.zeros((2, 2, 2)), 1)
 
 
 def test_pairwise_sq_dist_elementwise_oracle():
