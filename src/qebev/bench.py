@@ -10,12 +10,12 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .dqem import aggregate_over_centers, kmeans
-from .numerics import derive_seed, draw_seed, make_rng
+from .numerics import _check_int, derive_seed, draw_seed, make_rng
 
 __all__ = ["BenchConfig", "BenchRow", "ScalingReport", "run_scaling", "write_bench_csv"]
 
@@ -27,22 +27,40 @@ _WARMUP = 1
 
 @dataclass
 class BenchConfig:
-    n_sweep: tuple[int, ...] = (1000, 2000, 4000, 8000, 16000, 32000, 64000, 128000)
+    """A sweep n_min, n_min * factor, n_min * factor**2, ... up to n_max,
+    timed ``repeats`` times per size, of k-means with ``k`` clusters and at
+    most ``kmeans_iters`` Lloyd updates over ``d``-wide features."""
+
+    n_min: int = 1000
+    n_max: int = 128000
+    factor: int = 2
+    repeats: int = 5
+    d: int = 16
     k: int = 6
     kmeans_iters: int = 20
-    d: int = 16
-    repeats: int = 5
 
     def __post_init__(self) -> None:
-        self.n_sweep = tuple(int(n) for n in self.n_sweep)
-        if len(self.n_sweep) < 2 or any(n < 1 for n in self.n_sweep):
-            raise ValueError("n_sweep needs at least two positive sizes")
-        if list(self.n_sweep) != sorted(set(self.n_sweep)):
-            raise ValueError("n_sweep must be strictly increasing")
+        for f in fields(self):
+            _check_int(f.name, getattr(self, f.name))
+        if self.factor < 2:
+            raise ValueError("factor must be at least 2")
+        if not 1 <= self.n_min <= self.n_max:
+            raise ValueError("need 1 <= n_min <= n_max")
+        if self.n_min * self.factor > self.n_max:
+            raise ValueError(f"n_min {self.n_min}, n_max {self.n_max} and factor {self.factor} "
+                             "give one size; the sweep needs at least two")
         if self.repeats < 3:
             raise ValueError("repeats must be at least 3 for a stable median")
         if self.k < 1 or self.d < 1 or self.kmeans_iters < 1:
             raise ValueError("k, d and kmeans_iters must be at least 1")
+
+    @property
+    def n_sweep(self) -> tuple[int, ...]:
+        """The sizes the sweep times, in increasing order."""
+        sizes = [self.n_min]
+        while sizes[-1] * self.factor <= self.n_max:
+            sizes.append(sizes[-1] * self.factor)
+        return tuple(sizes)
 
 
 @dataclass

@@ -19,7 +19,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .numerics import draw_seed, make_rng
+from .numerics import _check_int, draw_seed, make_rng
 
 __all__ = [
     "Frame",
@@ -119,6 +119,8 @@ class SceneConfig:
     speed_max: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("n_objects", "points_per_object", "background_points", "d"):
+            _check_int(name, getattr(self, name))
         if self.d < ATTR_DIM:
             raise ValueError(f"d must be at least {ATTR_DIM} to keep the encoding invertible")
         _check_bounds(self.bounds)
@@ -293,6 +295,7 @@ def generate_sequence(
     under stable track ids; identical (cfg, seed) gives identical frames.
     Objects whose centers leave the scene square are dropped from that
     frame on."""
+    _check_int("frames", frames)
     if frames < 1:
         raise ValueError("frames must be at least 1")
     if not interval > 0.0 or not math.isfinite(interval):

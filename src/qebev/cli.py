@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -121,54 +121,56 @@ def _add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
         p.add_argument("--seed", type=int, default=0, help="root seed for all randomness")
 
 
+# The settings flags not named after their field.  A settings flag's dest,
+# which is also its config key, is the field's name or the one given here.
+_FLAG_NAMES = {"n_objects": "objects", "top_k": "topk", "iterations": "iters"}
+
+# Help per settings owner and field; a field named nowhere here has none.
+_FIELD_HELP = {
+    SceneConfig: {"bounds": "scene half-extent in meters", "n_objects": "objects per scene",
+                  "d": "feature width (at least 9)"},
+    DqemParams: {"k": "clusters per neighborhood", "top_k": "clusters kept by attention",
+                 "beta": "query blend weight", "radius": "gather radius in meters",
+                 "iterations": "refinement rounds per frame", "kmeans_iters": "Lloyd update cap",
+                 "tau_bg": "background feature-norm gate"},
+    TemporalParams: {"alpha": "temporal blend weight", "stride": "frames between fusions"},
+}
+
+
+def _add_settings(p: argparse.ArgumentParser, owner: type, **defaults) -> None:
+    """One flag per field of the settings dataclass ``owner``, in field
+    order, taking its default and type from the field unless ``defaults``
+    names it."""
+    helps = _FIELD_HELP.get(owner, {})
+    for f in fields(owner):
+        default = defaults.get(f.name, f.default)
+        p.add_argument("--" + _FLAG_NAMES.get(f.name, f.name).replace("_", "-"),
+                       type=type(default), default=default, help=helps.get(f.name))
+
+
+def _settings(owner: type, args: argparse.Namespace):
+    """The ``owner`` dataclass built, and so checked, from the flags that
+    ``_add_settings`` added for it."""
+    return owner(**{f.name: getattr(args, _FLAG_NAMES.get(f.name, f.name))
+                    for f in fields(owner)})
+
+
 def _add_scene_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--frames", type=int, default=8, help="sequence length")
     p.add_argument("--interval", type=float, default=0.5, help="seconds between frames")
-    p.add_argument("--bounds", type=float, default=SceneConfig.bounds,
-                   help="scene half-extent in meters")
-    p.add_argument("--objects", type=int, default=SceneConfig.n_objects, help="objects per scene")
-    p.add_argument("--points-per-object", type=int, default=SceneConfig.points_per_object)
-    p.add_argument("--background-points", type=int, default=SceneConfig.background_points)
-    p.add_argument("--noise-sigma", type=float, default=SceneConfig.noise_sigma)
-    p.add_argument("--d", type=int, default=SceneConfig.d, help="feature width (at least 9)")
-    p.add_argument("--speed-min", type=float, default=SceneConfig.speed_min)
     # The one default SceneConfig does not set: the CLI simulates moving
     # objects, while SceneConfig()'s static scenes feed acceptance criteria 5 and 7.
-    p.add_argument("--speed-max", type=float, default=3.0)
+    _add_settings(p, SceneConfig, speed_max=3.0)
 
 
 def _add_detect_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, default=DqemParams.k, help="clusters per neighborhood")
-    p.add_argument("--topk", type=int, default=DqemParams.top_k, help="clusters kept by attention")
-    p.add_argument("--beta", type=float, default=DqemParams.beta, help="query blend weight")
-    p.add_argument("--radius", type=float, default=DqemParams.radius,
-                   help="gather radius in meters")
-    p.add_argument("--iters", type=int, default=DqemParams.iterations,
-                   help="refinement rounds per frame")
-    p.add_argument("--kmeans-iters", type=int, default=DqemParams.kmeans_iters,
-                   help="Lloyd update cap")
-    p.add_argument("--tau-bg", type=float, default=DqemParams.tau_bg,
-                   help="background feature-norm gate")
+    _add_settings(p, DqemParams)
     p.add_argument("--grid-nx", type=int, default=10)
     p.add_argument("--grid-ny", type=int, default=10)
     p.add_argument("--dedup-radius", type=float, default=2.0,
                    help="suppress lower-scored detections within this BEV radius; 0 disables")
     p.add_argument("--temporal", action="store_true", help="enable temporal fusion")
-    p.add_argument("--alpha", type=float, default=TemporalParams.alpha, help="temporal blend weight")
-    p.add_argument("--stride", type=int, default=TemporalParams.stride, help="frames between fusions")
-
-
-def _scene_config(args: argparse.Namespace) -> SceneConfig:
-    return SceneConfig(
-        bounds=args.bounds,
-        n_objects=args.objects,
-        points_per_object=args.points_per_object,
-        background_points=args.background_points,
-        noise_sigma=args.noise_sigma,
-        d=args.d,
-        speed_min=args.speed_min,
-        speed_max=args.speed_max,
-    )
+    _add_settings(p, TemporalParams)
 
 
 def _detect_params(
@@ -176,17 +178,9 @@ def _detect_params(
 ) -> tuple[DqemParams, TemporalParams, np.ndarray]:
     """The detection settings and the query grid's start boxes, every
     value checked before a run reads, draws or writes anything."""
-    params = DqemParams(
-        k=args.k,
-        top_k=args.topk,
-        beta=args.beta,
-        radius=args.radius,
-        iterations=args.iters,
-        kmeans_iters=args.kmeans_iters,
-        tau_bg=args.tau_bg,
-    )
+    params = _settings(DqemParams, args)
     # Built even without --temporal, so that a bad --alpha or --stride fails.
-    tparams = TemporalParams(alpha=args.alpha, stride=args.stride)
+    tparams = _settings(TemporalParams, args)
     _check_dedup_radius(args.dedup_radius)
     return params, tparams, init_pillars(args.grid_nx, args.grid_ny, args.bounds)
 
@@ -222,7 +216,7 @@ def _detect_over_scenes(
         }
     )
     if args.temporal:
-        echo.update({"alpha": args.alpha, "stride": args.stride})
+        echo.update(asdict(tparams))
     det_frames = [
         replace(fr, detections=dedup_detections(fr.detections, args.dedup_radius))
         for fr in result.frames
@@ -252,7 +246,7 @@ def _report(report: EvalReport, path: str) -> int:
 
 
 def _run_simulate(args: argparse.Namespace) -> int:
-    cfg = _scene_config(args)
+    cfg = _settings(SceneConfig, args)
     _check_out_dir("--out", args.out)
     frames = _simulate(args, cfg)
     write_scenes(frames, args.out)
@@ -316,25 +310,7 @@ def _run_gradcheck(args: argparse.Namespace) -> int:
 
 
 def _run_bench(args: argparse.Namespace) -> int:
-    if args.factor < 2:
-        raise ValueError("--factor must be at least 2")
-    if args.n_min < 1 or args.n_max < args.n_min:
-        raise ValueError("need 1 <= n-min <= n-max")
-    sweep = []
-    n = args.n_min
-    while n <= args.n_max:
-        sweep.append(n)
-        n *= args.factor
-    if len(sweep) < 2:
-        raise ValueError(f"--n-min {args.n_min}, --n-max {args.n_max} and --factor "
-                         f"{args.factor} give one size; the sweep needs at least two")
-    cfg = bench_mod.BenchConfig(
-        n_sweep=tuple(sweep),
-        k=args.k,
-        kmeans_iters=args.kmeans_iters,
-        d=args.d,
-        repeats=args.repeats,
-    )
+    cfg = _settings(bench_mod.BenchConfig, args)
     _check_out_dir("--out", args.out)
     report = bench_mod.run_scaling(cfg, make_rng(derive_seed(args.seed, "bench")))
     bench_mod.write_bench_csv(report, args.out)
@@ -353,7 +329,7 @@ def _run_pipeline(args: argparse.Namespace) -> int:
     dets_path = os.path.join(args.out_dir, "detections.jsonl")
     report_path = os.path.join(args.out_dir, "report.json")
 
-    cfg = _scene_config(args)
+    cfg = _settings(SceneConfig, args)
     params, tparams, starts = _detect_params(args)
     _check_tp_threshold(args.tp_threshold)
     frames = _simulate(args, cfg)
@@ -407,13 +383,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
 
     p = subs.add_parser("bench", help="scaling sweep of the refinement step")
     _add_common(p)
-    p.add_argument("--n-min", type=int, default=bench_mod.BenchConfig.n_sweep[0])
-    p.add_argument("--n-max", type=int, default=bench_mod.BenchConfig.n_sweep[-1])
-    p.add_argument("--factor", type=int, default=2)
-    p.add_argument("--repeats", type=int, default=bench_mod.BenchConfig.repeats)
-    p.add_argument("--d", type=int, default=bench_mod.BenchConfig.d)
-    p.add_argument("--k", type=int, default=bench_mod.BenchConfig.k)
-    p.add_argument("--kmeans-iters", type=int, default=bench_mod.BenchConfig.kmeans_iters)
+    _add_settings(p, bench_mod.BenchConfig)
     p.add_argument("--out", default="scaling.csv", help="output CSV path")
     p.set_defaults(func=_run_bench)
 

@@ -30,7 +30,8 @@ from .bevscene import (
     _write_records,
     encoding_matrix,
 )
-from .numerics import c_einsum, central_differences, pairwise_sq_dist, softmax, top_k_indices
+from .numerics import _check_int, c_einsum, central_differences, pairwise_sq_dist
+from .numerics import softmax, top_k_indices
 
 __all__ = [
     "DqemParams",
@@ -52,12 +53,6 @@ __all__ = [
     "write_detections",
     "read_detections",
 ]
-
-def _check_int(name: str, value) -> None:
-    """A count must be an int (numpy's too); a float or a bool is refused
-    here rather than failing deep inside a run."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -165,6 +160,8 @@ def init_pillars(grid_nx: int, grid_ny: int, bounds: float) -> np.ndarray:
     """Read-only (grid_nx * grid_ny, 9) start boxes at the centers of a
     regular grid over the square [-B, B]^2, where ``bounds`` is the
     half-extent B; row-major, x fastest."""
+    _check_int("grid_nx", grid_nx)
+    _check_int("grid_ny", grid_ny)
     if grid_nx < 1 or grid_ny < 1:
         raise ValueError("grid dimensions must be at least 1")
     _check_bounds(bounds)

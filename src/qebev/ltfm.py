@@ -27,13 +27,12 @@ from .dqem import (
     DetectionFrame,
     DqemParams,
     EvolutionTrace,
-    _check_int,
     aggregate_over_centers,
     blend_and_rescale,
     gather_neighborhood,
     kmeans,
 )
-from .numerics import _first_draw, derive_seed, draw_seed, make_rng
+from .numerics import _check_int, _first_draw, derive_seed, draw_seed, make_rng
 
 __all__ = [
     "TemporalParams",

@@ -117,6 +117,13 @@ def central_differences(f: Callable[[np.ndarray], float], x: np.ndarray, h: floa
     return g.reshape(x.shape)
 
 
+def _check_int(name: str, value) -> None:
+    """A count must be an int (numpy's too); a float or a bool is refused
+    here rather than failing deep inside a run."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _first_draw(seed: int) -> int:
     """``draw_seed(make_rng(seed))`` from one bit generator and no
     Generator: a draw over the whole uint64 range is the bit generator's

@@ -16,11 +16,37 @@ from qebev.numerics import make_rng
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        BenchConfig(n_sweep=(4000, 2000, 8000))
-    with pytest.raises(ValueError):
-        BenchConfig(n_sweep=(1000,))
+        BenchConfig(n_min=1000, n_max=1000)
     with pytest.raises(ValueError):
         BenchConfig(repeats=2)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"factor": 1}, "factor must be at least 2"),
+    ({"n_min": 0}, "need 1 <= n_min <= n_max"),
+    ({"n_min": 4000, "n_max": 2000}, "need 1 <= n_min <= n_max"),
+    ({"n_min": 5, "n_max": 19, "factor": 4},
+     "n_min 5, n_max 19 and factor 4 give one size; the sweep needs at least two"),
+])
+def test_config_refuses_a_bad_sweep(kwargs, message):
+    with pytest.raises(ValueError) as info:
+        BenchConfig(**kwargs)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", ["n_min", "n_max", "factor", "repeats", "d", "k", "kmeans_iters"])
+@pytest.mark.parametrize("value", [2.5, True])
+def test_config_refuses_a_count_that_is_not_an_integer(name, value):
+    # A float k or a bool d once failed only inside run_scaling.
+    with pytest.raises(ValueError) as info:
+        BenchConfig(**{name: value})
+    assert str(info.value) == f"{name} must be an integer, got {value!r}"
+
+
+def test_config_sweeps_from_n_min_by_factor_up_to_n_max():
+    assert BenchConfig().n_sweep == (1000, 2000, 4000, 8000, 16000, 32000, 64000, 128000)
+    assert BenchConfig(n_min=5, n_max=20, factor=4).n_sweep == (5, 20)
+    assert BenchConfig(n_min=3, n_max=100, factor=3).n_sweep == (3, 9, 27, 81)
 
 
 def test_fit_slope_exact_power_law():
@@ -79,7 +105,7 @@ def test_fit_slope_needs_three_sizes():
 
 
 def test_run_scaling_tiny_sweep():
-    cfg = BenchConfig(n_sweep=(500, 1000, 2000), repeats=3)
+    cfg = BenchConfig(n_min=500, n_max=2000, repeats=3)
     rep = run_scaling(cfg, make_rng(0))
     assert len(rep.rows) == 3
     assert [r.n for r in rep.rows] == [500, 1000, 2000]
@@ -92,14 +118,14 @@ def test_run_scaling_tiny_sweep():
 
 
 def test_run_scaling_fits_no_slope_from_two_sizes():
-    rep = run_scaling(BenchConfig(n_sweep=(500, 1000), repeats=3), make_rng(2))
+    rep = run_scaling(BenchConfig(n_min=500, n_max=1000, repeats=3), make_rng(2))
     assert len(rep.rows) == 2 and not rep.notes
     assert rep.slope is None and rep.slope_ci is None
     assert [row.slope_running for row in rep.rows] == [None, None]
 
 
 def test_bench_csv_layout(tmp_path):
-    cfg = BenchConfig(n_sweep=(500, 1000), repeats=3)
+    cfg = BenchConfig(n_min=500, n_max=1000, repeats=3)
     rep = run_scaling(cfg, make_rng(1))
     path = tmp_path / "bench.csv"
     write_bench_csv(rep, path)

@@ -644,6 +644,22 @@ def test_over_packed_scene_raises_naming_the_object():
         generate_sequence(SceneConfig(bounds=7.0, n_objects=2), 2, 0.5, make_rng(0))
 
 
+@pytest.mark.parametrize("name", ["n_objects", "points_per_object", "background_points", "d"])
+@pytest.mark.parametrize("value", [12.5, True])
+def test_scene_config_refuses_a_count_that_is_not_an_integer(name, value):
+    # n_objects=True once simulated one object, and 2.5 points per object
+    # failed inside numpy when the scene was drawn.
+    with pytest.raises(ValueError) as info:
+        SceneConfig(**{name: value})
+    assert str(info.value) == f"{name} must be an integer, got {value!r}"
+
+
+def test_generate_sequence_refuses_a_frame_count_that_is_not_an_integer():
+    with pytest.raises(ValueError) as info:
+        generate_sequence(SceneConfig(), 2.5, 0.5, make_rng(0))
+    assert str(info.value) == "frames must be an integer, got 2.5"
+
+
 def test_scene_config_validation():
     with pytest.raises(ValueError):
         SceneConfig(d=8)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import qebev
 from _scene_lines import encode, old_format, points, set_points, set_value
-from qebev.bench import BenchConfig
+from qebev.bench import BenchConfig, ScalingReport
 from qebev.bevscene import SceneConfig, read_scenes
 from qebev.cli import build_parser, main
 from qebev.dqem import DqemParams, read_detections
@@ -444,12 +445,12 @@ def test_bench_accepts_fewer_clusters_than_attention_keeps(tmp_path):
 
 
 @pytest.mark.parametrize("n_min, n_max, factor", [(5, 5, 2), (5, 10, 4)])
-def test_bench_sweep_of_one_size_names_its_flags(tmp_path, capsys, n_min, n_max, factor):
+def test_bench_sweep_of_one_size_names_its_fields(tmp_path, capsys, n_min, n_max, factor):
     out = tmp_path / "bench.csv"
     assert run(["bench", "--n-min", str(n_min), "--n-max", str(n_max),
                 "--factor", str(factor), "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
-        f"error: --n-min {n_min}, --n-max {n_max} and --factor {factor} give one size; "
+        f"error: n_min {n_min}, n_max {n_max} and factor {factor} give one size; "
         "the sweep needs at least two\n")
     assert not out.exists()
 
@@ -548,6 +549,76 @@ def test_cli_defaults_are_the_dataclass_defaults():
         assert default("bench", option) == owned(bench, field), option
     assert default("bench", "--n-min") == (int, bench.n_sweep[0])
     assert default("bench", "--n-max") == (int, bench.n_sweep[-1])
+
+
+# A valid value other than the default for every settings field, the values
+# of one object all distinct, so that a field mapped to another's flag shows.
+SCENE_SETTINGS = {"bounds": 30.0, "n_objects": 3, "points_per_object": 7,
+                  "background_points": 11, "noise_sigma": 0.07, "d": 12,
+                  "speed_min": 0.5, "speed_max": 2.5}
+DETECT_SETTINGS = {"k": 5, "top_k": 3, "beta": 0.5, "radius": 6.0, "iterations": 2,
+                   "kmeans_iters": 15, "tau_bg": 0.1}
+TEMPORAL_SETTINGS = {"alpha": 0.25, "stride": 3}
+BENCH_SETTINGS = {"n_min": 2, "n_max": 50, "factor": 3, "repeats": 4, "d": 7, "k": 5,
+                  "kmeans_iters": 9}
+# The config keys that are not their field's name.
+RENAMED_KEYS = {"n_objects": "objects", "top_k": "topk", "iterations": "iters"}
+
+
+def settings_argv(settings, by, tmp_path):
+    """The settings as flags, or as the keys of a --config file."""
+    keys = {RENAMED_KEYS.get(name, name): value for name, value in settings.items()}
+    if by == "flag":
+        return [arg for key, value in keys.items()
+                for arg in ("--" + key.replace("_", "-"), str(value))]
+    cfg = tmp_path / "settings.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in keys.items()))
+    return ["--config", str(cfg)]
+
+
+def typed(values):
+    return {key: (type(value), value) for key, value in values.items()}
+
+
+def test_settings_cover_every_field_with_a_value_other_than_its_default():
+    for owner, settings in ((SceneConfig, SCENE_SETTINGS), (DqemParams, DETECT_SETTINGS),
+                            (TemporalParams, TEMPORAL_SETTINGS), (BenchConfig, BENCH_SETTINGS)):
+        default = asdict(owner())
+        assert list(settings) == list(default), owner
+        assert all(settings[name] != default[name] for name in settings), owner
+        assert len(set(settings.values())) == len(settings), owner
+
+
+@pytest.mark.parametrize("by", ["flag", "config"])
+def test_every_settings_field_reaches_its_object(tmp_path, monkeypatch, by):
+    # Flags and config keys are built from the dataclass fields; each field
+    # must arrive in the object the command builds, with its type.
+    run_dir = tmp_path / "run"
+    assert run(["pipeline", "--frames", "2", "--grid-nx", "3", "--grid-ny", "3",
+                "--out-dir", str(run_dir),
+                *settings_argv({**SCENE_SETTINGS, **DETECT_SETTINGS}, by, tmp_path)]) == 0
+    config = json.loads((run_dir / "report.json").read_text())["config"]
+    assert typed({key: config["scene"][key] for key in SCENE_SETTINGS}) == typed(SCENE_SETTINGS)
+    assert typed(config["detect"]) == typed(DETECT_SETTINGS)
+
+    scenes, dets = tmp_path / "s.jsonl", tmp_path / "d.jsonl"
+    assert run(simulate_args(scenes, frames=2)) == 0
+    assert run(detect_args(scenes, dets, extra=(
+        "--temporal", *settings_argv(TEMPORAL_SETTINGS, by, tmp_path)))) == 0
+    params = json.loads(dets.read_text().splitlines()[0])["params"]
+    assert typed({key: params[key] for key in TEMPORAL_SETTINGS}) == typed(TEMPORAL_SETTINGS)
+
+    received = []
+
+    def run_scaling(cfg, rng):
+        received.append(cfg)
+        return ScalingReport(cfg, [], None, None)
+
+    monkeypatch.setattr("qebev.bench.run_scaling", run_scaling)
+    assert run(["bench", "--out", str(tmp_path / "bench.csv"),
+                *settings_argv(BENCH_SETTINGS, by, tmp_path)]) == 0
+    [cfg] = received
+    assert typed(asdict(cfg)) == typed(BENCH_SETTINGS)
 
 
 def test_config_file_unknown_key_exits_one(tmp_path):

@@ -87,6 +87,18 @@ def test_init_pillars_validation():
         init_pillars(0, 3, 50.0)
 
 
+@pytest.mark.parametrize("grid, message", [
+    ((2.5, 3), "grid_nx must be an integer, got 2.5"),
+    ((3, True), "grid_ny must be an integer, got True"),
+])
+def test_init_pillars_refuses_a_grid_size_that_is_not_an_integer(grid, message):
+    # 2.5 columns once failed in numpy: "'float' object cannot be interpreted
+    # as an integer".
+    with pytest.raises(ValueError) as info:
+        init_pillars(*grid, 10.0)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
 def test_init_pillars_rejects_a_bad_half_extent(value):
     with pytest.raises(ValueError, match=f"bounds must be positive and finite, got {value}"):
