@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -76,7 +76,6 @@ class ScalingReport:
     rows: list[BenchRow]
     slope: float | None
     slope_ci: tuple[float, float] | None
-    notes: list[str] = field(default_factory=list)
 
 
 def _make_workload(n: int, cfg: BenchConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -137,14 +136,11 @@ def run_scaling(cfg: BenchConfig, rng: np.random.Generator) -> ScalingReport:
     """Median step times over the sweep plus the fitted log-log slope.
 
     The same seed produces the same feature sets, so medians differ only by
-    machine noise.  Sizes whose median lands inside 100x the timer
-    resolution are excluded from the fit (noted in the report).  The slope,
-    and a row's running slope, are None until three sizes are usable.
+    machine noise.  The slope, and a row's running slope, are None until
+    three sizes are timed.
     """
     base_seed = draw_seed(rng)
-    resolution = time.get_clock_info("perf_counter").resolution
     rows: list[BenchRow] = []
-    notes: list[str] = []
     fit_ns: list[int] = []
     fit_ts: list[float] = []
 
@@ -166,21 +162,14 @@ def run_scaling(cfg: BenchConfig, rng: np.random.Generator) -> ScalingReport:
         # np.median's value, without the numpy.ma import np.median makes.
         times.sort()
         median = 0.5 * (times[(cfg.repeats - 1) // 2] + times[cfg.repeats // 2])
-
-        if median < 100.0 * resolution:
-            notes.append(
-                f"n={n}: median {median:.3e}s within 100x timer resolution, excluded from fit"
-            )
-            slope_running = None
-        else:
-            fit_ns.append(n)
-            fit_ts.append(median)
-            fit = _fit_slope(fit_ns, fit_ts)
-            slope_running = fit[0] if fit is not None else None
-        rows.append(BenchRow(n=n, median_seconds=median, slope_running=slope_running))
+        fit_ns.append(n)
+        fit_ts.append(median)
+        fit = _fit_slope(fit_ns, fit_ts)
+        rows.append(BenchRow(n=n, median_seconds=median,
+                             slope_running=fit[0] if fit is not None else None))
 
     slope, ci = _fit_slope(fit_ns, fit_ts) or (None, None)
-    return ScalingReport(config=cfg, rows=rows, slope=slope, slope_ci=ci, notes=notes)
+    return ScalingReport(config=cfg, rows=rows, slope=slope, slope_ci=ci)
 
 
 def write_bench_csv(report: ScalingReport, path: str) -> None:

@@ -49,53 +49,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _load_config_file(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    try:
-        # Bytes that are not UTF-8 come through as lone surrogates, so that
-        # the line holding them is named below rather than by the decoder.
-        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
-    except OSError as exc:
-        raise ValueError(f"cannot read config file {path}: {exc}") from exc
-    with fh:
-        for line_no, raw in enumerate(fh, start=1):
-            if not raw.isascii():
-                try:
-                    _check_utf8(raw)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{line_no}: {exc}") from None
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, eq, value = line.partition("=")
-            if not eq or not key:
-                raise ValueError(f"{path}:{line_no}: expected key=value, got {line!r}")
-            out[key.strip()] = value.strip()
-    return out
-
-
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
-
-def _coerce(value: str, action: argparse.Action, path: str, key: str):
-    if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-        low = value.lower()
-        if low in _TRUE:
-            return True
-        if low in _FALSE:
-            return False
-        raise ValueError(f"{path}: key {key} expects a boolean, got {value!r}")
-    if action.type is not None:
-        try:
-            return action.type(value)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: key {key}: {exc}") from exc
-    return value
+# The values a config file may give a switch such as --temporal.
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
 def _apply_config(sub: argparse.ArgumentParser, argv: list[str]) -> None:
-    """Install config-file values as parser defaults so flags override them."""
+    """Install config-file values as parser defaults so flags override them.
+    Each line is checked and typed as it is read; a fault names its path:line."""
     path = None
     for i, a in enumerate(argv):
         if a == "--config" and i + 1 < len(argv):
@@ -104,15 +65,33 @@ def _apply_config(sub: argparse.ArgumentParser, argv: list[str]) -> None:
             path = a.split("=", 1)[1]
     if path is None:
         return
-    values = _load_config_file(path)
     # A config file cannot name another.
     actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
-    unknown = sorted(set(values) - set(actions))
-    if unknown:
-        raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
-    for key in values:
-        actions[key].required = False  # the file's value stands in for the flag
-    sub.set_defaults(**{k: _coerce(v, actions[k], path, k) for k, v in values.items()})
+    # Bytes that are not UTF-8 come through as lone surrogates, so that the
+    # line holding them is named below rather than by the decoder.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                if not raw.isascii():
+                    _check_utf8(raw)
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                key, eq, value = (part.strip() for part in line.partition("="))
+                if not eq or not key:
+                    raise ValueError(f"expected key=value, got {line!r}")
+                if (action := actions.get(key)) is None:
+                    raise ValueError(f"unknown config key {key}")
+                if action.nargs == 0:  # --temporal, --no-temporal
+                    if value.lower() not in _BOOLEANS:
+                        raise ValueError(f"key {key} expects a boolean, got {value!r}")
+                    value = _BOOLEANS[value.lower()]
+                elif action.type is not None:
+                    value = action.type(value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
+            action.required = False  # the file's value stands in for the flag
+            sub.set_defaults(**{key: value})
 
 
 def _add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
@@ -185,6 +164,14 @@ def _detect_params(
     return params, tparams, init_pillars(args.grid_nx, args.grid_ny, args.bounds)
 
 
+def _read_frames(path: str) -> list[Frame]:
+    """The frames of a scene file; a file with none is refused."""
+    frames = read_scenes(path)
+    if not frames:
+        raise ValueError(f"{path}: no frames")
+    return frames
+
+
 def _detect_over_scenes(
     args: argparse.Namespace,
     params: DqemParams,
@@ -194,9 +181,7 @@ def _detect_over_scenes(
     out_path: str,
 ) -> list[DetectionFrame]:
     """Detect over the scene file; write and return the deduped frames."""
-    frames = read_scenes(scenes_path)
-    if not frames:
-        raise ValueError(f"{scenes_path}: no frames")
+    frames = _read_frames(scenes_path)
     try:
         result = run_sequence(
             frames, params, tparams if args.temporal else None,
@@ -266,7 +251,7 @@ def _run_detect(args: argparse.Namespace) -> int:
 def _run_eval(args: argparse.Namespace) -> int:
     _check_tp_threshold(args.tp_threshold)
     _check_out_dir("--report", args.report)
-    det_frames, scene_frames = read_detections(args.dets), read_scenes(args.scenes)
+    det_frames, scene_frames = read_detections(args.dets), _read_frames(args.scenes)
     config = {"dets": args.dets, "scenes": args.scenes, "tp_threshold": args.tp_threshold}
     try:
         report = evaluate_detections(det_frames, scene_frames, args.tp_threshold, config)
@@ -314,8 +299,6 @@ def _run_bench(args: argparse.Namespace) -> int:
     _check_out_dir("--out", args.out)
     report = bench_mod.run_scaling(cfg, make_rng(derive_seed(args.seed, "bench")))
     bench_mod.write_bench_csv(report, args.out)
-    for note in report.notes:
-        print(f"note: {note}")
     if report.slope is None:
         print(f"wrote {args.out}; too few usable sizes for a slope")
     else:
@@ -344,7 +327,7 @@ def _run_pipeline(args: argparse.Namespace) -> int:
         "temporal": args.temporal, "tp_threshold": args.tp_threshold,
     }
     # Scored as detected, not parsed back; the scene file is read as eval reads it.
-    report = evaluate_detections(det_frames, read_scenes(scenes_path), args.tp_threshold, config)
+    report = evaluate_detections(det_frames, _read_frames(scenes_path), args.tp_threshold, config)
     return _report(report, report_path)
 
 

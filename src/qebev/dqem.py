@@ -377,15 +377,13 @@ def kmeans(
 
 
 def attention_scores(q: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Dot-product score of a query against each cluster center.
+    """Dot-product score of a (d,) query against each row of (k, d) centers.
 
     The scores are divided by sqrt(d), which keeps softmax weights usable as
     feature width grows.
     """
     qv = np.asarray(q, dtype=np.float64)
     c = np.asarray(centers, dtype=np.float64)
-    if c.ndim < 2:  # np.atleast_2d's reshape
-        c = c.reshape(1, -1)
     # Column-major centers make the BLAS sum each dot product in the order of
     # (I @ c.T).T @ (I @ q), the identity-projected product the golden outputs
     # pin.  A row-major c @ q rounds differently and changes detections.

@@ -19,6 +19,8 @@ def test_config_validation():
         BenchConfig(n_min=1000, n_max=1000)
     with pytest.raises(ValueError):
         BenchConfig(repeats=2)
+    with pytest.raises(ValueError, match="^k, d and kmeans_iters must be at least 1$"):
+        BenchConfig(k=0)
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -119,7 +121,7 @@ def test_run_scaling_tiny_sweep():
 
 def test_run_scaling_fits_no_slope_from_two_sizes():
     rep = run_scaling(BenchConfig(n_min=500, n_max=1000, repeats=3), make_rng(2))
-    assert len(rep.rows) == 2 and not rep.notes
+    assert len(rep.rows) == 2
     assert rep.slope is None and rep.slope_ci is None
     assert [row.slope_running for row in rep.rows] == [None, None]
 

@@ -59,6 +59,13 @@ def test_box_attributes_validation(tmp_path):
     assert back.boxes[0, 6] == wrap_angle(3 * math.pi) and -math.pi <= back.boxes[0, 6] < math.pi
 
 
+def test_frame_refuses_a_missing_track_id_or_unpaired_point_rows():
+    with pytest.raises(ValueError, match="^one track id per ground-truth box$"):
+        Frame(0.0, np.ones((2, 9)), [0], np.zeros((0, 2)), np.zeros((0, 16)), 0)
+    with pytest.raises(ValueError, match="^xy and feat row counts must agree$"):
+        Frame(0.0, np.zeros((0, 9)), [], np.zeros((3, 2)), np.zeros((2, 16)), 0)
+
+
 def test_frame_boxes_are_a_read_only_copy():
     mine = np.array([[1.0, 2.0, 0.8, 2.0, 4.5, 1.6, 0.5, 1.0, -1.0]])
     frame = frame_of(mine)
@@ -122,6 +129,11 @@ def test_encode_decode_round_trip_noiseless():
         dec = decode_feature(f, encoder_seed=12345)
         assert dec.dtype == np.float64 and dec.shape == (9,)
         assert np.allclose(dec, box, atol=1e-10)
+
+
+def test_decode_feature_refuses_a_feature_matrix():
+    with pytest.raises(ValueError, match="^decode_feature expects a single feature vector$"):
+        decode_feature(np.ones((2, 16)), encoder_seed=1)
 
 
 def test_decode_feature_background_gate():

@@ -79,6 +79,13 @@ def test_over_packed_scene_exits_one_and_writes_nothing(tmp_path, capsys):
     assert not out.exists() and not run_dir.exists()
 
 
+def test_simulate_zero_frames_exits_one_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "s.jsonl"
+    assert run([*simulate_args(out), "--frames", "0"]) == 1
+    assert capsys.readouterr().err == "error: frames must be at least 1\n"
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error")
 def test_an_overflowing_noise_sigma_exits_one_and_writes_nothing(tmp_path, capsys):
     # simulate once exited 0 with two numpy overflow warnings and wrote
@@ -243,6 +250,19 @@ def test_eval_pairing_faults_name_both_files_and_the_frame(tmp_path, capsys):
                     "--report", str(tmp_path / "r.json")]) == 1
         assert capsys.readouterr().err == f"error: {dets} vs {scenes}: {fault}\n"
     assert not (tmp_path / "r.json").exists()
+
+
+def test_detect_and_eval_refuse_a_scene_file_without_frames(tmp_path, capsys):
+    # eval once scored two empty files as a run of no frames: exit 0 and a
+    # report whose mAP and NDS were null.
+    empty, dets, report = tmp_path / "empty.jsonl", tmp_path / "d.jsonl", tmp_path / "r.json"
+    empty.write_text("")
+    for argv in (detect_args(empty, dets),
+                 ["eval", "--dets", str(empty), "--scenes", str(empty), "--report", str(report)]):
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {empty}: no frames\n"
+    assert not dets.exists() and not report.exists()
 
 
 # ---------------------------------------------------------------- pipeline
@@ -506,7 +526,7 @@ def test_config_file_cannot_name_another(tmp_path, capsys):
     out = tmp_path / "s.jsonl"
     capsys.readouterr()
     assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {cfg}: unknown config keys: config\n"
+    assert capsys.readouterr().err == f"error: {cfg}:1: unknown config key config\n"
     assert not out.exists()
 
 
@@ -642,6 +662,36 @@ def test_config_file_line_with_no_key_exits_one_with_its_line(tmp_path, capsys):
     out = tmp_path / "s.jsonl"
     assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {cfg}:2: expected key=value, got '= 5'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, fault", [
+    ("k = six", "invalid literal for int() with base 10: 'six'"),
+    ("temporal = maybe", "key temporal expects a boolean, got 'maybe'"),
+    ("no_such_option = 1", "unknown config key no_such_option"),
+])
+def test_config_file_fault_names_its_line(tmp_path, capsys, line, fault):
+    # These once named the file alone, and an unknown key was found only
+    # after every line had been read.  The first faulty line is the one named.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# a comment\nframes = 2\n{line}\nbeta = x\n")
+    run_dir = tmp_path / "run"
+    assert run(["pipeline", "--config", str(cfg), "--out-dir", str(run_dir)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:3: {fault}\n"
+    assert not run_dir.exists()
+
+
+def test_config_file_given_with_an_equals_sign(tmp_path):
+    cfg, out = tmp_path / "run.cfg", tmp_path / "s.jsonl"
+    cfg.write_text("frames = 2\n")
+    assert run(["simulate", f"--config={cfg}", "--out", str(out)]) == 0
+    assert len(read_scenes(out)) == 2
+
+
+def test_config_file_that_cannot_be_opened_exits_one(tmp_path, capsys):
+    cfg, out = tmp_path / "absent.cfg", tmp_path / "s.jsonl"
+    assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{cfg}'\n"
     assert not out.exists()
 
 
@@ -1115,7 +1165,7 @@ def test_deleted_flags_are_unknown(tmp_path, capsys, scenes_and_dets, command, f
     key = flag[2:].replace("-", "_")
     cfg.write_text(f"{key} = {value or 'true'}\n")
     assert run([*argv, "--config", str(cfg)]) == 1
-    assert capsys.readouterr().err == f"error: {cfg}: unknown config keys: {key}\n"
+    assert capsys.readouterr().err == f"error: {cfg}:1: unknown config key {key}\n"
 
 
 # ---------------------------------------------------------------- exit codes

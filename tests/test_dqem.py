@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qebev.bevscene import SceneConfig, decode_feature, generate_sequence
+from qebev.bevscene import Frame, SceneConfig, decode_feature, generate_sequence
 from qebev.dqem import (
     DetectionFrame,
     DqemParams,
@@ -159,6 +159,12 @@ def test_gather_empty():
     assert len(got) == 0
 
 
+def test_gather_refuses_a_radius_that_is_not_positive():
+    fr = generate_sequence(SceneConfig(n_objects=1), 1, 0.5, make_rng(2))[0]
+    with pytest.raises(ValueError, match="^radius must be positive$"):
+        gather_neighborhood(fr, np.zeros(2), 0.0)
+
+
 # ---------------------------------------------------------------- kmeans
 
 
@@ -229,6 +235,20 @@ def test_kmeans_near_best_of_restarts():
         )
         got = kmeans(pts, 3, 30, make_rng(trial)).inertia_trace[-1]
         assert got <= best * 1.25 + 1e-12
+
+
+def test_kmeans_drops_clusters_the_final_assignment_leaves_empty():
+    # The center at 100 draws no point; with one update it is reseeded but
+    # never assigned, so only two clusters come back, relabelled 0 and 1.
+    pts = np.array([[0.0], [1.0], [10.0], [11.0]])
+    cs = kmeans(pts, 3, 1, make_rng(0), init=np.array([[0.5], [100.0], [10.5]]))
+    assert cs.k_eff == 2
+    assert cs.assignments.tolist() == [0, 0, 1, 1]
+    assert cs.centers.tolist() == [[0.5], [10.5]]
+    assert cs.sizes.tolist() == [2, 2]
+    assert set(cs.assignments.tolist()) == set(range(cs.k_eff))
+    for c in range(cs.k_eff):
+        assert cs.centers[c].tolist() == pts[cs.assignments == c].mean(axis=0).tolist()
 
 
 def test_kmeans_validation():
@@ -555,6 +575,32 @@ def test_fit_rejects_bad_diversity_weight(value):
 def test_fit_rejects_bad_rate_and_step_count(kwargs, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         fit_projections(small_suite(n_frames=1), DqemParams(), make_rng(0), **kwargs)
+
+
+def with_features(frame, feat):
+    return Frame(frame.timestamp, frame.boxes, frame.track_ids, frame.xy, feat,
+                 frame.encoder_seed)
+
+
+@pytest.mark.parametrize("suite, params", [
+    # Every neighborhood empty, zero-mean, or with fewer distinct rows than k.
+    (lambda fr: fr, DqemParams(radius=1e-9)),
+    (lambda fr: with_features(fr, np.zeros_like(fr.feat)), DqemParams()),
+    (lambda fr: with_features(fr, np.ones_like(fr.feat)), DqemParams()),
+])
+def test_fit_refuses_a_suite_without_usable_neighborhoods(suite, params):
+    [frame] = small_suite(n_frames=1)
+    with pytest.raises(ValueError, match="^calibration suite produced no usable neighborhoods$"):
+        fit_projections([suite(frame)], params, make_rng(0))
+
+
+def test_fit_refuses_a_non_finite_objective():
+    # Features near the float maximum overflow the decoded error.
+    [frame] = small_suite(n_frames=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match="^non-finite calibration objective "):
+            fit_projections([with_features(frame, frame.feat * 1e154)],
+                            DqemParams(k=1, top_k=1), make_rng(0))
 
 
 def test_fit_zero_steps_is_near_identity_init():

@@ -405,6 +405,14 @@ def test_iter_sequence_rejects_a_fused_frame_not_later_than_a_stride_back(stride
     assert len(list(iter_sequence(frames, params, None, make_rng(1), **run_kwargs()))) == t + 1
 
 
+def test_iter_sequence_refuses_to_fuse_frames_of_unequal_feature_widths():
+    frames = [generate_sequence(tiny_scene(d=d), 1, 0.5, make_rng(40 + d))[0] for d in (16, 12)]
+    frames[1] = replace(frames[1], timestamp=0.5)
+    with pytest.raises(ValueError, match=r"^frame 1 \(timestamp 0\.5\): query shapes must agree$"):
+        list(iter_sequence(frames, DqemParams(radius=10.0, iterations=1),
+                           TemporalParams(stride=1), make_rng(1), **run_kwargs()))
+
+
 def test_run_sequence_interval_passthrough():
     cfg = tiny_scene()
     seq = generate_sequence(cfg, 2, 0.25, make_rng(16))

@@ -159,6 +159,11 @@ def test_pairwise_sq_dist_elementwise_oracle():
         assert np.allclose(got, want, atol=1e-12)
 
 
+def test_pairwise_sq_dist_refuses_unequal_widths():
+    with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 3$"):
+        pairwise_sq_dist(np.zeros((4, 2)), np.zeros((1, 3)))
+
+
 def test_pairwise_sq_dist_exact_zero_on_identical_rows():
     a = np.array([[1.25, -3.5, 0.75]])
     d = pairwise_sq_dist(a, a.copy())

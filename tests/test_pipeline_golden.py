@@ -2,7 +2,11 @@
 
 The hashes are those recorded in ROADMAP.md (numpy 2.4, Python 3.11).  A
 change that alters them on purpose says so and records the new values; on
-another numpy or BLAS build, take them again.  The detection and report
+another numpy or BLAS build, take them again.  On the same build they also
+follow the OpenBLAS kernel and numpy's SIMD level: they were taken on an
+AVX-512 Xeon where OpenBLAS picks its SkylakeX kernel, and forcing
+OPENBLAS_CORETYPE=Haswell there fails four of these tests (ROADMAP.md,
+State).  The detection and report
 hashes cover the echoed run parameters too, so they moved when the
 attention, re-gather and matcher switches left the echo, while every
 detection and score stayed bit-identical.  The two scene hashes moved when
